@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fock import DensityMatrix, FockVector, coherent, inner, min_trunc, normalize
 from .optimize import OptResult, find_crossing, maximize_scalar, scs_gain
-from .states import HesSpec, HybridState, ScsSpec, hes_state, scs_state
+from .states import HesSpec, ScsSpec, hes_state, scs_state
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "DivergentGainError",
     "FockVector",
     "HesSpec",
-    "HybridState",
     "OptResult",
     "OptimizationError",
     "Scheme",

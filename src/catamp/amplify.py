@@ -6,8 +6,8 @@ product: the rightmost entry acts first.  The two named schemes are
     AADAG = ("subtract", "add")   addition first, then subtraction  (a a-dagger)
     ADAG2 = ("add", "add")        two successive additions          (a-dagger^2)
 
-Words applied to a hybrid state act on the bosonic mode of every discrete
-block, with a single global renormalization.
+Words applied to a hybrid state (a row stack) act on the bosonic mode of
+every discrete block, with a single global renormalization.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import fock, states
 from .errors import DegenerateStateError
 from .fock import ADD, SUBTRACT, FockVector
-from .states import HesSpec, HybridState, ScsSpec
+from .states import HesSpec, ScsSpec
 
 SchemeWord = tuple[str, ...]
 
@@ -60,21 +60,16 @@ def apply_word(v: FockVector, word: SchemeWord) -> tuple[FockVector, float]:
 def apply_poly(v: FockVector, poly: LadderPoly) -> FockVector:
     """Apply a ladder polynomial (unnormalized linear combination of words)."""
     width = v.trunc + max((word_counts(w)[0] for _, w in poly), default=0)
-    acc = np.zeros(width, dtype=complex)
+    acc = np.zeros(v.amps.shape[:-1] + (width,), dtype=complex)
     for coef, word in poly:
         term = _apply_word_raw(v, word).padded(width)
         acc += complex(coef) * term.amps
     return FockVector(acc)
 
 
-def hes_amplified(spec: HesSpec, word: SchemeWord, trunc: int) -> tuple[HybridState, float]:
+def hes_amplified(spec: HesSpec, word: SchemeWord, trunc: int) -> tuple[FockVector, float]:
     """Amplified hybrid qudit and the pre-normalization norm of the raw image."""
-    state = states.hes_state(spec, trunc)
-    mapped = states.hybrid_map_cv(state, lambda v: _apply_word_raw(v, word))
-    raw_norm = mapped.norm()
-    if raw_norm <= 0.0:
-        raise DegenerateStateError(f"word {word} annihilated the hybrid state")
-    return HybridState(mapped.amps / raw_norm), raw_norm
+    return apply_word(states.hes_state(spec, trunc), word)
 
 
 def scs_amplified(spec: ScsSpec, word: SchemeWord, trunc: int) -> tuple[FockVector, float]:
@@ -170,8 +165,7 @@ def prop1_pair(spec: HesSpec, poly: LadderPoly) -> tuple[complex, complex]:
     max_adds = max(word_counts(w)[0] for _, w in poly)
     trunc = fock.auto_trunc(spec.alpha, additions=max_adds)
     hes = states.hes_state(spec, trunc)
-    mapped = states.hybrid_map_cv(hes, lambda v: apply_poly(v, poly))
-    x_hes = states.hybrid_inner(hes, mapped)
+    x_hes = fock.inner(hes, apply_poly(hes, poly))
     coh = fock.coherent(spec.alpha, trunc)
     x_coh = fock.inner(coh, apply_poly(coh, poly))
     return x_hes, x_coh
@@ -195,8 +189,7 @@ def prop2_pair(
     trunc = fock.auto_trunc(max(alpha, beta), additions=max_adds)
     ket = states.hes_state(HesSpec(alpha, d, k), trunc)
     bra = states.hes_state(HesSpec(beta, d, (k + l) % d), trunc)
-    mapped = states.hybrid_map_cv(ket, lambda v: apply_poly(v, poly))
-    x_hes = states.hybrid_inner(bra, mapped)
+    x_hes = fock.inner(bra, apply_poly(ket, poly))
     coh_a = fock.coherent(alpha, trunc)
     coh_b = fock.coherent(beta, trunc)
     x_coh = fock.inner(coh_b, apply_poly(coh_a, poly))

@@ -26,7 +26,7 @@ from . import fock, states
 from .analytic import Scheme, as_scheme
 from .errors import DegenerateStateError
 from .fock import ADD, SUBTRACT, FockVector
-from .states import HesSpec, HybridState, ScsSpec
+from .states import HesSpec, ScsSpec
 
 HERALD_FLOOR = 1e-300
 
@@ -119,7 +119,9 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
     """One heralded stage of the circuit; returns (normalized output, herald probability).
 
     The two-mode grid is enlarged so every populated photon-number sector is
-    complete, making the stage exact rather than truncation-limited.
+    complete, making the stage exact rather than truncation-limited.  Each row
+    of a row stack passes the beam splitter on its own; the herald is global,
+    so the probability sums over rows.
     """
     if kind not in (ADD, SUBTRACT):
         raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
@@ -128,9 +130,10 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
     dim = v.trunc + 2
     anc_in = 1 if kind == ADD else 0
     anc_out = 0 if kind == ADD else 1
-    joint = two_mode_product(v.padded(dim), anc_in, dim)
-    mixed = bs_apply(joint, bs)
-    branch = mixed.amps[:, anc_out]
+    rows = v.padded(dim).amps.reshape(-1, dim)
+    branch = np.array(
+        [bs_apply(two_mode_product(FockVector(r), anc_in, dim), bs).amps[:, anc_out] for r in rows]
+    ).reshape(v.amps.shape[:-1] + (dim,))
     prob = float(np.linalg.norm(branch) ** 2)
     if prob < HERALD_FLOOR:
         raise DegenerateStateError(f"herald probability {prob} below {HERALD_FLOOR}")
@@ -167,17 +170,9 @@ def _kraus_scheme(v: FockVector, s: Scheme, gamma: float) -> FockVector:
     return kraus_apply(kraus_apply(v, gamma, first), gamma, second)
 
 
-def scheme_success_prob(state, s, gamma: float) -> float:
+def scheme_success_prob(state: FockVector, s, gamma: float) -> float:
     """Joint herald probability of a scheme circuit on a normalized input."""
-    s = as_scheme(s)
-    if isinstance(state, HybridState):
-        return float(
-            sum(
-                np.linalg.norm(_kraus_scheme(state.row(n), s, gamma).amps) ** 2
-                for n in range(state.dv_dim)
-            )
-        )
-    return float(np.linalg.norm(_kraus_scheme(state, s, gamma).amps) ** 2)
+    return float(np.linalg.norm(_kraus_scheme(state, as_scheme(s), gamma).amps) ** 2)
 
 
 def _circuit_scheme(v: FockVector, s: Scheme, gamma: float) -> tuple[FockVector, float]:
@@ -186,10 +181,6 @@ def _circuit_scheme(v: FockVector, s: Scheme, gamma: float) -> tuple[FockVector,
     out1, p1 = heralded_op(v, bs, first)
     out2, p2 = heralded_op(out1, bs, second)
     return out2, p1 * p2
-
-
-def _overlap_sq(u: FockVector, v: FockVector) -> float:
-    return abs(fock.inner(u, v)) ** 2
 
 
 def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, float, float]:
@@ -202,51 +193,12 @@ def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, floa
     s = as_scheme(s)
     if isinstance(spec, ScsSpec):
         v = states.scs_state(spec, trunc)
-        sim_state, p_sim = _circuit_scheme(v, s, gamma)
-        kr = _kraus_scheme(v, s, gamma)
-        p_kraus = float(np.linalg.norm(kr.amps) ** 2)
-        kr_state, _ = fock.normalize(kr)
-        return p_sim, p_kraus, _overlap_sq(sim_state, kr_state)
-    if isinstance(spec, HesSpec):
-        h = states.hes_state(spec, trunc)
-        bs = BeamSplitter(gamma)
-        first, second = _scheme_kinds(s)
-        # unnormalized per-block branches; heralds are global across blocks
-        rows = [h.row(n) for n in range(h.dv_dim)]
-
-        def stage(rows_in, kind):
-            outs = []
-            for r in rows_in:
-                dim = r.trunc + 2
-                joint = two_mode_product(r.padded(dim), 1 if kind == ADD else 0, dim)
-                mixed = bs_apply(joint, bs)
-                outs.append(FockVector(mixed.amps[:, 0 if kind == ADD else 1]))
-            p = sum(r.norm() ** 2 for r in outs)
-            return outs, p
-
-        rows1, p1 = stage(rows, first)
-        rows1 = [FockVector(r.amps / np.sqrt(p1)) for r in rows1]
-        rows2, p2 = stage(rows1, second)
-        p_sim = p1 * p2
-        width = max(r.trunc for r in rows2)
-        sim = np.zeros((h.dv_dim, width), complex)
-        for i, r in enumerate(rows2):
-            sim[i, : r.trunc] = r.amps
-        sim /= np.linalg.norm(sim)
-
-        kr_rows = [_kraus_scheme(r, s, gamma) for r in (h.row(n) for n in range(h.dv_dim))]
-        p_kraus = float(sum(np.linalg.norm(r.amps) ** 2 for r in kr_rows))
-        kwidth = max(r.trunc for r in kr_rows)
-        kr = np.zeros((h.dv_dim, kwidth), complex)
-        for i, r in enumerate(kr_rows):
-            kr[i, : r.trunc] = r.amps
-        kr /= np.linalg.norm(kr)
-
-        width = max(sim.shape[1], kr.shape[1])
-        sim_p = np.zeros((h.dv_dim, width), complex)
-        kr_p = np.zeros((h.dv_dim, width), complex)
-        sim_p[:, : sim.shape[1]] = sim
-        kr_p[:, : kr.shape[1]] = kr
-        fid = abs(np.vdot(sim_p, kr_p)) ** 2
-        return p_sim, p_kraus, float(fid)
-    raise TypeError(f"spec must be ScsSpec or HesSpec, got {type(spec).__name__}")
+    elif isinstance(spec, HesSpec):
+        v = states.hes_state(spec, trunc)
+    else:
+        raise TypeError(f"spec must be ScsSpec or HesSpec, got {type(spec).__name__}")
+    sim_state, p_sim = _circuit_scheme(v, s, gamma)
+    kr = _kraus_scheme(v, s, gamma)
+    p_kraus = float(np.linalg.norm(kr.amps) ** 2)
+    kr_state, _ = fock.normalize(kr)
+    return p_sim, p_kraus, abs(fock.inner(sim_state, kr_state)) ** 2

@@ -177,13 +177,26 @@ def _grids(level: str):
                 dims=(1, 2, 3, 4, 5), gammas=(0.001, 0.01, 0.1), bell_alphas=(0.5, 1.0, 2.0))
 
 
-def _brute_scs_fidelity(alpha, g, d, k, scheme) -> float:
+def brute_scs_fidelity(alpha, g, d, k, scheme) -> float:
+    """Truncated-Fock route: build, amplify, overlap; no closed forms involved."""
     word = analytic.scheme_word(scheme)
     tk = analytic.target_index(k, d, scheme)
     trunc = fock.auto_trunc(max(alpha, g * alpha), additions=2)
     amped, _ = amplify.scs_amplified(ScsSpec(alpha, d, k), word, trunc)
     target = states.scs_state(ScsSpec(g * alpha, d, tk), amped.trunc)
     return abs(fock.inner(target, amped)) ** 2
+
+
+def brute_scs_qfi(alpha, d, k, scheme) -> float:
+    """4 Var(n) of the bare (scheme None) or amplified cat state, from Fock arithmetic."""
+    trunc = fock.auto_trunc(alpha, additions=2)
+    spec = ScsSpec(alpha, d, k)
+    if scheme is None:
+        v = states.scs_state(spec, trunc)
+    else:
+        v, _ = amplify.scs_amplified(spec, analytic.scheme_word(scheme), trunc)
+    _, var = fock.moments(v)
+    return 4.0 * var
 
 
 def _check_ladder_algebra(g):
@@ -212,7 +225,7 @@ def _check_gram_identities(g):
             for i in range(d):
                 for j in range(d):
                     want = 1.0 if i == j else 0.0
-                    got = states.hybrid_inner(hs[i], hs[j])
+                    got = fock.inner(hs[i], hs[j])
                     assert abs(got - want) < 1e-10, f"hes gram d={d} alpha={alpha}"
 
 
@@ -233,7 +246,7 @@ def _check_hes_fidelity_equivalence(g):
         for gain in g["gains"]:
             for scheme in Scheme:
                 closed = analytic.hes_fidelity(alpha, gain, scheme)
-                brute = _brute_scs_fidelity(alpha, gain, 1, 0, scheme)
+                brute = brute_scs_fidelity(alpha, gain, 1, 0, scheme)
                 assert abs(closed - brute) < 1e-8, (
                     f"hes fidelity equivalence alpha={alpha} g={gain} {scheme.value}"
                 )
@@ -246,7 +259,7 @@ def _check_scs_fidelity_equivalence(g):
                 for gain in g["gains"]:
                     for scheme in Scheme:
                         closed = analytic.scs_fidelity(alpha, gain, d, k, scheme)
-                        brute = _brute_scs_fidelity(alpha, gain, d, k, scheme)
+                        brute = brute_scs_fidelity(alpha, gain, d, k, scheme)
                         assert abs(closed - brute) < 1e-8, (
                             f"scs fidelity equivalence a={alpha} g={gain} d={d} k={k}"
                         )
@@ -256,18 +269,11 @@ def _check_qfi_equivalence(g):
     for d in g["dims"]:
         for k in range(d):
             for alpha in g["alphas"]:
-                trunc = fock.auto_trunc(alpha, additions=2)
-                spec = ScsSpec(alpha, d, k)
-                v = states.scs_state(spec, trunc)
-                _, var = fock.moments(v)
-                closed = analytic.scs_qfi(alpha, d, k)
-                assert abs(closed - 4 * var) <= 1e-8 * max(1.0, closed), "bare qfi"
-                for scheme in Scheme:
-                    amped, _ = amplify.scs_amplified(spec, analytic.scheme_word(scheme), trunc)
-                    _, var = fock.moments(amped)
+                for scheme in (None, *Scheme):
                     closed = analytic.scs_qfi(alpha, d, k, scheme)
-                    assert abs(closed - 4 * var) <= 1e-8 * max(1.0, closed), (
-                        f"qfi equivalence a={alpha} d={d} k={k} {scheme.value}"
+                    brute = brute_scs_qfi(alpha, d, k, scheme)
+                    assert abs(closed - brute) <= 1e-8 * max(1.0, closed), (
+                        f"qfi equivalence a={alpha} d={d} k={k} {scheme}"
                     )
 
 
@@ -345,7 +351,7 @@ def _check_quadrature_zero(g):
             h = states.hes_state(HesSpec(1.0, d, k), trunc)
             for lam in lams:
                 assert abs(fock.quadrature_expect(v, lam)) <= 1e-10
-                assert abs(states.hybrid_quadrature_expect(h, lam)) <= 1e-10
+                assert abs(fock.quadrature_expect(h, lam)) <= 1e-10
 
 
 CHECKS = (

@@ -1,8 +1,10 @@
 """Single-mode truncated Fock-space linear algebra.
 
-States are complex amplitude vectors over photon numbers 0..N-1.  All values
-are immutable after construction and every operation is a pure function, so
-everything here is safe to share across threads.
+States are complex amplitude arrays over photon numbers 0..N-1: shape (N,)
+for one bosonic mode, or (rows, N) for a mode paired with a discrete index
+(one row per index value).  Every operation acts on the last (Fock) axis.  All
+values are immutable after construction and every operation is a pure
+function, so everything here is safe to share across threads.
 
 Conventions:
   - photon subtraction (annihilation a):   amp[n] <- sqrt(n+1) * amp[n+1]
@@ -29,7 +31,7 @@ TAIL_EPS = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Complex amplitudes over photon numbers 0..trunc-1 of one bosonic mode."""
+    """Complex amplitudes over photon numbers 0..trunc-1, shape (trunc,) or (rows, trunc)."""
 
     amps: np.ndarray
     leaked: float = 0.0
@@ -37,8 +39,8 @@ class FockVector:
 
     def __post_init__(self):
         arr = np.asarray(self.amps, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("amplitude vector must be 1-D and non-empty")
+        if arr.ndim not in (1, 2) or arr.size < 1:
+            raise ValueError("amplitudes must be a non-empty 1-D vector or 2-D row stack")
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
         arr = arr.copy()
@@ -47,17 +49,25 @@ class FockVector:
 
     @property
     def trunc(self) -> int:
-        return self.amps.size
+        return self.amps.shape[-1]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+    def row(self, n: int) -> "FockVector":
+        """Bosonic amplitudes of discrete index n of a row stack."""
+        return FockVector(self.amps[n])
+
+    def probs(self) -> np.ndarray:
+        """Photon-number probabilities, summed over rows (not normalized here)."""
+        return (np.abs(self.amps) ** 2).reshape(-1, self.trunc).sum(axis=0)
 
     def padded(self, trunc: int) -> "FockVector":
         """Zero-pad (or return unchanged) to at least ``trunc`` components."""
         if trunc <= self.trunc:
             return self
-        out = np.zeros(trunc, dtype=complex)
-        out[: self.trunc] = self.amps
+        out = np.zeros(self.amps.shape[:-1] + (trunc,), dtype=complex)
+        out[..., : self.trunc] = self.amps
         return FockVector(out, leaked=self.leaked, tags=self.tags)
 
 
@@ -108,20 +118,26 @@ def coherent_tail(alpha: float, trunc: int) -> float:
 def ladder(v: FockVector, kind: str) -> FockVector:
     """Apply the annihilation (subtract) or creation (add) operator."""
     a = v.amps
-    n = a.size
-    out = np.zeros(n, dtype=complex)
+    n = v.trunc
+    out = np.zeros_like(a)
     if kind == SUBTRACT:
-        out[: n - 1] = np.sqrt(np.arange(1.0, n)) * a[1:]
+        out[..., : n - 1] = np.sqrt(np.arange(1.0, n)) * a[..., 1:]
         return FockVector(out, leaked=v.leaked, tags=v.tags)
     if kind == ADD:
-        out[1:] = np.sqrt(np.arange(1.0, n)) * a[: n - 1]
-        lost = n * abs(a[n - 1]) ** 2  # |sqrt(n) amp[n-1]|^2 pushed past the boundary
+        out[..., 1:] = np.sqrt(np.arange(1.0, n)) * a[..., : n - 1]
+        # |sqrt(n) amp[n-1]|^2 pushed past the boundary, summed over rows
+        lost = n * np.sum(np.abs(a[..., n - 1]) ** 2)
         return FockVector(out, leaked=v.leaked + lost, tags=v.tags)
     raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
-    """<u|v>, conjugate-linear in the first argument; shorter vector is zero-padded."""
+    """<u|v>, conjugate-linear in the first argument; shorter vector is zero-padded.
+
+    Row stacks must have equally many rows; their inner product sums over rows.
+    """
+    if u.amps.shape[:-1] != v.amps.shape[:-1]:
+        raise ValueError("states have different row counts")
     n = max(u.trunc, v.trunc)
     return complex(np.vdot(u.padded(n).amps, v.padded(n).amps))
 
@@ -140,9 +156,9 @@ def _require_normalized(v: FockVector, what: str) -> None:
 
 
 def moments(v: FockVector) -> tuple[float, float]:
-    """(mean, variance) of the photon number of a normalized state."""
+    """(mean, variance) of the photon number of a normalized state (rows traced out)."""
     _require_normalized(v, "moments")
-    p = np.abs(v.amps) ** 2
+    p = v.probs()
     n = np.arange(v.trunc)
     mean = float(p @ n)
     var = float(p @ (n * n)) - mean * mean
@@ -153,7 +169,7 @@ def quadrature_expect(v: FockVector, lam: float) -> float:
     """<a e^{i lam} + a-dagger e^{-i lam}> of a normalized state (real by construction)."""
     _require_normalized(v, "quadrature_expect")
     a = v.amps
-    a_expect = np.vdot(a[:-1], np.sqrt(np.arange(1.0, v.trunc)) * a[1:])
+    a_expect = np.vdot(a[..., :-1], np.sqrt(np.arange(1.0, v.trunc)) * a[..., 1:])
     return float(2.0 * np.real(np.exp(1j * lam) * a_expect))
 
 
@@ -225,4 +241,7 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, v: FockVector) -> "DensityMatrix":
         _require_normalized(v, "DensityMatrix.from_pure")
+        if v.amps.size != v.trunc:
+            # np.outer would flatten the rows into one long vector
+            raise ValueError("DensityMatrix.from_pure needs a single-row state")
         return cls(np.outer(v.amps, v.amps.conj()))

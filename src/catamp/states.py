@@ -8,6 +8,7 @@ and small-amplitude states stay numerically clean.
 
 A hybrid qudit pairs a discrete index n with the coherent state |alpha w^n>:
     (1/sqrt d) sum_n w^{-kn} |n> (x) |alpha w^n>
+It is held as a d-row FockVector whose row n is the bosonic block of |n>.
 """
 
 from __future__ import annotations
@@ -69,58 +70,6 @@ class HesSpec:
         _check_dims(self.alpha, self.d, self.k)
 
 
-@dataclass(frozen=True, eq=False)
-class HybridState:
-    """Two-mode state: rows are the discrete index, columns the Fock index."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.amps, dtype=complex)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ValueError("hybrid amplitudes must form a (d, N) matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("amplitudes must be finite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "amps", m)
-
-    @property
-    def dv_dim(self) -> int:
-        return self.amps.shape[0]
-
-    @property
-    def trunc(self) -> int:
-        return self.amps.shape[1]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def row(self, n: int) -> FockVector:
-        return FockVector(self.amps[n])
-
-
-def hybrid_inner(a: HybridState, b: HybridState) -> complex:
-    if a.dv_dim != b.dv_dim:
-        raise ValueError("discrete dimensions differ")
-    n = max(a.trunc, b.trunc)
-    am = np.zeros((a.dv_dim, n), complex)
-    bm = np.zeros((b.dv_dim, n), complex)
-    am[:, : a.trunc] = a.amps
-    bm[:, : b.trunc] = b.amps
-    return complex(np.vdot(am, bm))
-
-
-def hybrid_map_cv(state: HybridState, f) -> HybridState:
-    """Apply a FockVector -> FockVector map to every discrete block."""
-    rows = [f(state.row(n)).amps for n in range(state.dv_dim)]
-    width = max(r.size for r in rows)
-    out = np.zeros((state.dv_dim, width), complex)
-    for i, r in enumerate(rows):
-        out[i, : r.size] = r
-    return HybridState(out)
-
-
 def _gate_trunc(alpha: float, trunc: int) -> None:
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
@@ -176,8 +125,8 @@ def scs_state(spec: ScsSpec, trunc: int) -> FockVector:
     return FockVector(amps, tags=tags)
 
 
-def hes_state(spec: HesSpec, trunc: int) -> HybridState:
-    """Hybrid qudit (1/sqrt d) sum_n w^{-kn} |n> (x) |alpha w^n>.
+def hes_state(spec: HesSpec, trunc: int) -> FockVector:
+    """Hybrid qudit (1/sqrt d) sum_n w^{-kn} |n> (x) |alpha w^n> as a (d, trunc) row stack.
 
     The norm equals 1 minus the certified coherent tail; no renormalization is
     applied so the discrete-index marginal stays exactly uniform.
@@ -188,37 +137,14 @@ def hes_state(spec: HesSpec, trunc: int) -> HybridState:
     rows = np.zeros((d, trunc), dtype=complex)
     for n in range(d):
         rows[n] = w ** (-k * n) * fock.coherent_amps(a * w**n, trunc) / np.sqrt(d)
-    return HybridState(rows)
+    return FockVector(rows)
 
 
-def photon_distribution(state) -> np.ndarray:
+def photon_distribution(state: FockVector) -> np.ndarray:
     """Photon-number probabilities; the discrete index of a hybrid state is traced out."""
-    if isinstance(state, HybridState):
-        if abs(state.norm() ** 2 - 1.0) > 1e-8:
-            raise ValueError("photon_distribution requires a normalized state")
-        return (np.abs(state.amps) ** 2).sum(axis=0)
     if abs(state.norm() ** 2 - 1.0) > 1e-8:
         raise ValueError("photon_distribution requires a normalized state")
-    return np.abs(state.amps) ** 2
-
-
-def hybrid_moments(state: HybridState) -> tuple[float, float]:
-    """(mean, variance) of the bosonic photon number of a normalized hybrid state."""
-    p = photon_distribution(state)
-    n = np.arange(p.size)
-    mean = float(p @ n)
-    var = float(p @ (n * n)) - mean * mean
-    return mean, max(var, 0.0)
-
-
-def hybrid_quadrature_expect(state: HybridState, lam: float) -> float:
-    """Bosonic-mode quadrature expectation of a normalized hybrid state."""
-    if abs(state.norm() ** 2 - 1.0) > 1e-8:
-        raise ValueError("hybrid_quadrature_expect requires a normalized state")
-    m = state.amps
-    root = np.sqrt(np.arange(1.0, state.trunc))
-    a_expect = np.sum(m[:, :-1].conj() * (root * m[:, 1:]))
-    return float(2.0 * np.real(np.exp(1j * lam) * a_expect))
+    return state.probs()
 
 
 def addition_norm_factor(alpha: float, m: int) -> float:

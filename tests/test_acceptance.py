@@ -13,6 +13,8 @@ from scipy.special import eval_laguerre, gammaln
 
 from catamp import amplify, analytic, channel, fock, optimize, states
 from catamp.analytic import Scheme
+from catamp.cli import brute_scs_fidelity as brute_fidelity
+from catamp.cli import brute_scs_qfi as brute_qfi
 from catamp.states import HesSpec, ScsSpec
 
 ALPHA_GRID = tuple(round(0.3 * i, 10) for i in range(1, 11))  # 0.3 .. 3.0
@@ -22,27 +24,6 @@ DIMS = (1, 2, 3, 4, 5)
 
 def _pass(cid: str, text: str) -> None:
     print(f"PASS [{cid}] {text}")
-
-
-def brute_fidelity(alpha, g, d, k, scheme) -> float:
-    """Truncated-Fock route: build, amplify, overlap; no closed forms involved."""
-    word = analytic.scheme_word(scheme)
-    tk = analytic.target_index(k, d, scheme)
-    trunc = fock.auto_trunc(max(alpha, g * alpha), additions=2)
-    amped, _ = amplify.scs_amplified(ScsSpec(alpha, d, k), word, trunc)
-    target = states.scs_state(ScsSpec(g * alpha, d, tk), amped.trunc)
-    return abs(fock.inner(target, amped)) ** 2
-
-
-def brute_qfi(alpha, d, k, scheme) -> float:
-    trunc = fock.auto_trunc(alpha, additions=2)
-    spec = ScsSpec(alpha, d, k)
-    if scheme is None:
-        v = states.scs_state(spec, trunc)
-    else:
-        v, _ = amplify.scs_amplified(spec, analytic.scheme_word(scheme), trunc)
-    _, var = fock.moments(v)
-    return 4.0 * var
 
 
 def ternary_argmax(f, lo, hi, iters=120):
@@ -149,14 +130,14 @@ def test_criterion_5_structural_invariants():
                 for j in range(d):
                     want = 1.0 if i == j else 0.0
                     assert abs(fock.inner(cats[i], cats[j]) - want) <= 1e-10
-                    assert abs(states.hybrid_inner(hybs[i], hybs[j]) - want) <= 1e-10
+                    assert abs(fock.inner(hybs[i], hybs[j]) - want) <= 1e-10
             for k in range(d):
                 p = states.photon_distribution(cats[k])
                 off = sum(p[m] for m in range(p.size) if (m - k) % d != 0)
                 assert off <= 1e-20
                 for lam in lams:
                     assert abs(fock.quadrature_expect(cats[k], lam)) <= 1e-10
-                    assert abs(states.hybrid_quadrature_expect(hybs[k], lam)) <= 1e-10
+                    assert abs(fock.quadrature_expect(hybs[k], lam)) <= 1e-10
     _pass("criterion-5", "Gram identities, pseudo-number support, quadrature zeros")
 
 

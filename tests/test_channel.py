@@ -112,6 +112,31 @@ def test_kraus_norm_equals_herald_probability(rng):
                 assert abs(prob - np.linalg.norm(kr.amps) ** 2) < 1e-10
 
 
+def test_kraus_apply_acts_row_by_row():
+    stack = fock.FockVector(np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 2.0]]))
+    for kind in ("add", "subtract"):
+        out = channel.kraus_apply(stack, 0.1, kind)
+        for n in range(2):
+            assert np.array_equal(out.amps[n], channel.kraus_apply(stack.row(n), 0.1, kind).amps)
+
+
+def test_heralded_op_heralds_hybrid_rows_globally():
+    # oracle: each row through its own beam splitter, then one herald over all rows
+    n, bs = 24, BeamSplitter(0.05)
+    h = states.hes_state(HesSpec(1.0, 3, 1), n)
+    for kind, anc_in, anc_out in (("add", 1, 0), ("subtract", 0, 1)):
+        branches = []
+        for r in h.amps:
+            joint = np.zeros((n + 2, n + 2), complex)
+            joint[:n, anc_in] = r
+            branches.append(channel.bs_apply(TwoModeFock(joint), bs).amps[:, anc_out])
+        want_p = sum(np.linalg.norm(b) ** 2 for b in branches)
+        out, prob = channel.heralded_op(h, bs, kind)
+        assert abs(prob - want_p) <= 1e-14 * want_p
+        assert np.max(np.abs(out.amps - np.array(branches) / math.sqrt(want_p))) < 1e-14
+        assert abs(prob - np.linalg.norm(channel.kraus_apply(h, 0.05, kind).amps) ** 2) < 1e-12
+
+
 def test_heralded_output_matches_kraus_state(rng):
     bs = BeamSplitter(0.05)
     amps = rng.normal(size=14) + 1j * rng.normal(size=14)

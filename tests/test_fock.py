@@ -109,6 +109,20 @@ def test_creation_leak_diagnostic():
         fock.check_leak(out)
 
 
+def test_row_stack_ladder_acts_row_by_row():
+    # both rows occupy the top level, so creation leaks from each of them
+    stack = fock.FockVector(np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 2.0]]))
+    for kind in ("add", "subtract"):
+        out = fock.ladder(stack, kind)
+        per_row = [fock.ladder(stack.row(n), kind) for n in range(2)]
+        for n in range(2):
+            assert np.array_equal(out.amps[n], per_row[n].amps)
+        assert abs(out.leaked - sum(r.leaked for r in per_row)) < 1e-12
+    assert abs(fock.ladder(stack, "add").leaked - 3.0 * (0.64 + 4.0)) < 1e-12
+    with pytest.raises(ValueError):
+        fock.inner(stack, stack.row(0))  # row counts differ
+
+
 def test_normalize_returns_prior_norm():
     v = fock.FockVector(2.0 * fock.basis(0, 4).amps)
     unit, nrm = fock.normalize(v)
@@ -191,6 +205,9 @@ def test_density_matrix_validation():
         fock.DensityMatrix(np.eye(3))  # trace 3
     rho = fock.DensityMatrix.from_pure(fock.coherent(1.0, 30))
     assert rho.dim == 30
+    stack = fock.FockVector(np.eye(2) / math.sqrt(2.0))
+    with pytest.raises(ValueError):  # a two-row state is not one mode's pure state
+        fock.DensityMatrix.from_pure(stack)
 
 
 def test_fockvector_rejects_nonfinite():

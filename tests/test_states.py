@@ -122,7 +122,7 @@ def test_hes_gram_identity():
     d, alpha = 4, 1.3
     trunc = fock.auto_trunc(alpha)
     hs = [states.hes_state(HesSpec(alpha, d, k), trunc) for k in range(d)]
-    gram = np.array([[states.hybrid_inner(a, b) for b in hs] for a in hs])
+    gram = np.array([[fock.inner(a, b) for b in hs] for a in hs])
     assert np.max(np.abs(gram - np.eye(d))) < 1e-10
 
 
@@ -246,7 +246,7 @@ def test_quadrature_zero_for_qudits():
             h = states.hes_state(HesSpec(1.0, d, k), trunc)
             for lam in lams:
                 assert abs(fock.quadrature_expect(v, lam)) <= 1e-10
-                assert abs(states.hybrid_quadrature_expect(h, lam)) <= 1e-10
+                assert abs(fock.quadrature_expect(h, lam)) <= 1e-10
 
 
 def test_spec_validation():
