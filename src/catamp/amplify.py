@@ -27,6 +27,9 @@ ADAG2: SchemeWord = (ADD, ADD)
 #: polynomial in ladder operators: sequence of (coefficient, word) terms
 LadderPoly = tuple[tuple[complex, SchemeWord], ...]
 
+#: (c1, c0) of <x| W-dagger W |x> = |x|^4 + c1 |x|^2 + c0 for the named words
+_NORM_POLY = {AADAG: (3.0, 1.0), ADAG2: (4.0, 2.0)}
+
 
 def word_counts(word: SchemeWord) -> tuple[int, int]:
     adds = sum(1 for op in word if op == ADD)
@@ -38,6 +41,17 @@ def net_change(word: SchemeWord) -> int:
     """Net photon-number change l = (#add - #subtract)."""
     adds, subs = word_counts(word)
     return adds - subs
+
+
+def norm_poly(word: SchemeWord, a2, s2=1.0, s1=1.0, s0=1.0):
+    """Squared norm of a named word's image, a2^2 s2 + c1 a2 s1 + c0 s0.
+
+    With the default weights this is <alpha| W-dagger W |alpha> at a2 = alpha^2
+    (the hybrid case); a cat-state qudit (d, k) weighs the three normally
+    ordered moments with s2, s1, s0 = S_{k-2}, S_{k-1}, S_k at alpha^2.
+    """
+    c1, c0 = _NORM_POLY[word]
+    return a2 * a2 * s2 + c1 * a2 * s1 + c0 * s0
 
 
 def _apply_word_raw(v: FockVector, word: SchemeWord) -> FockVector:
@@ -85,11 +99,8 @@ def hes_norm_factor_amplified(alpha: float, word: SchemeWord) -> float:
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    a2 = alpha * alpha
-    if word == AADAG:
-        return 1.0 / np.sqrt(a2 * a2 + 3 * a2 + 1.0)
-    if word == ADAG2:
-        return 1.0 / np.sqrt(a2 * a2 + 4 * a2 + 2.0)
+    if word in _NORM_POLY:
+        return 1.0 / np.sqrt(norm_poly(word, alpha * alpha))
     trunc = fock.auto_trunc(alpha, additions=word_counts(word)[0])
     raw = _apply_word_raw(fock.coherent(alpha, trunc), word)
     nrm = raw.norm()
@@ -101,34 +112,21 @@ def hes_norm_factor_amplified(alpha: float, word: SchemeWord) -> float:
 def scs_norm_factor_amplified(spec: ScsSpec, word: SchemeWord) -> float:
     """Normalization factor of a word applied to the bare cat-state superposition.
 
-    For the named schemes this is
-        1/sqrt(d sum_n w^{-kn} p(w^n) exp[-alpha^2 (1 - w^n)])
-    with p(x) = alpha^4 x^2 + 3 alpha^2 x + 1 (add-then-subtract) or
-    alpha^4 x^2 + 4 alpha^2 x + 2 (double addition); other words are evaluated
+    For the named schemes this is 1/sqrt(d norm_poly(word, alpha^2, S_{k-2},
+    S_{k-1}, S_k)) with the sums S_j at alpha^2; other words are evaluated
     numerically on the unnormalized superposition.  Unlike the hybrid case the
     value depends on both d and k.
     """
     a, d, k = spec.alpha, spec.d, spec.k
-    w = states.omega(d)
-    if word in (AADAG, ADAG2):
-        c1, c0 = (3.0, 1.0) if word == AADAG else (4.0, 2.0)
-        terms = np.array(
-            [
-                w ** (-k * n)
-                * (a**4 * w ** (2 * n) + c1 * a * a * w**n + c0)
-                * np.exp(-a * a * (1.0 - w**n))
-                for n in range(d)
-            ]
-        )
-        s = terms.sum()
-        if abs(s.imag) > 1e-12 * max(1.0, np.abs(terms).sum()):
-            raise ArithmeticError(f"norm-factor sum has imaginary residue {s.imag:.3e}")
-        val = d * s.real
+    if word in _NORM_POLY:
+        x = a * a
+        val = d * norm_poly(word, x, *(states.mod_exp_sum(k - j, x, d) for j in (2, 1, 0)))
         if val < 1e-300:
             raise DegenerateStateError(
                 f"amplified-superposition norm degenerates at alpha={a}, d={d}, k={k}"
             )
         return 1.0 / np.sqrt(val)
+    w = states.omega(d)
     # raw (unnormalized) superposition sum_n w^{-kn} |alpha w^n> in Fock space
     trunc = fock.auto_trunc(a, additions=word_counts(word)[0])
     acc = np.zeros(trunc, dtype=complex)

@@ -1,15 +1,9 @@
 """Closed-form fidelities, optimized gains, and quantum Fisher information.
 
-All cat-state expressions reduce to weighted root-of-unity sums
-
-    S_j(x) = sum_{n=0}^{d-1} w^{-jn} exp[-x (1 - w^n)],   w = exp(2 pi i / d),
-
-which are real and positive for x >= 0 (they equal d e^{-x} times the Taylor
-mass of e^x on photon numbers congruent to j mod d).  For x >= 0.5 they are
-evaluated as complex sums with an asserted imaginary residue; below that the
-complex sum cancels to noise, so the equivalent positive series is used
-instead.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope explicitly so
-no intermediate overflows even at large gain.
+All cat-state expressions reduce to the root-of-unity sums S_j(x) of
+``states.mod_exp_sum``; the amplified-state norms share the scheme polynomial
+``amplify.norm_poly``.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope
+explicitly so no intermediate overflows even at large gain.
 """
 
 from __future__ import annotations
@@ -17,13 +11,11 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import amplify
 from .errors import DivergentGainError
 from .fock import DensityMatrix
-
-_SERIES_CUTOVER = 0.5
+from .states import mod_exp_sum
 
 
 class Scheme(enum.Enum):
@@ -48,55 +40,6 @@ def target_index(k: int, d: int, s) -> int:
     return k % d if as_scheme(s) is Scheme.AADAG else (k + 2) % d
 
 
-def _mod_exp_sum(j: int, x, d: int):
-    """S_j(x) as defined in the module docstring; x may be a scalar or array."""
-    j = j % d
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    out = np.empty_like(x)
-    big = x >= _SERIES_CUTOVER
-    if big.any():
-        xb = x[big]
-        w = np.exp(2j * np.pi / d)
-        acc = np.zeros(xb.shape, dtype=complex)
-        mags = np.zeros(xb.shape)
-        for n in range(d):
-            t = w ** (-j * n) * np.exp(-xb * (1.0 - w**n))
-            acc += t
-            mags += np.abs(t)
-        if np.any(np.abs(acc.imag) > 1e-12 * np.maximum(1.0, mags)):
-            raise ArithmeticError("root-of-unity sum has non-negligible imaginary residue")
-        out[big] = acc.real
-    if (~big).any():
-        xs = x[~big]
-        safe = np.maximum(xs, 1e-300)
-        acc = np.zeros(xs.shape)
-        m = j
-        while m <= j + 80 * d:
-            term = np.exp(m * np.log(safe) - gammaln(m + 1.0)) if m else np.ones_like(xs)
-            acc += term
-            if m > j and np.all(term <= 1e-22 * np.maximum(acc, 1e-300)):
-                break
-            m += d
-        res = d * np.exp(-xs) * acc
-        res[xs == 0.0] = d if j == 0 else 0.0
-        out[~big] = res
-    return float(out[0]) if scalar else out
-
-
-def omega_exp_sum(j: int, x: float, d: int) -> float:
-    """Reference complex-arithmetic evaluation of S_j(x) (cross-check oracle)."""
-    w = np.exp(2j * np.pi / d)
-    terms = [w ** (-(j % d) * n) * np.exp(-x * (1.0 - w**n)) for n in range(d)]
-    s = sum(terms)
-    if abs(s.imag) > 1e-12 * max(1.0, sum(abs(t) for t in terms)):
-        raise ArithmeticError("root-of-unity sum has non-negligible imaginary residue")
-    return float(s.real)
-
-
 def hes_fidelity(alpha: float, g, s) -> float:
     """Fidelity of the amplified hybrid qudit against the gain-g target (d, k free)."""
     s = as_scheme(s)
@@ -105,10 +48,11 @@ def hes_fidelity(alpha: float, g, s) -> float:
         raise ValueError("gain must be positive")
     a2 = alpha * alpha
     env = np.exp(-a2 * (g - 1.0) ** 2)
+    den = amplify.norm_poly(scheme_word(s), a2)
     if s is Scheme.AADAG:
-        val = (g * g * a2 * a2 + 2 * g * a2 + 1.0) / (a2 * a2 + 3 * a2 + 1.0) * env
+        val = (g * g * a2 * a2 + 2 * g * a2 + 1.0) / den * env
     else:
-        val = g**4 * a2 * a2 / (a2 * a2 + 4 * a2 + 2.0) * env
+        val = g**4 * a2 * a2 / den * env
     return float(val) if val.ndim == 0 else val
 
 
@@ -133,9 +77,10 @@ def hes_qfi(alpha: float, s=None) -> float:
         return 4.0 * a2
     s = as_scheme(s)
     a4, a6, a8 = a2 * a2, a2**3, a2**4
+    den = amplify.norm_poly(scheme_word(s), a2)
     if s is Scheme.AADAG:
-        return 4.0 * a2 * (a8 + 6 * a6 + 14 * a4 + 10 * a2 + 4.0) / (a4 + 3 * a2 + 1.0) ** 2
-    return 4.0 * a2 * (a8 + 8 * a6 + 24 * a4 + 24 * a2 + 12.0) / (a4 + 4 * a2 + 2.0) ** 2
+        return 4.0 * a2 * (a8 + 6 * a6 + 14 * a4 + 10 * a2 + 4.0) / den**2
+    return 4.0 * a2 * (a8 + 8 * a6 + 24 * a4 + 24 * a2 + 12.0) / den**2
 
 
 def scs_fidelity(alpha: float, g, d: int, k: int, s):
@@ -161,22 +106,13 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     y = g * a2
     z = g * g * a2
     env = np.exp(-a2 * (g - 1.0) ** 2)
+    den_in = amplify.norm_poly(scheme_word(s), a2, *(mod_exp_sum(k - j, a2, d) for j in (2, 1, 0)))
     if s is Scheme.AADAG:
-        num = (_mod_exp_sum(k, y, d) + y * _mod_exp_sum(k - 1, y, d)) ** 2
-        den_in = (
-            a2 * a2 * _mod_exp_sum(k - 2, a2, d)
-            + 3 * a2 * _mod_exp_sum(k - 1, a2, d)
-            + _mod_exp_sum(k, a2, d)
-        )
-        val = env * num / (den_in * _mod_exp_sum(k, z, d))
+        num = (mod_exp_sum(k, y, d) + y * mod_exp_sum(k - 1, y, d)) ** 2
+        val = env * num / (den_in * mod_exp_sum(k, z, d))
     else:
-        num = (g * g * a2) ** 2 * _mod_exp_sum(k, y, d) ** 2
-        den_in = (
-            a2 * a2 * _mod_exp_sum(k - 2, a2, d)
-            + 4 * a2 * _mod_exp_sum(k - 1, a2, d)
-            + 2 * _mod_exp_sum(k, a2, d)
-        )
-        val = env * num / (den_in * _mod_exp_sum(k + 2, z, d))
+        num = (g * g * a2) ** 2 * mod_exp_sum(k, y, d) ** 2
+        val = env * num / (den_in * mod_exp_sum(k + 2, z, d))
     return float(val) if val.ndim == 0 else val
 
 
@@ -188,19 +124,18 @@ def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
         return 0.0  # number states are phase invariant
     a2 = alpha * alpha
     x = a2
-    S = {j: _mod_exp_sum(k - j, x, d) for j in range(5)}
+    S = {j: mod_exp_sum(k - j, x, d) for j in range(5)}
     if s is None:
         mean = a2 * S[1] / S[0]
         second = a2 * a2 * S[2] / S[0]
         return 4.0 * (second + mean) - 4.0 * mean * mean
     s = as_scheme(s)
     a4, a6, a8 = a2 * a2, a2**3, a2**4
+    den = amplify.norm_poly(scheme_word(s), a2, S[2], S[1], S[0])
     if s is Scheme.AADAG:
-        den = a4 * S[2] + 3 * a2 * S[1] + S[0]
         big = a8 * S[4] + 8 * a6 * S[3] + 14 * a4 * S[2] + 4 * a2 * S[1]
         mid = a6 * S[3] + 5 * a4 * S[2] + 4 * a2 * S[1]
     else:
-        den = a4 * S[2] + 4 * a2 * S[1] + 2 * S[0]
         big = a8 * S[4] + 13 * a6 * S[3] + 46 * a4 * S[2] + 46 * a2 * S[1] + 8 * S[0]
         mid = a6 * S[3] + 8 * a4 * S[2] + 14 * a2 * S[1] + 4 * S[0]
     return 4.0 * big / den - 4.0 * (mid / den) ** 2

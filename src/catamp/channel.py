@@ -48,14 +48,17 @@ class BeamSplitter:
 
 @dataclass(frozen=True, eq=False)
 class TwoModeFock:
-    """Amplitudes over |n_system, n_ancilla>; rows system, columns ancilla."""
+    """Amplitudes over |n_system, n_ancilla> on the last two axes.
+
+    Shape (n_s, n_a), or (rows, n_s, n_a) for the row stack of a hybrid state.
+    """
 
     amps: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.amps, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("two-mode amplitudes must form a matrix")
+        if m.ndim not in (2, 3):
+            raise ValueError("two-mode amplitudes must form a matrix or a stack of matrices")
         if not np.all(np.isfinite(m)):
             raise ValueError("amplitudes must be finite")
         m = m.copy()
@@ -64,18 +67,18 @@ class TwoModeFock:
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.amps.shape
+        return self.amps.shape[-2:]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
 
 def two_mode_product(v: FockVector, ancilla_n: int, dim_a: int) -> TwoModeFock:
-    """|v> (x) |ancilla_n> on a (v.trunc, dim_a) grid."""
+    """|v> (x) |ancilla_n> on a (v.trunc, dim_a) grid, one per row of a row stack."""
     if not 0 <= ancilla_n < dim_a:
         raise ValueError("ancilla occupation outside its truncation")
-    m = np.zeros((v.trunc, dim_a), dtype=complex)
-    m[:, ancilla_n] = v.amps
+    m = np.zeros(v.amps.shape + (dim_a,), dtype=complex)
+    m[..., ancilla_n] = v.amps
     return TwoModeFock(m)
 
 
@@ -102,7 +105,7 @@ def _sector_unitaries(bs: BeamSplitter, dims: tuple[int, int]) -> list[np.ndarra
 
 
 def bs_apply(state: TwoModeFock, bs: BeamSplitter) -> TwoModeFock:
-    """Apply the beam splitter exactly on every total-photon-number sector."""
+    """Apply the beam splitter exactly on every total-photon-number sector of every row."""
     ns_dim, na_dim = state.dims
     out = np.zeros_like(state.amps)
     unitaries = _sector_unitaries(bs, state.dims)
@@ -111,7 +114,7 @@ def bs_apply(state: TwoModeFock, bs: BeamSplitter) -> TwoModeFock:
         ns_lo = max(0, total - na_dim + 1)
         rows = np.arange(ns_hi, ns_lo - 1, -1)
         cols = total - rows
-        out[rows, cols] = u @ state.amps[rows, cols]
+        out[..., rows, cols] = state.amps[..., rows, cols] @ u.T
     return TwoModeFock(out)
 
 
@@ -120,8 +123,8 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
 
     The two-mode grid is enlarged so every populated photon-number sector is
     complete, making the stage exact rather than truncation-limited.  Each row
-    of a row stack passes the beam splitter on its own; the herald is global,
-    so the probability sums over rows.
+    of a row stack passes the beam splitter on its own (in one call sharing the
+    sector unitaries); the herald is global, so the probability sums over rows.
     """
     if kind not in (ADD, SUBTRACT):
         raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
@@ -130,10 +133,7 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
     dim = v.trunc + 2
     anc_in = 1 if kind == ADD else 0
     anc_out = 0 if kind == ADD else 1
-    rows = v.padded(dim).amps.reshape(-1, dim)
-    branch = np.array(
-        [bs_apply(two_mode_product(FockVector(r), anc_in, dim), bs).amps[:, anc_out] for r in rows]
-    ).reshape(v.amps.shape[:-1] + (dim,))
+    branch = bs_apply(two_mode_product(v.padded(dim), anc_in, dim), bs).amps[..., anc_out]
     prob = float(np.linalg.norm(branch) ** 2)
     if prob < HERALD_FLOOR:
         raise DegenerateStateError(f"herald probability {prob} below {HERALD_FLOOR}")

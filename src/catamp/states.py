@@ -9,6 +9,16 @@ and small-amplitude states stay numerically clean.
 A hybrid qudit pairs a discrete index n with the coherent state |alpha w^n>:
     (1/sqrt d) sum_n w^{-kn} |n> (x) |alpha w^n>
 It is held as a d-row FockVector whose row n is the bosonic block of |n>.
+
+Every cat-state closed form reduces to weighted root-of-unity sums
+
+    S_j(x) = sum_{n=0}^{d-1} w^{-jn} exp[-x (1 - w^n)],
+
+which are real and positive for x >= 0 (they equal d e^{-x} times the Taylor
+mass of e^x on photon numbers congruent to j mod d).  ``mod_exp_sum`` is the
+one evaluation of them: for x >= 0.5 a complex sum with an asserted imaginary
+residue; below that the complex sum cancels to noise, so the equivalent
+positive series is used instead.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from .fock import FockVector
 
 #: coherent-tail bound a caller-supplied truncation must certify
 GATE_EPS = 1e-10
+
+_SERIES_CUTOVER = 0.5
 
 
 def omega(d: int) -> complex:
@@ -80,16 +92,49 @@ def _gate_trunc(alpha: float, trunc: int) -> None:
         )
 
 
+def mod_exp_sum(j: int, x, d: int):
+    """S_j(x) as defined in the module docstring; x may be a scalar or array."""
+    j = j % d
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("x must be >= 0")
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x).astype(float)
+    out = np.empty_like(x)
+    big = x >= _SERIES_CUTOVER
+    if big.any():
+        xb = x[big]
+        w = np.exp(2j * np.pi / d)
+        acc = np.zeros(xb.shape, dtype=complex)
+        mags = np.zeros(xb.shape)
+        for n in range(d):
+            t = w ** (-j * n) * np.exp(-xb * (1.0 - w**n))
+            acc += t
+            mags += np.abs(t)
+        if np.any(np.abs(acc.imag) > 1e-12 * np.maximum(1.0, mags)):
+            raise ArithmeticError("root-of-unity sum has non-negligible imaginary residue")
+        out[big] = acc.real
+    if (~big).any():
+        xs = x[~big]
+        safe = np.maximum(xs, 1e-300)
+        acc = np.zeros(xs.shape)
+        m = j
+        while m <= j + 80 * d:
+            term = np.exp(m * np.log(safe) - gammaln(m + 1.0)) if m else np.ones_like(xs)
+            acc += term
+            if m > j and np.all(term <= 1e-22 * np.maximum(acc, 1e-300)):
+                break
+            m += d
+        res = d * np.exp(-xs) * acc
+        res[xs == 0.0] = d if j == 0 else 0.0
+        out[~big] = res
+    return float(out[0]) if scalar else out
+
+
 def scs_norm_factor(spec: ScsSpec) -> float:
-    """Normalization factor 1/sqrt(d sum_n w^{-kn} exp[-alpha^2 (1 - w^n)])."""
+    """Normalization factor 1/sqrt(d S_k(alpha^2)) of the bare coherent superposition."""
     a, d, k = spec.alpha, spec.d, spec.k
-    w = omega(d)
-    terms = np.array([w ** (-k * n) * np.exp(-a * a * (1.0 - w**n)) for n in range(d)])
-    s = terms.sum()
-    scale = np.abs(terms).sum()
-    if abs(s.imag) > 1e-12 * max(1.0, scale):
-        raise ArithmeticError(f"norm-factor sum has imaginary residue {s.imag:.3e}")
-    raw_sq = d * s.real  # squared 2-norm of the bare coherent superposition
+    raw_sq = d * mod_exp_sum(k, a * a, d)  # squared 2-norm of the bare coherent superposition
     if raw_sq < 1e-300:
         raise DegenerateStateError(
             f"coherent superposition degenerates at alpha={a}, d={d}, k={k}; "
@@ -101,9 +146,9 @@ def scs_norm_factor(spec: ScsSpec) -> float:
 def scs_state(spec: ScsSpec, trunc: int) -> FockVector:
     """Unit-norm cat-state qudit on the truncated space.
 
-    Components at photon numbers m != k (mod d) are exactly zero.  At alpha = 0
-    (or when the bare superposition underflows) the state reduces to |k> and is
-    tagged ``fock-limit``.
+    Components at photon numbers m != k (mod d) are exactly zero.  The state is
+    tagged ``fock-limit`` when it holds a single nonzero amplitude: at alpha = 0,
+    where it is |k>, or when every other log-weight underflows.
     """
     a, d, k = spec.alpha, spec.d, spec.k
     _gate_trunc(a, trunc)
@@ -117,11 +162,7 @@ def scs_state(spec: ScsSpec, trunc: int) -> FockVector:
     rel /= np.linalg.norm(rel)
     amps = np.zeros(trunc, dtype=complex)
     amps[np.arange(k, trunc, d)] = rel
-    tags = frozenset()
-    try:
-        scs_norm_factor(spec)
-    except DegenerateStateError:
-        tags = frozenset({"fock-limit"})
+    tags = frozenset({"fock-limit"}) if np.count_nonzero(rel) == 1 else frozenset()
     return FockVector(amps, tags=tags)
 
 

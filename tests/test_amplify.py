@@ -155,6 +155,29 @@ def test_scs_norm_factor_amplified_matches_bare_sum_norm():
                 assert abs(got - 1.0 / np.linalg.norm(col)) < 1e-10
 
 
+def test_norm_factors_match_exact_series_at_small_amplitude():
+    # squared norm of W sum_n w^{-kn} |alpha w^n> is d^2 e^{-x} sum_{m = k mod d} c(m) x^m / m!
+    # with x = alpha^2 and c(m) = 1 (bare), (m+1)^2 (a a-dagger), (m+1)(m+2) (a-dagger^2)
+    weights = {
+        None: lambda m: 1,
+        AADAG: lambda m: (m + 1) ** 2,
+        ADAG2: lambda m: (m + 1) * (m + 2),
+    }
+    for alpha in (1e-9, 1e-4, 0.05, 0.3, 0.49):
+        x = alpha * alpha
+        for d in range(1, 6):
+            for k in range(d):
+                spec = ScsSpec(alpha, d, k)
+                for word, c in weights.items():
+                    total = math.fsum(c(m) * x**m / math.factorial(m) for m in range(k, 100, d))
+                    want = 1.0 / math.sqrt(d * d * math.exp(-x) * total)
+                    if word is None:
+                        got = states.scs_norm_factor(spec)
+                    else:
+                        got = amplify.scs_norm_factor_amplified(spec, word)
+                    assert abs(got - want) <= 1e-12 * want, (alpha, d, k, word)
+
+
 def test_scs_norm_factor_amplified_depends_on_k():
     a = amplify.scs_norm_factor_amplified(ScsSpec(0.5, 2, 0), AADAG)
     b = amplify.scs_norm_factor_amplified(ScsSpec(0.5, 2, 1), AADAG)

@@ -281,18 +281,12 @@ def test_scs_qfi_monotonicity_patterns():
 
 
 def test_mod_exp_sum_routes_agree():
-    # series route (small x) against the complex root-of-unity reference
-    for d in (2, 3, 5):
+    # series route (x < 0.5) and complex route (x >= 0.5) against the positive
+    # series d e^{-x} sum_{m = j mod d} x^m / m! with exact factorials
+    for d in (1, 2, 3, 5):
         for j in range(d):
-            for x in (0.51, 0.8, 2.0, 11.0):
-                a = analytic._mod_exp_sum(j, x, d)
-                b = analytic.omega_exp_sum(j, x, d)
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-            for x in (1e-4, 0.05, 0.4):
-                a = analytic._mod_exp_sum(j, x, d)
-                # positive-series reference with exact factorials
-                total = sum(
-                    x**m / math.factorial(m) for m in range(j, j + 12 * d, d)
-                )
+            for x in (1e-4, 0.05, 0.4, 0.49, 0.5, 0.51, 0.8, 2.0, 11.0):
+                a = states.mod_exp_sum(j, x, d)
+                total = math.fsum(x**m / math.factorial(m) for m in range(j, 100, d))
                 want = d * math.exp(-x) * total
                 assert abs(a - want) <= 1e-12 * max(1.0, want)

@@ -120,6 +120,17 @@ def test_kraus_apply_acts_row_by_row():
             assert np.array_equal(out.amps[n], channel.kraus_apply(stack.row(n), 0.1, kind).amps)
 
 
+def test_bs_apply_on_row_stack_matches_per_row(rng):
+    amps = rng.normal(size=(3, 9, 7)) + 1j * rng.normal(size=(3, 9, 7))
+    amps /= np.linalg.norm(amps)
+    bs = BeamSplitter(0.3)
+    out = channel.bs_apply(TwoModeFock(amps), bs)
+    assert out.dims == (9, 7)
+    for r in range(3):
+        want = channel.bs_apply(TwoModeFock(amps[r]), bs).amps
+        assert np.max(np.abs(out.amps[r] - want)) <= 1e-14
+
+
 def test_heralded_op_heralds_hybrid_rows_globally():
     # oracle: each row through its own beam splitter, then one herald over all rows
     n, bs = 24, BeamSplitter(0.05)

@@ -55,6 +55,13 @@ def test_scs_small_amplitude_reduces_to_number_state():
     assert abs(abs(v.amps[1]) - 1.0) < 1e-6
 
 
+def test_scs_fock_limit_tag_marks_a_single_amplitude():
+    # the second support amplitude is ~4e-28 of the first at alpha = 1e-9 and underflows at 1e-200
+    for k in range(3):
+        assert "fock-limit" not in states.scs_state(ScsSpec(1e-9, 3, k), 20).tags
+        assert "fock-limit" in states.scs_state(ScsSpec(1e-200, 3, k), 20).tags
+
+
 def test_scs_zero_amplitude_is_tagged_fock_limit():
     v = states.scs_state(ScsSpec(0.0, 3, 1), 20)
     assert "fock-limit" in v.tags
