@@ -126,13 +126,10 @@ def scs_norm_factor_amplified(spec: ScsSpec, word: SchemeWord) -> float:
                 f"amplified-superposition norm degenerates at alpha={a}, d={d}, k={k}"
             )
         return 1.0 / np.sqrt(val)
-    w = states.omega(d)
-    # raw (unnormalized) superposition sum_n w^{-kn} |alpha w^n> in Fock space
-    trunc = fock.auto_trunc(a, additions=word_counts(word)[0])
-    acc = np.zeros(trunc, dtype=complex)
-    for n in range(d):
-        acc += w ** (-k * n) * fock.coherent_amps(a * w**n, trunc)
-    raw = _apply_word_raw(FockVector(acc), word)
+    # raw (unnormalized) superposition sum_n w^{-kn} |alpha w^n>, exactly zero off m = k (mod d)
+    trunc = max(fock.auto_trunc(a, additions=word_counts(word)[0]), k + 1)
+    bare = states.scs_state(spec, trunc).amps / states.scs_norm_factor(spec)
+    raw = _apply_word_raw(FockVector(bare), word)
     nrm = raw.norm()
     if nrm <= 0.0:
         raise DegenerateStateError(f"word {word} annihilates the superposition")

@@ -14,10 +14,16 @@ single photon):
 These closed forms are exact for the circuit (up to a global phase), so the
 full two-mode simulation and the operator route agree to machine precision.
 The scheme circuits cascade two such stages sharing one gamma.
+
+The generator conserves n_system + n_ancilla.  Its eigensystem on each
+photon-number sector is gamma-free, so it is cached once per sector as
+read-only arrays; theta enters only as the phase exp(i theta lam) applied in
+that eigenbasis.  All-zero sector blocks are skipped.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,39 +88,33 @@ def two_mode_product(v: FockVector, ancilla_n: int, dim_a: int) -> TwoModeFock:
     return TwoModeFock(m)
 
 
-def _sector_unitaries(bs: BeamSplitter, dims: tuple[int, int]) -> list[np.ndarray]:
-    """exp[i theta G] restricted to each total-photon-number sector.
+@functools.cache
+def _sector_eig(total: int, ns_lo: int, ns_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem (lam, vec) of a-dagger b + a b-dagger on |ns, total - ns>, ns = ns_hi..ns_lo.
 
-    The generator conserves n_s + n_a, so each sector is exponentiated densely
-    via its (real, symmetric, tridiagonal) restriction.
+    The generator is real, symmetric and tridiagonal there; the arrays are shared, hence read-only.
     """
-    ns_dim, na_dim = dims
-    out = []
-    for total in range(ns_dim + na_dim - 1):
-        ns_hi = min(total, ns_dim - 1)
-        ns_lo = max(0, total - na_dim + 1)
-        size = ns_hi - ns_lo + 1
-        gen = np.zeros((size, size))
-        for i in range(size - 1):
-            ns = ns_hi - i  # order sectors by descending system occupation
-            na = total - ns
-            gen[i, i + 1] = gen[i + 1, i] = np.sqrt(ns * (na + 1.0))
-        lam, vec = np.linalg.eigh(gen)
-        out.append((vec * np.exp(1j * bs.theta * lam)) @ vec.T)
-    return out
+    ns = np.arange(ns_hi, ns_lo, -1, dtype=float)
+    off = np.sqrt(ns * (total - ns + 1.0))
+    lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    lam.flags.writeable = vec.flags.writeable = False
+    return lam, vec
 
 
 def bs_apply(state: TwoModeFock, bs: BeamSplitter) -> TwoModeFock:
-    """Apply the beam splitter exactly on every total-photon-number sector of every row."""
+    """Apply the beam splitter exactly on every nonzero photon-number sector of every row."""
     ns_dim, na_dim = state.dims
     out = np.zeros_like(state.amps)
-    unitaries = _sector_unitaries(bs, state.dims)
-    for total, u in enumerate(unitaries):
+    theta = bs.theta
+    nz = np.nonzero(state.amps)
+    for total in np.unique(nz[-2] + nz[-1]).tolist():  # sectors holding a nonzero amplitude
         ns_hi = min(total, ns_dim - 1)
         ns_lo = max(0, total - na_dim + 1)
         rows = np.arange(ns_hi, ns_lo - 1, -1)
         cols = total - rows
-        out[..., rows, cols] = state.amps[..., rows, cols] @ u.T
+        lam, vec = _sector_eig(total, ns_lo, ns_hi)
+        block = state.amps[..., rows, cols]
+        out[..., rows, cols] = ((block @ vec) * np.exp(1j * theta * lam)) @ vec.T
     return TwoModeFock(out)
 
 
@@ -124,7 +124,7 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
     The two-mode grid is enlarged so every populated photon-number sector is
     complete, making the stage exact rather than truncation-limited.  Each row
     of a row stack passes the beam splitter on its own (in one call sharing the
-    sector unitaries); the herald is global, so the probability sums over rows.
+    sector eigensystems); the herald is global, so the probability sums over rows.
     """
     if kind not in (ADD, SUBTRACT):
         raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")

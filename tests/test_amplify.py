@@ -201,6 +201,19 @@ def test_scs_norm_factor_general_word_route():
     assert abs(got - 1.0 / np.linalg.norm(col)) < 1e-10
 
 
+def test_scs_norm_factor_general_word_matches_exact_series():
+    # a-dagger a a-dagger |m> = (m+1)^{3/2} |m+1>: squared raw norm d^2 e^{-x} sum_{m = k} (m+1)^3 x^m/m!
+    word = ("add", "subtract", "add")
+    for alpha in (1e-6, 1e-4, 1e-3, 0.3, 1.5):
+        x = alpha * alpha
+        for d in range(1, 6):
+            for k in range(d):
+                total = math.fsum((m + 1) ** 3 * x**m / math.factorial(m) for m in range(k, 100, d))
+                want = 1.0 / math.sqrt(d * d * math.exp(-x) * total)
+                got = amplify.scs_norm_factor_amplified(ScsSpec(alpha, d, k), word)
+                assert abs(got - want) <= 1e-12 * want, (alpha, d, k)
+
+
 def test_subtraction_word_maps_hybrid_qudits_exactly():
     d = 4
     for k in range(d):

@@ -253,6 +253,58 @@ def test_bs_apply_matches_dense_exponential(rng):
     assert np.max(np.abs((dense_out - sector_out.amps)[mask])) < 1e-12
 
 
+def test_bs_apply_matches_dense_exponential_on_every_sector(rng):
+    # oracle: expm of the truncated kron generator, which is block-diagonal by
+    # photon number on the grid, incomplete sectors included
+    from scipy.linalg import expm
+
+    from conftest import create, destroy
+
+    ns, na, gamma = 6, 4, 0.23
+    theta = math.asin(math.sqrt(gamma))
+    g = np.kron(create(ns), destroy(na)) + np.kron(destroy(ns), create(na))
+    u = expm(1j * theta * g)
+    amps = np.zeros((2, ns, na), complex)
+    amps[:, :, :2] = rng.normal(size=(2, ns, 2)) + 1j * rng.normal(size=(2, ns, 2))
+    amps[:, 2:4, :] = 0.0  # sector 3 empty; sectors 7 and 8 empty as well
+    st = TwoModeFock(amps)
+    bs = BeamSplitter(gamma)
+    out = channel.bs_apply(st, bs).amps
+    for r in range(2):
+        want = (u @ amps[r].reshape(-1)).reshape(ns, na)
+        assert np.max(np.abs(out[r] - want)) < 1e-12
+    # the cache is gamma-free: a refill at another gamma gives the same bits
+    channel._sector_eig.cache_clear()
+    channel.bs_apply(st, BeamSplitter(0.61))
+    assert np.array_equal(channel.bs_apply(st, bs).amps, out)
+    lam, vec = channel._sector_eig(3, 0, 3)
+    with pytest.raises(ValueError):
+        lam[0] = 1.0
+    with pytest.raises(ValueError):
+        vec[0, 0] = 1.0
+
+
+def test_large_amplitude_circuit_touches_only_complete_sectors(monkeypatch):
+    # alpha = 7 at N = 140; a heralded stage fills ancilla column 0 or 1 only,
+    # so every sector it reaches is complete and the cache holds one entry per photon number
+    seen = set()
+    cached = channel._sector_eig
+
+    def spy(*key):
+        seen.add(key)
+        return cached(*key)
+
+    cached.cache_clear()
+    monkeypatch.setattr(channel, "_sector_eig", spy)
+    for spec in (ScsSpec(7.0, 2, 0), HesSpec(7.0, 3, 1)):
+        for s in Scheme:
+            p_sim, p_kraus, fid = channel.compare_sim_vs_kraus(spec, s, 0.01, 140)
+            assert abs(p_sim - p_kraus) <= 1e-8 * p_kraus
+            assert fid >= 1.0 - 1e-10
+    assert cached.cache_info().currsize == len(seen) > 0
+    assert all(lo == 0 and hi == total for total, lo, hi in seen)
+
+
 def test_hybrid_circuit_matches_three_index_tensor():
     # oracle: simulate DV x CV x ancilla as one flat tensor with dense kron ops
     from conftest import create, destroy
