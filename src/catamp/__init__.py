@@ -21,7 +21,7 @@ from .errors import (
     TruncationError,
 )
 from .fock import DensityMatrix, FockVector, coherent, inner, min_trunc, normalize
-from .optimize import OptResult, find_crossing, maximize_scalar, scs_gain
+from .optimize import OptResult, find_crossing, scs_gain
 from .states import HesSpec, ScsSpec, hes_state, scs_state
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "hes_state",
     "inner",
     "kraus_apply",
-    "maximize_scalar",
     "min_trunc",
     "normalize",
     "qfi_ratio",

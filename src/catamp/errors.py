@@ -18,8 +18,4 @@ class DivergentGainError(CatampError):
 
 
 class OptimizationError(CatampError):
-    """Scalar optimization failed; carries the best iterate found so far."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """A gain optimum could not be located."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .errors import DegenerateStateError, TruncationError
 
@@ -107,12 +107,8 @@ def coherent(alpha: float, trunc: int) -> FockVector:
 
 
 def coherent_tail(alpha: float, trunc: int) -> float:
-    """Probability mass of |alpha> on photon numbers >= trunc."""
-    if alpha == 0:
-        return 0.0
-    n = np.arange(trunc)
-    pmf = np.exp(-alpha * alpha + 2 * n * np.log(alpha) - gammaln(n + 1.0))
-    return float(max(0.0, 1.0 - pmf.sum()))
+    """Probability mass of |alpha> on photon numbers >= trunc (Poisson upper tail)."""
+    return float(pdtrc(trunc - 1, alpha * alpha)) if trunc > 0 else 1.0
 
 
 def ladder(v: FockVector, kind: str) -> FockVector:
@@ -183,19 +179,12 @@ def min_trunc(alpha_max: float, epsilon: float) -> int:
         raise ValueError("alpha_max must be >= 0")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if alpha_max == 0.0:
-        return 1
     lam = alpha_max * alpha_max
-    log_pmf = -lam
-    cum = np.exp(log_pmf)
-    n = 0
-    while 1.0 - cum >= epsilon:
-        n += 1
-        log_pmf += np.log(lam) - np.log(n)
-        cum += np.exp(log_pmf)
-        if n > 100_000:
-            raise RuntimeError("tail summation failed to converge")
-    return n + 1
+    hi = 2 * int(lam) + 2
+    while pdtrc(hi - 1, lam) >= epsilon:  # the tail falls in N: double up to a bound
+        hi *= 2
+    n = np.arange(1, hi + 1)
+    return int(n[np.argmax(pdtrc(n - 1, lam) < epsilon)])
 
 
 def auto_trunc(alpha_max: float, additions: int = 0, epsilon: float = TAIL_EPS) -> int:

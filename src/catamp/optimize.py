@@ -1,10 +1,8 @@
-"""Derivative-free scalar maximization and root bracketing.
+"""Optimized cat-state gain and root bracketing.
 
-The maximizer is a one-dimensional downhill simplex (two points, with
-reflection, expansion, contraction and shrink steps) plus a single restart
-from a small perturbation of the best point found.  It reports the best local
-maximum reachable from its start; global optimality is a test-suite concern
-handled by dense grid scans.
+The optimized gain is a root of the closed-form slope ``analytic.scs_slope``:
+every stationary point in the search range is bracketed on a fixed grid and
+refined by regula falsi, and the candidate of largest fidelity wins.
 """
 
 from __future__ import annotations
@@ -19,10 +17,19 @@ from .states import ScsSpec
 
 GAIN_LO = 1e-3
 GAIN_HI = 20.0
+#: grid points of the slope scan that brackets the stationary points
+SLOPE_GRID = 256
+#: absolute gain tolerance and evaluation budget of the root refinement
+ROOT_XTOL = 1e-14
+ROOT_MAX_CALLS = 100
 
 
 @dataclass(frozen=True)
 class OptResult:
+    """A maximum: ``iterations`` counts the slope evaluations of the root
+    refinement, ``converged`` holds when every refinement converged, and
+    ``boundary_hit`` when the argmax is the top of the search range."""
+
     argmax: float
     value: float
     iterations: int
@@ -30,89 +37,58 @@ class OptResult:
     boundary_hit: bool
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
-
-
-def _simplex(f, x0: float, x1: float, lo: float, hi: float, tol: float,
-             budget: int) -> tuple[float, float, int, bool]:
-    """Core two-point simplex loop; returns (argmax, value, iterations, converged)."""
-
-    def eval_f(x: float) -> float:
-        y = f(x)
-        if not np.isfinite(y):
-            raise OptimizationError(f"objective returned non-finite value at x={x}")
-        return float(y)
-
-    best, worst = x0, x1
-    fb, fw = eval_f(best), eval_f(worst)
-    if fw > fb:
-        best, worst, fb, fw = worst, best, fw, fb
-    it = 0
-    while it < budget:
-        it += 1
-        if abs(best - worst) < tol:
-            return best, fb, it, True
-        xr = _clip(best + (best - worst), lo, hi)
-        fr = eval_f(xr)
-        if fr > fb:
-            xe = _clip(best + 2.0 * (best - worst), lo, hi)
-            fe = eval_f(xe)
-            if fe > fr:
-                worst, fw, best, fb = best, fb, xe, fe
-            else:
-                worst, fw, best, fb = best, fb, xr, fr
-        elif fr > fw:
-            worst, fw = xr, fr
+def _falling_root(f, a: float, b: float, fa: float, fb: float) -> tuple[float, int, bool]:
+    """Root of f in [a, b] with fa > 0 >= fb, by the Illinois variant of regula
+    falsi; returns (root, evaluations of f, converged)."""
+    side = 0  # which end moved last; when one end moves twice, halve the other's f
+    for calls in range(ROOT_MAX_CALLS):
+        if fb == 0.0 or b - a <= ROOT_XTOL:
+            return b, calls, True
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = f(c)
+        if fc > 0:
+            a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
         else:
-            xc = best + 0.5 * (worst - best)
-            fc = eval_f(xc)
-            if fc > fw:
-                worst, fw = xc, fc
-            else:
-                xs = best + 0.25 * (worst - best)
-                worst, fw = xs, eval_f(xs)
-        if fw > fb:
-            best, worst, fb, fw = worst, best, fw, fb
-    return best, fb, it, False
+            b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
+    return b, ROOT_MAX_CALLS, False
 
 
-def _with_restart(f, x0: float, x1: float, lo: float, hi: float, tol: float,
-                  budget: int) -> OptResult:
-    b1, f1, it1, conv1 = _simplex(f, x0, x1, lo, hi, tol, budget)
-    second = _clip(b1 + 10.0 * tol if b1 + 10.0 * tol <= hi else b1 - 10.0 * tol, lo, hi)
-    b2, f2, it2, conv2 = _simplex(f, b1, second, lo, hi, tol, budget)
-    if f2 >= f1:
-        best, fbest, conv = b2, f2, conv2
-    else:
-        best, fbest, conv = b1, f1, conv1
-    boundary = best - lo < tol or hi - best < tol
-    return OptResult(best, fbest, it1 + it2, conv, boundary)
+def scs_gain(spec: ScsSpec, s) -> OptResult:
+    """Gain maximizing the cat-state fidelity on [GAIN_LO, GAIN_HI].
 
-
-def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-8,
-                    max_iter: int = 2000) -> OptResult:
-    """Maximize f on [lo, hi]; simplex started at the interior quartile points."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    return _with_restart(f, lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo),
-                         lo, hi, tol, max_iter // 2)
-
-
-def scs_gain(spec: ScsSpec, s, tol: float = 1e-8) -> OptResult:
-    """Gain maximizing the cat-state fidelity, searched over (0, 20].
-
-    The simplex starts at {1.0, 1.5} (gain near unity is the physical prior).
-    For the last two qudit indices under double addition at small amplitude the
-    optimum can sit at very large gain; boundary_hit flags an argmax within tol
-    of the search edge.
+    Candidates are the roots of the slope at each + to - sign change of a
+    SLOPE_GRID-point scan, refined to ROOT_XTOL, and GAIN_HI when the slope is
+    still positive there (the last qudit indices under double addition at
+    small amplitude).  The candidate of largest fidelity wins.
     """
     scheme = analytic.as_scheme(s)
+    alpha, d, k = spec.alpha, spec.d, spec.k
 
-    def objective(g: float) -> float:
-        return analytic.scs_fidelity(spec.alpha, g, spec.d, spec.k, scheme)
+    def slope(g):
+        val = analytic.scs_slope(alpha, g, d, k, scheme)
+        if not np.all(np.isfinite(val)):
+            raise OptimizationError(f"fidelity slope non-finite at gain {g}")
+        return val
 
-    return _with_restart(objective, 1.0, 1.5, GAIN_LO, GAIN_HI, tol, 1000)
+    grid = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
+    # in blocks of 32 gains, so the series windows of the slope stay small
+    scan = np.concatenate([slope(block) for block in np.split(grid, SLOPE_GRID // 32)])
+    gains, iterations, converged = [], 0, True
+    for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
+        root, calls, ok = _falling_root(slope, grid[i], grid[i + 1], scan[i], scan[i + 1])
+        gains.append(root)
+        iterations += calls
+        converged &= ok
+    if scan[-1] > 0:
+        gains.append(GAIN_HI)
+    if not gains:
+        raise OptimizationError(f"fidelity has no maximum in gain at {spec}")
+    values = [analytic.scs_fidelity(alpha, g, d, k, scheme) for g in gains]
+    if not np.all(np.isfinite(values)):
+        raise OptimizationError(f"fidelity non-finite at a stationary gain of {spec}")
+    best = int(np.argmax(values))
+    return OptResult(float(gains[best]), float(values[best]), iterations, converged,
+                     bool(gains[best] == GAIN_HI))
 
 
 def find_crossing(f, target: float, lo: float, hi: float, tol: float = 1e-6) -> float:

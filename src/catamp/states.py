@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import fock
-from .errors import DegenerateStateError, OptimizationError, TruncationError
+from .errors import DegenerateStateError, TruncationError
 from .fock import FockVector
 
 #: coherent-tail bound a caller-supplied truncation must certify
@@ -225,18 +225,11 @@ def addition_overlap(alpha: float, beta: float, d: int, k: int, l: int, m: int) 
 
 
 def optimal_beta(alpha: float, m: int, d: int) -> tuple[float, float]:
-    """Target amplitude maximizing the m-addition overlap, and the fidelity there."""
-    from . import optimize  # deferred: optimize imports analytic which imports states
+    """Target amplitude maximizing the m-addition overlap, and the fidelity there.
 
+    Stationarity of beta^{2m} exp[-(alpha - beta)^2] gives beta^2 - alpha beta - m = 0.
+    """
     if m == 0:
         return alpha, 1.0
-    lo = max(alpha - 3.0, 0.01)
-    hi = alpha + m + 3.0
-
-    def fidelity(beta: float) -> float:
-        return addition_overlap(alpha, beta, d, 0, m % d, m) ** 2
-
-    res = optimize.maximize_scalar(fidelity, lo, hi, tol=1e-10)
-    if not res.converged:
-        raise OptimizationError("target-amplitude search did not converge", result=res)
-    return res.argmax, res.value
+    beta = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0 * m))
+    return float(beta), addition_overlap(alpha, beta, d, 0, m % d, m) ** 2

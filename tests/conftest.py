@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 
 def destroy(n: int) -> np.ndarray:
@@ -60,6 +61,33 @@ def poisson_tail(alpha: float, n: int) -> float:
         total += math.exp(log_pmf)
         log_pmf += math.log(lam) - math.log(m + 1)
     return max(0.0, 1.0 - total)
+
+
+def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndarray:
+    """Cat-state fidelity from positive residue-class series summed in log space.
+
+    With p_m = x^m / m! over m = k (mod d): a a-dagger gives
+    F = [sum (m+1) p_m(g a^2)]^2 / ([sum (m+1)^2 p_m(a^2)] [sum p_m(g^2 a^2)]), and
+    a-dagger^2 gives F = (g a)^4 [sum p_m(g a^2)]^2 / ([sum (m+1)(m+2) p_m(a^2)]
+    [sum over m = k+2 (mod d) of p_m(g^2 a^2)]).  No root-of-unity sums, so no
+    cancellation at any amplitude.
+    """
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    a2 = alpha * alpha
+
+    def log_sum(j, x, weight):
+        x = np.asarray(x, dtype=float)[..., None]
+        m = np.arange(j % d, float(np.max(x)) + 12.0 * math.sqrt(float(np.max(x))) + 60.0, d)
+        return logsumexp(np.log(weight(m)) + m * np.log(x) - gammaln(m + 1.0), axis=-1)
+
+    if scheme == "aadag":
+        log_f = (2.0 * log_sum(k, g * a2, lambda m: m + 1.0)
+                 - log_sum(k, a2, lambda m: (m + 1.0) ** 2) - log_sum(k, g * g * a2, np.ones_like))
+    else:
+        log_f = (2.0 * np.log(g * g * a2) + 2.0 * log_sum(k, g * a2, np.ones_like)
+                 - log_sum(k, a2, lambda m: (m + 1.0) * (m + 2.0))
+                 - log_sum(k + 2, g * g * a2, np.ones_like))
+    return np.exp(log_f)
 
 
 def var4(column: np.ndarray) -> float:

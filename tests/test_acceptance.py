@@ -296,4 +296,4 @@ def test_criterion_11_optimizer_vs_grid_scan():
                     fine = np.arange(max(gg[i] - 1.5e-4, 1e-7), gg[i] + 1.5e-4, 1e-7)
                     best = float(np.max(analytic.scs_fidelity(alpha, fine, d, k, s)))
                     assert abs(res.value - best) <= 1e-8, (d, k, s, alpha)
-    _pass("criterion-11", "simplex gains match 1e-4 grid scans (argmax 1e-3, value 1e-8)")
+    _pass("criterion-11", "slope-root gains match 1e-4 grid scans (argmax 1e-3, value 1e-8)")

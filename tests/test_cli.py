@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from catamp import analytic, cli
+from catamp import analytic, cli, optimize
 from catamp.cli import SweepConfig
+from catamp.errors import TruncationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +107,32 @@ def test_cell_error_is_recorded_not_raised():
     recs = cli.run_sweep(cfg)
     assert recs[0].status.startswith("error")
     assert recs[1].status == "ok"
+
+
+def test_truncation_failure_is_recorded_not_raised(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise TruncationError("no truncation")
+
+    monkeypatch.setattr(cli.fock, "auto_trunc", refuse)
+    recs = cli.run_sweep(hes_cfg(steps=2))
+    assert [r.status for r in recs] == ["error: TruncationError: no truncation"] * 2
+
+
+def test_large_amplitude_scs_sweep_completes(capsys):
+    code = cli.main(["scs-sweep", "--d", "2", "--k", "0", "--alpha-min", "6.999999999999915",
+                     "--alpha-max", "7.5", "--steps", "2"])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(r.endswith(",ok") for r in rows)
+
+
+def test_edge_optimum_gets_its_own_status():
+    cfg = SweepConfig(family="scs", d=3, k_list=(2,), scheme="adag2",
+                      alpha_min=0.1, alpha_max=0.3, steps=2)
+    edge, inner = cli.run_sweep(cfg)
+    assert edge.status == "ok;gain-at-edge" and edge.G == optimize.GAIN_HI
+    assert inner.status == "ok" and inner.G < optimize.GAIN_HI
 
 
 def test_check_quick_passes(capsys):

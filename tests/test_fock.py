@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,6 +190,26 @@ def test_min_trunc_monotonicity():
     for a in alphas:
         ns = [fock.min_trunc(a, e) for e in eps]
         assert ns == sorted(ns)
+
+
+def test_min_trunc_is_the_exact_smallest_truncation():
+    # exact Poisson tails: regularized lower incomplete gamma P(N, alpha^2) at 30 digits
+    def tail(alpha, n):
+        return mpmath.gammainc(n, 0, mpmath.mpf(alpha) ** 2, regularized=True) if n else 1
+
+    with mpmath.workdps(30):
+        for alpha in np.round(np.arange(0.0, 12.0001, 0.02), 10):
+            for eps in (1e-10, 1e-12, 1e-14):
+                n = fock.min_trunc(float(alpha), eps)
+                assert tail(alpha, n) < eps <= tail(alpha, n - 1), (alpha, eps, n)
+
+
+def test_coherent_tail_is_exact_deep_in_the_tail():
+    with mpmath.workdps(30):
+        exact = float(mpmath.gammainc(184, 0, 100, regularized=True))  # ~3.6e-14
+    assert abs(fock.coherent_tail(10.0, 184) - exact) <= 1e-12 * exact
+    assert fock.coherent_tail(0.0, 5) == 0.0
+    assert fock.coherent_tail(1.0, 0) == 1.0
 
 
 def test_min_trunc_validates_epsilon():

@@ -1,51 +1,44 @@
-import math
-
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catamp import analytic, optimize
 from catamp.analytic import Scheme
 from catamp.errors import OptimizationError
 from catamp.states import ScsSpec
 
-
-def test_known_unimodal_maximum():
-    res = optimize.maximize_scalar(lambda g: math.exp(-((g - 1.3) ** 2)), 0.5, 3.0, tol=1e-9)
-    assert res.converged
-    assert abs(res.argmax - 1.3) < 1e-7
-    assert not res.boundary_hit
-
-
-def test_recovers_hes_gains():
-    for alpha in (0.5, 1.0, 2.0):
-        for s in Scheme:
-            res = optimize.maximize_scalar(
-                lambda g: analytic.hes_fidelity(alpha, g, s), 0.1, 5.0
-            )
-            assert abs(res.argmax - analytic.hes_gain(alpha, s)) < 1e-6
+from conftest import series_scs_fidelity
 
 
 def test_boundary_hit_flag():
-    res = optimize.maximize_scalar(lambda x: x, 0.0, 1.0)
+    # double addition on the last index at amplitude 0.1: the fidelity still
+    # rises at the top of the search range, and the slope certifies it
+    res = optimize.scs_gain(ScsSpec(0.1, 3, 2), Scheme.ADAG2)
     assert res.boundary_hit
-    assert abs(res.argmax - 1.0) < 1e-6
+    assert res.argmax == optimize.GAIN_HI
+    assert analytic.scs_slope(0.1, optimize.GAIN_HI, 3, 2, Scheme.ADAG2) > 0
+    assert not optimize.scs_gain(ScsSpec(0.3, 3, 2), Scheme.ADAG2).boundary_hit
 
 
-def test_nonfinite_objective_raises():
+def test_nonfinite_objective_raises(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "scs_slope", lambda *args: np.full(np.shape(args[1]), np.nan))
+        with pytest.raises(OptimizationError):
+            optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
+    monkeypatch.setattr(analytic, "scs_fidelity", lambda *args: float("inf"))
     with pytest.raises(OptimizationError):
-        optimize.maximize_scalar(lambda x: float("nan"), 0.0, 1.0)
-
-
-def test_invalid_bracket():
-    with pytest.raises(ValueError):
-        optimize.maximize_scalar(lambda x: x, 1.0, 1.0)
+        optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
 
 
 def test_scs_gain_reduces_to_closed_form_at_d1():
-    for alpha in (0.5, 1.0, 2.0):
+    for alpha in np.round(np.arange(0.3, 3.0001, 0.1), 10):
         for s in Scheme:
-            res = optimize.scs_gain(ScsSpec(alpha, 1, 0), s)
-            assert abs(res.argmax - analytic.hes_gain(alpha, s)) < 1e-6
+            res = optimize.scs_gain(ScsSpec(float(alpha), 1, 0), s)
+            exact = analytic.hes_gain(float(alpha), s)
+            assert abs(res.argmax - exact) <= 1e-12 * exact, (alpha, s)
+            assert res.converged and not res.boundary_hit
 
 
 def test_scs_gain_last_qudit_small_amplitude_behavior():
@@ -105,3 +98,62 @@ def test_hes_ratio_minimum_location():
 
     amin = optimize.find_crossing(slope, 0.0, 1.0, 2.0)
     assert 1.38 <= amin <= 1.48
+
+
+def _mp_slope_root(alpha, d, k, s, guess):
+    """Root of d(ln F)/dg from the S_j' = S_{j-1} - S_j expansion, at 50 digits."""
+
+    def S(j, x):
+        w = mp.exp(2j * mp.pi / d)
+        return mp.re(mp.fsum(w ** (-j * n) * mp.exp(-x * (1 - w**n)) for n in range(d)))
+
+    def slope(g):
+        a2 = mp.mpf(alpha) ** 2
+        y, z = g * a2, g * g * a2
+        v = -2 * a2 * (g - 1)
+        if s is Scheme.AADAG:
+            s0, s1, s2 = S(k, y), S(k - 1, y), S(k - 2, y)
+            return (v + 2 * a2 * (2 * s1 - s0 + y * (s2 - s1)) / (s0 + y * s1)
+                    - 2 * g * a2 * (S(k - 1, z) / S(k, z) - 1))
+        return (v + 4 / g + 2 * a2 * (S(k - 1, y) / S(k, y) - 1)
+                - 2 * g * a2 * (S(k + 1, z) / S(k + 2, z) - 1))
+
+    with mp.workdps(50):
+        g0 = mp.mpf(guess)
+        return float(mp.findroot(slope, (g0 * (1 - 1e-3), g0 * (1 + 1e-3)), solver="anderson"))
+
+
+# the reference rows whose gain moved by more than 1e-6 when the slope root
+# replaced the simplex (fig5 aadag d=5, fig8 adag2 d=3), plus two steep ones
+PINNED_ROWS = (
+    *((0.2, 5, k, Scheme.AADAG) for k in range(5)),
+    *((0.4, 5, k, Scheme.AADAG) for k in (2, 3, 4)),
+    (0.6, 5, 4, Scheme.AADAG), (0.8, 5, 4, Scheme.AADAG),
+    (0.1, 3, 0, Scheme.ADAG2), (2.6, 5, 0, Scheme.AADAG), (1.3, 3, 1, Scheme.ADAG2),
+)
+
+
+@pytest.mark.parametrize("alpha,d,k,s", PINNED_ROWS)
+def test_scs_gain_matches_high_precision_slope_root(alpha, d, k, s):
+    res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+    exact = _mp_slope_root(alpha, d, k, s, res.argmax)
+    assert abs(res.argmax - exact) <= 1e-12 * exact, (res.argmax, exact)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.15, 3.0), d=st.integers(1, 8), data=st.data())
+def test_scs_gain_is_the_global_maximum(alpha, d, data):
+    k = data.draw(st.integers(0, d - 1))
+    s = data.draw(st.sampled_from(list(Scheme)))
+    res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+    gains = np.linspace(optimize.GAIN_LO, optimize.GAIN_HI, 2001)
+    # scs_fidelity is off by up to ~1e-9 at d = 8 (its root-of-unity sums cancel),
+    # so it only preselects the scan points within 1e-6 of its maximum; the
+    # comparison itself uses the cancellation-free series
+    scan = analytic.scs_fidelity(alpha, gains, d, k, s)
+    best = series_scs_fidelity(alpha, gains[scan >= scan.max() - 1e-6], d, k, s.value).max()
+    assert series_scs_fidelity(alpha, res.argmax, d, k, s.value)[0] >= best - 1e-12
+    if not res.boundary_hit:
+        h = 1e-9 * res.argmax
+        assert analytic.scs_slope(alpha, res.argmax - h, d, k, s) > 0
+        assert analytic.scs_slope(alpha, res.argmax + h, d, k, s) < 0
