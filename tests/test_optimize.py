@@ -32,12 +32,21 @@ def test_nonfinite_objective_raises(monkeypatch):
         optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
 
 
-def test_scs_gain_reduces_to_closed_form_at_d1():
+def test_recovers_hes_gains():
     for alpha in np.round(np.arange(0.3, 3.0001, 0.1), 10):
         for s in Scheme:
             res = optimize.scs_gain(ScsSpec(float(alpha), 1, 0), s)
             exact = analytic.hes_gain(float(alpha), s)
             assert abs(res.argmax - exact) <= 1e-12 * exact, (alpha, s)
+
+
+def test_scs_gain_reduces_to_closed_form_at_d1():
+    # at d = 1 the optimum is the hybrid one: its fidelity is hes_fidelity at hes_gain
+    for alpha in np.round(np.arange(0.3, 3.0001, 0.1), 10):
+        for s in Scheme:
+            res = optimize.scs_gain(ScsSpec(float(alpha), 1, 0), s)
+            exact = float(analytic.hes_fidelity(float(alpha), analytic.hes_gain(float(alpha), s), s))
+            assert abs(res.value - exact) <= 1e-13 * exact, (alpha, s)
             assert res.converged and not res.boundary_hit
 
 
