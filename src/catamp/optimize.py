@@ -28,25 +28,28 @@ ROOT_MAX_CALLS = 100
 class OptResult:
     """A maximum: ``iterations`` counts the slope evaluations of the root
     refinement, ``converged`` holds when every refinement converged, and
-    ``boundary_hit`` when the argmax is the top of the search range."""
+    ``boundary_hit`` when the argmax is the top of the search range.
+    ``argmax`` is None where the value does not depend on the gain."""
 
-    argmax: float
+    argmax: float | None
     value: float
     iterations: int
     converged: bool
     boundary_hit: bool
 
 
-def _falling_root(f, a: float, b: float, fa: float, fb: float) -> tuple[float, int, bool]:
-    """Root of f in [a, b] with fa > 0 >= fb, by the Illinois variant of regula
-    falsi; returns (root, evaluations of f, converged)."""
+def _illinois(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[float, int, bool]:
+    """Root of f in [a, b], where fa and fb have opposite signs, by the Illinois
+    variant of regula falsi; returns (root, evaluations of f, converged)."""
     side = 0  # which end moved last; when one end moves twice, halve the other's f
     for calls in range(ROOT_MAX_CALLS):
-        if fb == 0.0 or b - a <= ROOT_XTOL:
+        if fb == 0.0 or b - a <= tol:
             return b, calls, True
         c = (a * fb - b * fa) / (fb - fa)
         fc = f(c)
-        if fc > 0:
+        if not np.isfinite(fc):
+            raise OptimizationError(f"objective non-finite at {c}")
+        if fc != 0.0 and (fc > 0) == (fa > 0):
             a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
         else:
             b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
@@ -59,10 +62,14 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     Candidates are the roots of the slope at each + to - sign change of a
     SLOPE_GRID-point scan, refined to ROOT_XTOL, and GAIN_HI when the slope is
     still positive there (the last qudit indices under double addition at
-    small amplitude).  The candidate of largest fidelity wins.
+    small amplitude).  The candidate of largest fidelity wins.  At alpha = 0
+    the qudit is a number state, F does not depend on the gain, and no gain is
+    returned.
     """
     scheme = analytic.as_scheme(s)
     alpha, d, k = spec.alpha, spec.d, spec.k
+    if alpha == 0.0:
+        return OptResult(None, analytic.scs_fidelity(0.0, 1.0, d, k, scheme), 0, True, False)
 
     def slope(g):
         val = analytic.scs_slope(alpha, g, d, k, scheme)
@@ -75,7 +82,8 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     scan = np.concatenate([slope(block) for block in np.split(grid, SLOPE_GRID // 32)])
     gains, iterations, converged = [], 0, True
     for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
-        root, calls, ok = _falling_root(slope, grid[i], grid[i + 1], scan[i], scan[i + 1])
+        root, calls, ok = _illinois(slope, grid[i], grid[i + 1], scan[i], scan[i + 1],
+                                    ROOT_XTOL)
         gains.append(root)
         iterations += calls
         converged &= ok
@@ -92,24 +100,16 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
 
 
 def find_crossing(f, target: float, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Bisection abscissa where f crosses target on [lo, hi]."""
+    """Abscissa where f crosses target on [lo, hi], to within tol."""
     flo = f(lo) - target
     fhi = f(hi) - target
     if not np.isfinite(flo) or not np.isfinite(fhi):
         raise OptimizationError("objective non-finite at bracket endpoints")
     if flo == 0.0:
         return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid) - target
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    root, _, converged = _illinois(lambda x: f(x) - target, lo, hi, flo, fhi, tol)
+    if not converged:
+        raise OptimizationError(f"no crossing within {tol} after {ROOT_MAX_CALLS} evaluations")
+    return root

@@ -135,6 +135,15 @@ def test_edge_optimum_gets_its_own_status():
     assert inner.status == "ok" and inner.G < optimize.GAIN_HI
 
 
+def test_zero_amplitude_scs_row_keeps_its_fidelity():
+    cfg = SweepConfig(family="scs", d=3, k_list=(0,), scheme="aadag",
+                      alpha_min=0.0, alpha_max=0.5, steps=2)
+    zero, rest = cli.run_sweep(cfg)
+    assert zero.F_opt == 1.0 and zero.G is None and zero.qfi_in == 0.0
+    assert zero.status == "error: ValueError: alpha must be > 0"  # the Fisher ratio is 0/0
+    assert rest.status == "ok" and rest.G > 1.0
+
+
 def test_check_quick_passes(capsys):
     assert cli.check_suite("quick") == 0
     out = capsys.readouterr().out

@@ -32,6 +32,15 @@ def test_nonfinite_objective_raises(monkeypatch):
         optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
 
 
+def test_zero_amplitude_has_fidelity_but_no_gain():
+    # number states: F is the same at every gain, so none is singled out
+    for s in Scheme:
+        for k in range(3):
+            res = optimize.scs_gain(ScsSpec(0.0, 3, k), s)
+            assert res.argmax is None and not res.boundary_hit
+            assert res.value == analytic.scs_fidelity(0.0, 2.5, 3, k, s)
+
+
 def test_recovers_hes_gains():
     for alpha in np.round(np.arange(0.3, 3.0001, 0.1), 10):
         for s in Scheme:
@@ -87,6 +96,8 @@ def test_scs_gain_stationarity_unless_boundary():
 
 def test_find_crossing_square():
     assert abs(optimize.find_crossing(lambda x: x * x, 4.0, 1.0, 3.0) - 2.0) < 1e-6
+    assert abs(optimize.find_crossing(lambda x: x * x, 4.0, 1.0, 3.0, tol=1e-14) - 2.0) <= 1e-14
+    assert abs(optimize.find_crossing(lambda x: -x * x, -4.0, 1.0, 3.0, tol=1e-14) - 2.0) <= 1e-14
 
 
 def test_find_crossing_requires_bracket():
