@@ -1,10 +1,11 @@
 """Closed-form fidelities, optimized gains, and quantum Fisher information.
 
-All cat-state expressions reduce to the root-of-unity sums S_j(x) of
-``states.mod_exp_sum``, except the gain slope, which sums its residue-class
-series directly; the amplified-state norms share the scheme polynomial
-``amplify.norm_poly``.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope
-explicitly so no intermediate overflows even at large gain.
+The cat-state fidelity reduces to the root-of-unity sums S_j(x) of
+``states.mod_exp_sum`` and the scheme polynomial ``amplify.norm_poly``; the
+gain slope and the Fisher information are a mean and a centered variance of
+one positive residue-class series (``_class_series``), which cancel nothing.
+Fidelities carry their exp[-alpha^2 (g-1)^2] envelope explicitly so no
+intermediate overflows even at large gain.
 """
 
 from __future__ import annotations
@@ -123,17 +124,23 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     return float(val) if val.ndim == 0 else val
 
 
-def _excess(j: int, x, d: int, power: int = 0):
-    """Mean of m - j over m = j (mod d), 0 <= j < d, weighted by (m + 1)^power
-    x^m / m!, x > 0: a positive series summed in log space within +-10 sigma of
-    its peak, accurate even where tiny (S_j ratios cancel there)."""
+def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
+    """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
+    0 <= j < d, x > 0, scaled to a peak of 1 within +-10 sigma of it from log
+    space, and their excesses e = m - j: moments over them stay accurate where
+    tiny (S_j ratios, and second moment minus mean squared, cancel there)."""
     x = np.asarray(x, dtype=float)[..., None]
     span = 10.0 * np.sqrt(x) + 30.0
     m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
                  + np.arange(np.ceil(2.0 * span.max() / d) + 1.0))
-    logw = power * np.log1p(m) + m * np.log(x) - gammaln(m + 1.0)
-    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
-    return np.sum(w * (m - j), axis=-1) / np.sum(w, axis=-1)
+    logw = sum(np.log1p(m + i) for i in rises) + m * np.log(x) - gammaln(m + 1.0)
+    return np.exp(logw - logw.max(axis=-1, keepdims=True)), m - j
+
+
+def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = ()):
+    """Mean of m - j over the weights of ``_class_series``."""
+    w, e = _class_series(j, x, d, rises)
+    return np.sum(w * e, axis=-1) / np.sum(w, axis=-1)
 
 
 def scs_slope(alpha: float, g, d: int, k: int, s):
@@ -150,36 +157,25 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     if alpha == 0.0:
         val = np.zeros_like(g)  # the fidelity does not depend on g
     elif s is Scheme.AADAG:  # overlap weights (m + 1) y^m / m!, target z^m / m!, m = k
-        val = 2.0 / g * (_excess(k, g * a2, d, 1) - _excess(k, g * g * a2, d))
+        val = 2.0 / g * (_mean_excess(k, g * a2, d, (0,)) - _mean_excess(k, g * g * a2, d))
     else:  # overlap weights y^m / m! at m = k, target m = k + 2 (mod d)
         j = (k + 2) % d
-        val = 2.0 / g * (2 + k - j + _excess(k, g * a2, d) - _excess(j, g * g * a2, d))
+        val = 2.0 / g * (2 + k - j + _mean_excess(k, g * a2, d) - _mean_excess(j, g * g * a2, d))
     return float(val) if val.ndim == 0 else val
 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
-    """Phase-estimation Fisher information of a (possibly amplified) cat-state qudit."""
+    """Phase-estimation Fisher information 4 Var(n) of a (possibly amplified) cat-state qudit."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if alpha == 0.0:
         return 0.0  # number states are phase invariant
-    a2 = alpha * alpha
-    x = a2
-    S = {j: mod_exp_sum(k - j, x, d) for j in range(5)}
-    if s is None:
-        mean = a2 * S[1] / S[0]
-        second = a2 * a2 * S[2] / S[0]
-        return 4.0 * (second + mean) - 4.0 * mean * mean
-    s = as_scheme(s)
-    a4, a6, a8 = a2 * a2, a2**3, a2**4
-    den = amplify.norm_poly(scheme_word(s), a2, S[2], S[1], S[0])
-    if s is Scheme.AADAG:
-        big = a8 * S[4] + 8 * a6 * S[3] + 14 * a4 * S[2] + 4 * a2 * S[1]
-        mid = a6 * S[3] + 5 * a4 * S[2] + 4 * a2 * S[1]
-    else:
-        big = a8 * S[4] + 13 * a6 * S[3] + 46 * a4 * S[2] + 46 * a2 * S[1] + 8 * S[0]
-        mid = a6 * S[3] + 8 * a4 * S[2] + 14 * a2 * S[1] + 4 * S[0]
-    return 4.0 * big / den - 4.0 * (mid / den) ** 2
+    # weights x^m / m! on m = k (mod d), times (m + 1)^2 for a a-dagger or (m + 1)(m + 2)
+    # for a-dagger^2, whose shift of every m by 2 leaves Var(n) as it is
+    rises = () if s is None else (0, 0) if as_scheme(s) is Scheme.AADAG else (0, 1)
+    w, e = _class_series(k % d, alpha * alpha, d, rises)
+    mean = np.sum(w * e) / np.sum(w)
+    return 4.0 * float(np.sum(w * (e - mean) ** 2) / np.sum(w))  # centered: no cancellation
 
 
 def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float:

@@ -157,8 +157,7 @@ def moments(v: FockVector) -> tuple[float, float]:
     p = v.probs()
     n = np.arange(v.trunc)
     mean = float(p @ n)
-    var = float(p @ (n * n)) - mean * mean
-    return mean, max(var, 0.0)
+    return mean, float(p @ (n - mean) ** 2)  # centered, so it cannot cancel below 0
 
 
 def quadrature_expect(v: FockVector, lam: float) -> float:

@@ -10,7 +10,7 @@ A hybrid qudit pairs a discrete index n with the coherent state |alpha w^n>:
     (1/sqrt d) sum_n w^{-kn} |n> (x) |alpha w^n>
 It is held as a d-row FockVector whose row n is the bosonic block of |n>.
 
-Every cat-state closed form reduces to weighted root-of-unity sums
+The cat-state fidelity and norm factors reduce to root-of-unity sums
 
     S_j(x) = sum_{n=0}^{d-1} w^{-jn} exp[-x (1 - w^n)],
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catamp import amplify, analytic, fock, states
 from catamp.analytic import Scheme
 from catamp.errors import DivergentGainError
 from catamp.states import HesSpec, ScsSpec
 
-from conftest import cat_column, create, destroy, var4
+from conftest import cat_column, create, destroy, series_scs_qfi, var4
 
 
 def brute_fidelity(alpha, g, d, k, scheme):
@@ -156,10 +158,11 @@ def test_scs_fidelity_stable_at_extreme_gain():
 
 
 def test_scs_qfi_reduces_to_coherent_at_d1():
-    for alpha in (0.5, 1.2, 2.4):
-        assert abs(analytic.scs_qfi(alpha, 1, 0) - 4 * alpha * alpha) < 1e-10
+    for alpha in (0.01, 0.5, 1.2, 2.4):
+        assert abs(analytic.scs_qfi(alpha, 1, 0) - 4 * alpha * alpha) <= 1e-13 * 4 * alpha * alpha
         for s in Scheme:
-            assert abs(analytic.scs_qfi(alpha, 1, 0, s) - analytic.hes_qfi(alpha, s)) < 1e-10
+            want = analytic.hes_qfi(alpha, s)
+            assert abs(analytic.scs_qfi(alpha, 1, 0, s) - want) <= 1e-13 * want
 
 
 def test_scs_qfi_zero_amplitude():
@@ -175,6 +178,34 @@ def test_scs_qfi_matches_bruteforce_grid():
                     closed = analytic.scs_qfi(alpha, d, k, s)
                     brute = brute_qfi(alpha, d, k, s)
                     assert abs(closed - brute) <= 1e-8 * max(1.0, abs(closed)), (d, k, alpha, s)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(alpha=st.floats(1e-3, 8.0), d=st.integers(1, 12), data=st.data())
+def test_scs_qfi_matches_high_precision_series(alpha, d, data):
+    k = data.draw(st.integers(0, d - 1))
+    s = data.draw(st.sampled_from([None, *Scheme]))
+    got = analytic.scs_qfi(alpha, d, k, s)
+    want = series_scs_qfi(alpha, d, k, None if s is None else s.value)
+    assert got > 0
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def test_scs_qfi_last_qudit_index_at_d8():
+    # the root-of-unity form returned 1.36e-7 here: 4 (second + mean) - 4 mean^2
+    # cancelled at mean ~ 7 on S_j sums 7e-10 off
+    got = analytic.scs_qfi(0.71, 8, 7)
+    assert abs(got - 4.11438066233e-9) <= 1e-11 * got
+    assert abs(got - series_scs_qfi(0.71, 8, 7)) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_qfi_ratio_small_amplitude_limit(k):
+    # as alpha -> 0 only |k> and |k + d> remain, and Var(n) -> d^2 x^d k!/(k+d)!
+    # times c(k + d)/c(k); the ratio of the two schemes' c tends to this
+    d = 8
+    want = (k + d + 1) * (k + 2) / ((k + 1) * (k + d + 2))
+    assert abs(analytic.qfi_ratio(0.05, d, k) - want) <= 1e-10
 
 
 def test_qfi_spectral_number_state():

@@ -7,6 +7,8 @@ from catamp import analytic, cli, optimize
 from catamp.cli import SweepConfig
 from catamp.errors import TruncationError
 
+from conftest import series_scs_qfi
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -165,6 +167,16 @@ def test_check_names_broken_closed_form(monkeypatch, capsys):
     assert cli.check_suite("quick") == 1
     out = capsys.readouterr().out
     assert "FAIL analytic.hes_fidelity_equivalence" in out
+
+
+@pytest.mark.parametrize("alpha,d,k", [(0.3, 7, 6), (0.71, 8, 7)])
+def test_brute_qfi_keeps_the_residue_class(alpha, d, k):
+    # a truncation counted from 0 kept one member of the class at (0.3, 7, 6)
+    # (QFI 0.0) and two at (0.71, 8, 7), where p n^2 - mean^2 also cancelled
+    for s in (None, *analytic.Scheme):
+        got = cli.brute_scs_qfi(alpha, d, k, s)
+        want = series_scs_qfi(alpha, d, k, None if s is None else s.value)
+        assert abs(got - want) <= 1e-10 * want, (s, got, want)
 
 
 def test_check_full_passes(capsys):

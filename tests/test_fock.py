@@ -156,6 +156,15 @@ def test_moments_coherent_poissonian():
     assert abs(var - 1.0) < 1e-10
 
 
+def test_moments_variance_is_centered():
+    # mean 1000, variance 1e-10 (1 - 1e-10): p n^2 - mean^2 keeps no digit of it
+    amps = np.zeros(1002)
+    amps[1000], amps[1001] = np.sqrt(1.0 - 1e-10), np.sqrt(1e-10)
+    mean, var = fock.moments(fock.FockVector(amps))
+    assert abs(mean - (1000.0 + 1e-10)) <= 1e-12
+    assert abs(var - 1e-10 * (1.0 - 1e-10)) <= 1e-12 * 1e-10
+
+
 def test_moments_rejects_unnormalized():
     with pytest.raises(ValueError):
         fock.moments(fock.FockVector(2.0 * fock.basis(0, 4).amps))
