@@ -120,7 +120,7 @@ def scs_norm_factor_amplified(spec: ScsSpec, word: SchemeWord) -> float:
     a, d, k = spec.alpha, spec.d, spec.k
     if word in _NORM_POLY:
         x = a * a
-        val = d * norm_poly(word, x, *(states.mod_exp_sum(k - j, x, d) for j in (2, 1, 0)))
+        val = d * norm_poly(word, x, *states.mod_exp_sum((k - 2, k - 1, k), x, d))
         if val < 1e-300:
             raise DegenerateStateError(
                 f"amplified-superposition norm degenerates at alpha={a}, d={d}, k={k}"

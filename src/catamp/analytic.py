@@ -46,9 +46,7 @@ def target_index(k: int, d: int, s) -> int:
 def hes_fidelity(alpha: float, g, s) -> float:
     """Fidelity of the amplified hybrid qudit against the gain-g target (d, k free)."""
     s = as_scheme(s)
-    g = np.asarray(g, dtype=float)
-    if np.any(g <= 0):
-        raise ValueError("gain must be positive")
+    g = _gain_array(alpha, g)
     a2 = alpha * alpha
     env = np.exp(-a2 * (g - 1.0) ** 2)
     den = amplify.norm_poly(scheme_word(s), a2)
@@ -75,6 +73,8 @@ def hes_gain(alpha: float, s) -> float:
 
 def hes_qfi(alpha: float, s=None) -> float:
     """Phase-estimation Fisher information of a (possibly amplified) hybrid qudit."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     a2 = alpha * alpha
     if s is None:
         return 4.0 * a2
@@ -114,9 +114,10 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     y = g * a2
     z = g * g * a2
     env = np.exp(-a2 * (g - 1.0) ** 2)
-    den_in = amplify.norm_poly(scheme_word(s), a2, *(mod_exp_sum(k - j, a2, d) for j in (2, 1, 0)))
+    den_in = amplify.norm_poly(scheme_word(s), a2, *mod_exp_sum((k - 2, k - 1, k), a2, d))
     if s is Scheme.AADAG:
-        num = (mod_exp_sum(k, y, d) + y * mod_exp_sum(k - 1, y, d)) ** 2
+        s_k, s_km1 = mod_exp_sum((k, k - 1), y, d)
+        num = (s_k + y * s_km1) ** 2
         val = env * num / (den_in * mod_exp_sum(k, z, d))
     else:
         num = (g * g * a2) ** 2 * mod_exp_sum(k, y, d) ** 2

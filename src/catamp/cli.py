@@ -44,8 +44,8 @@ class SweepConfig:
         if self.family not in ("hes", "scs"):
             raise ValueError("family must be 'hes' or 'scs'")
         analytic.as_scheme(self.scheme)
-        if not self.alpha_min < self.alpha_max:
-            raise ValueError("alpha_min must be < alpha_max")
+        if not 0 <= self.alpha_min < self.alpha_max:
+            raise ValueError("alpha_min must satisfy 0 <= alpha_min < alpha_max")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
         if any(not 0 <= k < self.d for k in self.k_list):

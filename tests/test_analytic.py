@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,14 @@ def test_hes_fidelity_matches_bruteforce():
                 closed = analytic.hes_fidelity(alpha, g, s)
                 brute = brute_fidelity(alpha, g, 1, 0, s)
                 assert abs(closed - brute) < 1e-8
+
+
+def test_hes_closed_forms_reject_negative_alpha():
+    with pytest.raises(ValueError):
+        analytic.hes_fidelity(-1.0, 1.2, Scheme.AADAG)
+    for s in (None, *Scheme):
+        with pytest.raises(ValueError):
+            analytic.hes_qfi(-1.0, s)
 
 
 def test_hes_qfi_matches_bruteforce():
@@ -321,3 +330,49 @@ def test_mod_exp_sum_routes_agree():
                 total = math.fsum(x**m / math.factorial(m) for m in range(j, 100, d))
                 want = d * math.exp(-x) * total
                 assert abs(a - want) <= 1e-12 * max(1.0, want)
+
+
+def test_mod_exp_sum_rejects_negative_or_non_finite_x():
+    for x in (-1.0, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            states.mod_exp_sum(0, x, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8])
+def test_mod_exp_sum_index_tuple_stacks_single_calls(d):
+    # both sides of the 0.5 cutover and of the skip at x (1 - cos 2 pi n / d) = 45
+    xs = np.array([0.05, 0.49, 0.5, 0.8, 3.0, 22.4, 22.6, 30.0, 40.0, 1000.0])
+    js = tuple(range(-2, d))  # negative indices reduce mod d, as k - 2 does
+    for x in (*xs, xs):
+        want = np.stack([states.mod_exp_sum(j, x, d) for j in js])
+        assert np.array_equal(states.mod_exp_sum(js, x, d), want)
+
+
+@pytest.mark.parametrize("d", [4, 7])
+def test_mod_exp_sum_blocks_agree_with_scalar_calls(d):
+    # unsorted; three full blocks and 7 points for the complex route, past every
+    # skip threshold, plus series points; the bound is absolute because the term
+    # magnitudes sum to at most d while S_j itself may cancel
+    big = np.geomspace(0.5, 400.0, 3 * 2**14 + 7)
+    x = np.random.default_rng(d).permutation(np.concatenate([big, np.geomspace(0.01, 0.49, 50)]))
+    js = tuple(range(d))
+    got = states.mod_exp_sum(js, x, d)
+    pick = np.r_[0:x.size:16, x.size - 7:x.size]
+    want = np.stack([states.mod_exp_sum(js, x[i], d) for i in pick], axis=1)
+    assert np.max(np.abs(got[:, pick] - want)) <= 1e-15 * d
+
+
+def test_mod_exp_sum_matches_high_precision_series():
+    # S_j > 0, so the bound is relative at every j; x = 22.5 .. 1000 skips terms,
+    # and from x = 20 on, where S_j is near 1, a dropped term must stay below an ulp
+    for x in np.concatenate([np.geomspace(0.5, 1000.0, 24), [0.51, 22.5, 30.0, 40.0]]):
+        tol = 4 * np.finfo(float).eps if x >= 20 else 1e-13
+        with mp.workdps(50):
+            xm, t, terms = mp.mpf(float(x)), mp.exp(-mp.mpf(float(x))), []
+            for m in range(int(x + 40 * math.sqrt(x)) + 200):
+                terms.append(t)
+                t *= xm / (m + 1)
+            for d in range(1, 6):
+                want = np.array([float(d * mp.fsum(terms[j::d])) for j in range(d)])
+                got = states.mod_exp_sum(tuple(range(d)), x, d)
+                assert np.all(np.abs(got - want) <= tol * want), (x, d)

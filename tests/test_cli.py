@@ -32,6 +32,15 @@ def test_config_validation():
         hes_cfg(family="other")
 
 
+def test_negative_alpha_min_is_a_usage_error(capsys):
+    with pytest.raises(ValueError):
+        hes_cfg(alpha_min=-1.0, alpha_max=-0.5)
+    code = cli.main(["hes-sweep", "--d", "2", "--k", "0", "--alpha-min", "-1",
+                     "--alpha-max", "-0.5", "--steps", "2"])
+    assert code == 2
+    assert "alpha_min" in capsys.readouterr().err
+
+
 def test_hes_sweep_gain_column_matches_closed_form():
     records = cli.run_sweep(hes_cfg(steps=60))
     assert len(records) == 60
