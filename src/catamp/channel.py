@@ -18,7 +18,15 @@ The scheme circuits cascade two such stages sharing one gamma.
 The generator conserves n_system + n_ancilla.  Its eigensystem on each
 photon-number sector is gamma-free, so it is cached once per sector as
 read-only arrays; theta enters only as the phase exp(i theta lam) applied in
-that eigenbasis.  All-zero sector blocks are skipped.
+that eigenbasis.
+
+A heralded stage starts from |v> (x) |anc_in> and keeps ancilla |anc_out>, so
+each sector holds one input amplitude and contributes one output amplitude:
+the stage needs one element <n_out, anc_out| U |n_in, anc_in> per sector, not
+the sector's full unitary.  The weights of those elements in the eigenbasis
+form a gamma-free table, cached once per grid.  `bs_apply` applies the whole
+unitary to a two-mode state; the stage does not use it, and the tests keep it
+as the oracle for the stage.
 """
 
 from __future__ import annotations
@@ -118,13 +126,39 @@ def bs_apply(state: TwoModeFock, bs: BeamSplitter) -> TwoModeFock:
     return TwoModeFock(out)
 
 
+@functools.cache
+def _herald_table(dim: int, anc_in: int, anc_out: int) -> tuple[np.ndarray, ...]:
+    """Flat gamma-free table of <n_out, anc_out| U |n_in, anc_in> on a dim x dim grid.
+
+    Sector `total` holds n_in = total - anc_in and n_out = total - anc_out, both
+    below dim; its element is sum_i w_i exp(i theta lam_i) over the segment of
+    (lam, w) that begins at its start.  A stage heralds from or onto an empty
+    ancilla, so total < dim: every sector is complete, its eigensystem is the
+    one `bs_apply` uses, and in it the row of |n, total - n> is total - n.
+    Returns read-only (lam, w, starts, n_in, n_out).
+    """
+    totals = np.arange(max(anc_in, anc_out), dim + min(anc_in, anc_out))
+    lams, ws = [], []
+    for total in totals.tolist():
+        lam, vec = _sector_eig(total, 0, total)
+        lams.append(lam)
+        ws.append(vec[anc_out] * vec[anc_in])
+    starts = np.concatenate(([0], np.cumsum([lam.size for lam in lams[:-1]])))
+    table = (np.concatenate(lams), np.concatenate(ws), starts, totals - anc_in, totals - anc_out)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector, float]:
     """One heralded stage of the circuit; returns (normalized output, herald probability).
 
-    The two-mode grid is enlarged so every populated photon-number sector is
-    complete, making the stage exact rather than truncation-limited.  Each row
-    of a row stack passes the beam splitter on its own (in one call sharing the
-    sector eigensystems); the herald is global, so the probability sums over rows.
+    The two-mode grid is enlarged to dim = trunc + 2 so every populated
+    photon-number sector is complete, making the stage exact rather than
+    truncation-limited.  Each sector maps the one input amplitude v[n_in] to the
+    one heralded amplitude u * v[n_in], with u its unitary element from
+    `_herald_table`; every row of a row stack shares those elements.  The herald
+    is global, so the probability sums over rows.
     """
     if kind not in (ADD, SUBTRACT):
         raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
@@ -133,7 +167,10 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
     dim = v.trunc + 2
     anc_in = 1 if kind == ADD else 0
     anc_out = 0 if kind == ADD else 1
-    branch = bs_apply(two_mode_product(v.padded(dim), anc_in, dim), bs).amps[..., anc_out]
+    lam, w, starts, n_in, n_out = _herald_table(dim, anc_in, anc_out)
+    u = np.add.reduceat(w * np.exp(1j * bs.theta * lam), starts)
+    branch = np.zeros(v.amps.shape[:-1] + (dim,), dtype=complex)
+    branch[..., n_out] = u * v.padded(dim).amps[..., n_in]
     prob = float(np.linalg.norm(branch) ** 2)
     if prob < HERALD_FLOOR:
         raise DegenerateStateError(f"herald probability {prob} below {HERALD_FLOOR}")

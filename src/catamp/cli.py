@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric/truncation erro
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -44,12 +45,16 @@ class SweepConfig:
         if self.family not in ("hes", "scs"):
             raise ValueError("family must be 'hes' or 'scs'")
         analytic.as_scheme(self.scheme)
+        if not math.isfinite(self.alpha_max):
+            raise ValueError("alpha_max must be finite")
         if not 0 <= self.alpha_min < self.alpha_max:
             raise ValueError("alpha_min must satisfy 0 <= alpha_min < alpha_max")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
         if any(not 0 <= k < self.d for k in self.k_list):
             raise ValueError("every k must satisfy 0 <= k < d")
+        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
+            raise ValueError("gamma must be a finite number strictly between 0 and 1")
 
 
 @dataclass
@@ -169,9 +174,10 @@ def parse_csv(path: str) -> list[SweepRecord]:
 def _grids(level: str):
     if level == "quick":
         return dict(alphas=(0.5, 1.5, 2.5), gains=(0.8, 1.4, 2.0), dims=(1, 2, 3),
-                    gammas=(0.01,), bell_alphas=(0.5, 1.0))
+                    gammas=(0.01,), bell_alphas=(0.5, 1.0), circuit_alphas=(0.5, 1.0))
     return dict(alphas=tuple(np.arange(0.3, 3.01, 0.3)), gains=tuple(np.arange(0.8, 2.01, 0.2)),
-                dims=tuple(range(1, 9)), gammas=(0.001, 0.01, 0.1), bell_alphas=(0.5, 1.0, 2.0))
+                dims=tuple(range(1, 9)), gammas=(0.001, 0.01, 0.1), bell_alphas=(0.5, 1.0, 2.0),
+                circuit_alphas=(0.5, 1.0, 2.0, 5.0))
 
 
 def brute_scs_fidelity(alpha, g, d, k, scheme) -> float:
@@ -311,11 +317,12 @@ def _check_proposition_oracles(g):
 def _check_channel_agreement(g):
     for gamma in g["gammas"]:
         for d in (2, 3):
-            for alpha in g["bell_alphas"]:
+            for alpha in g["circuit_alphas"]:
+                trunc = max(30, fock.auto_trunc(alpha, additions=2))
                 for scheme in Scheme:
                     for spec in (ScsSpec(alpha, d, 0), HesSpec(alpha, d, d - 1)):
                         p_sim, p_kraus, fid = channel.compare_sim_vs_kraus(
-                            spec, scheme, gamma, 30
+                            spec, scheme, gamma, trunc
                         )
                         assert abs(p_sim - p_kraus) <= 1e-8 * p_kraus, "herald probability"
                         assert fid >= 1.0 - 1e-10, "output state overlap"

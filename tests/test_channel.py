@@ -148,6 +148,42 @@ def test_heralded_op_heralds_hybrid_rows_globally():
         assert abs(prob - np.linalg.norm(channel.kraus_apply(h, 0.05, kind).amps) ** 2) < 1e-12
 
 
+def _bs_apply_stage(v, bs, kind):
+    # oracle: the full two-mode unitary on the padded grid, then the herald on one ancilla column
+    dim = v.trunc + 2
+    anc_in, anc_out = (1, 0) if kind == "add" else (0, 1)
+    joint = channel.two_mode_product(v.padded(dim), anc_in, dim)
+    branch = channel.bs_apply(joint, bs).amps[..., anc_out]
+    prob = np.linalg.norm(branch) ** 2
+    return branch / math.sqrt(prob), prob
+
+
+@pytest.mark.parametrize("n, alpha", [(6, 0.1), (30, 2.0), (81, 5.0), (140, 5.0)])
+def test_heralded_op_matches_bs_apply_branch(n, alpha, rng):
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    inputs = (
+        fock.normalize(fock.FockVector(amps))[0],
+        states.scs_state(ScsSpec(alpha, 3, 1), n),  # two sectors in three empty
+        states.hes_state(HesSpec(alpha, 3, 1), n),  # a row stack
+    )
+    for v in inputs:
+        for gamma in (1e-3, 0.05, 0.61):
+            bs = BeamSplitter(gamma)
+            for kind in ("add", "subtract"):
+                want, want_p = _bs_apply_stage(v, bs, kind)
+                out, prob = channel.heralded_op(v, bs, kind)
+                assert out.amps.shape == want.shape
+                assert np.max(np.abs(out.amps - want)) <= 1e-13
+                assert abs(prob - want_p) <= 1e-13 * want_p
+
+
+def test_herald_table_is_read_only():
+    for anc_in, anc_out in ((1, 0), (0, 1)):
+        for a in channel._herald_table(8, anc_in, anc_out):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
 def test_heralded_output_matches_kraus_state(rng):
     bs = BeamSplitter(0.05)
     amps = rng.normal(size=14) + 1j * rng.normal(size=14)
@@ -295,6 +331,7 @@ def test_large_amplitude_circuit_touches_only_complete_sectors(monkeypatch):
         return cached(*key)
 
     cached.cache_clear()
+    channel._herald_table.cache_clear()  # a table kept from an earlier test would hide its sectors
     monkeypatch.setattr(channel, "_sector_eig", spy)
     for spec in (ScsSpec(7.0, 2, 0), HesSpec(7.0, 3, 1)):
         for s in Scheme:

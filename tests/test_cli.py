@@ -41,6 +41,31 @@ def test_negative_alpha_min_is_a_usage_error(capsys):
     assert "alpha_min" in capsys.readouterr().err
 
 
+def test_non_finite_alpha_max_is_a_usage_error(capsys):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha_max"):
+            hes_cfg(alpha_min=0.5, alpha_max=bad)
+    code = cli.main(["hes-sweep", "--d", "2", "--k", "0", "--alpha-min", "0.5",
+                     "--alpha-max", "inf", "--steps", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "alpha_max" in captured.err
+    assert captured.out == ""
+
+
+def test_gamma_outside_the_open_unit_interval_is_a_usage_error(capsys):
+    for bad in (0.0, 1.0, 1.5, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            hes_cfg(gamma=bad)
+    for bad in ("1.5", "nan"):
+        code = cli.main(["prob-sweep", "--d", "2", "--k", "0", "--alpha-min", "0.5",
+                         "--alpha-max", "1", "--steps", "2", "--gamma", bad])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "gamma" in captured.err
+        assert captured.out == ""
+
+
 def test_hes_sweep_gain_column_matches_closed_form():
     records = cli.run_sweep(hes_cfg(steps=60))
     assert len(records) == 60
