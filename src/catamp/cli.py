@@ -8,6 +8,7 @@ Subcommands:
     check        run the invariant suites (quick|full)
 
 Configs are flat key=value files; command-line flags override file entries.
+An unknown key, or a family that contradicts the subcommand, is a usage error.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric/truncation error.
 """
 
@@ -265,7 +266,7 @@ def _check_scs_fidelity_equivalence(g):
                     for scheme in Scheme:
                         closed = analytic.scs_fidelity(alpha, gain, d, k, scheme)
                         brute = brute_scs_fidelity(alpha, gain, d, k, scheme)
-                        assert abs(closed - brute) < 1e-8, (
+                        assert abs(closed - brute) <= 1e-12 * closed, (
                             f"scs fidelity equivalence a={alpha} g={gain} d={d} k={k}"
                         )
 
@@ -399,6 +400,12 @@ def check_suite(level: str, stream=None) -> int:
 # command line
 
 
+#: the keys a sweep config file may set
+_CONFIG_KEYS = frozenset(
+    ("family", "d", "k", "scheme", "alpha_min", "alpha_max", "steps", "gamma", "trunc", "out")
+)
+
+
 def _load_config(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -422,8 +429,11 @@ def _parse_k_list(text: str, d: int) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
-def _sweep_config(args, family: str) -> SweepConfig:
+def _sweep_config(args) -> SweepConfig:
     file_cfg = _load_config(args.config) if args.config else {}
+    unknown = sorted(file_cfg.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 
     def pick(flag, key, cast, default=None):
         if flag is not None:
@@ -432,6 +442,11 @@ def _sweep_config(args, family: str) -> SweepConfig:
             return cast(file_cfg[key])
         return default
 
+    family = {"hes-sweep": "hes", "scs-sweep": "scs"}.get(args.command)
+    if family is None:  # prob-sweep: --family, else the file's, else scs
+        family = pick(args.family, "family", str, "scs")
+    elif file_cfg.get("family", family) != family:
+        raise ValueError(f"config family = {file_cfg['family']} contradicts {args.command}")
     d = pick(args.d, "d", int, 2)
     k_text = args.k if args.k is not None else file_cfg.get("k", "all")
     return SweepConfig(
@@ -468,7 +483,8 @@ def main(argv=None) -> int:
         _add_sweep_flags(sub.add_parser(name))
     prob = sub.add_parser("prob-sweep")
     _add_sweep_flags(prob)
-    prob.add_argument("--family", choices=["hes", "scs"], default="scs")
+    prob.add_argument("--family", choices=["hes", "scs"],
+                      help="default: the config's family, else scs")
     crossing = sub.add_parser("crossing")
     crossing.add_argument("--lo", type=float, default=0.5)
     crossing.add_argument("--hi", type=float, default=1.2)
@@ -490,8 +506,7 @@ def main(argv=None) -> int:
             print(f"ratio=1 at alpha={star:.6f}")
             print(f"ratio minimum at alpha={amin:.6f} value={analytic.qfi_ratio(amin):.6f}")
             return 0
-        family = {"hes-sweep": "hes", "scs-sweep": "scs"}.get(args.command) or args.family
-        cfg = _sweep_config(args, family)
+        cfg = _sweep_config(args)
         if args.command == "prob-sweep" and cfg.gamma is None:
             parser.error("prob-sweep requires --gamma (or gamma= in the config)")
         records = run_sweep(cfg)

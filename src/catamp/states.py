@@ -16,13 +16,13 @@ The cat-state fidelity and norm factors reduce to root-of-unity sums
 
 which are real and positive for x >= 0 (they equal d e^{-x} times the Taylor
 mass of e^x on photon numbers congruent to j mod d).  ``mod_exp_sum`` is the
-one evaluation of them, for one index or a tuple of indices at once.  For
-x >= 0.5 it is a complex sum with an asserted imaginary residue: the
-exponentials E_n(x) = exp[-x (1 - w^n)] are taken for n <= d/2 only, shared by
-every index, and term d - n is conj(E_n) times its own phase; terms below
-e^-45 are skipped, and the points go through in cache-sized blocks.  Below
-x = 0.5 the complex sum cancels to noise, so the equivalent positive series is
-used instead.
+one evaluation of them, for one index or a tuple of indices at once.  It takes
+the complex sum, with an asserted imaginary residue: the exponentials
+E_n(x) = exp[-x (1 - w^n)] are taken for n <= d/2 only, shared by every index,
+and term d - n is conj(E_n) times its own phase; terms below e^-45 are skipped,
+and the points go through in cache-sized blocks.  Where that sum cancelled
+(small x, high j: S_j below sum_n |E_n| / 64), the value comes from the
+positive series instead, on those points only.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ from .fock import FockVector
 #: coherent-tail bound a caller-supplied truncation must certify
 GATE_EPS = 1e-10
 
-_SERIES_CUTOVER = 0.5
-#: points per block of the complex route: 2^14 points make 256 KiB per complex
-#: temporary, so the accumulators and the few temporaries of one block stay
-#: inside a 2 MiB L2 cache, and peak memory does not grow with the array
+#: a value of the complex sum is off by about eps sum_n |E_n| / S_j relative, so it is
+#: replaced by the positive series where 64 S_j < sum_n |E_n|; those kept are within ~64 eps
+_CANCEL = 64.0
+#: points per block: 2^14 points make 256 KiB per complex temporary, so the
+#: accumulators and the few temporaries of one block stay inside a 2 MiB L2
+#: cache, and peak memory does not grow with the array
 _BLOCK = 1 << 14
 #: term n is skipped where x (1 - cos 2 pi n / d) >= 45: it is below e^-45 < 2^-64,
 #: under half an ulp of S_j, which is near 1 at such x (x >= 22.5), and under
@@ -104,6 +106,19 @@ def _gate_trunc(alpha: float, trunc: int) -> None:
         )
 
 
+def _class_mass(j: int, x: np.ndarray, d: int) -> np.ndarray:
+    """S_j(x) as the positive series d sum_{m = j mod d} e^-x x^m / m!, which cancels nothing."""
+    with np.errstate(divide="ignore"):
+        lx = np.log(x)  # -inf at x = 0, where every term past m = 0 is exactly 0
+    acc, m = np.zeros(x.shape), j
+    while True:
+        term = np.exp(m * lx - gammaln(m + 1.0) - x) if m else np.exp(-x)
+        acc += term
+        if m >= x.max() and np.all(term <= 1e-22 * acc):  # past m = x, terms only fall
+            return d * acc
+        m += d
+
+
 def mod_exp_sum(j, x, d: int):
     """S_j(x) as defined in the module docstring; x may be a scalar or array.
 
@@ -116,47 +131,31 @@ def mod_exp_sum(j, x, d: int):
         raise ValueError("x must be finite and >= 0")
     flat = x.reshape(-1)
     out = np.empty((len(js), flat.size))
-    big = flat >= _SERIES_CUTOVER
-    if big.any():
-        xb = flat[big]
-        roots = np.exp(2j * np.pi * np.arange(d) / d)  # w^n
-        res = np.empty((len(js), xb.size))
-        for lo in range(0, xb.size, _BLOCK):
-            xk = xb[lo:lo + _BLOCK]
-            acc = np.ones((len(js), xk.size), dtype=complex)  # the n = 0 terms
-            mags = np.ones(xk.size)
-            for n in range(1, d // 2 + 1):
-                live = xk * (1.0 - roots[n].real) < _SKIP
-                if not live.any():
-                    break  # 1 - cos(2 pi n / d) grows with n up to d/2
-                at = slice(None) if live.all() else np.flatnonzero(live)
-                e = np.exp(-xk[at] * (1.0 - roots[n]))
-                pair = 2 * n != d
-                for i, ji in enumerate(js):
-                    t = roots[-ji * n % d] * e
-                    if pair:
-                        t += roots[-ji * (d - n) % d] * e.conj()
-                    acc[i, at] += t
-                mags[at] += (2.0 if pair else 1.0) * np.abs(e)
-            if np.any(np.abs(acc.imag) > 1e-12 * mags):
-                raise ArithmeticError("root-of-unity sum has non-negligible imaginary residue")
-            res[:, lo:lo + _BLOCK] = acc.real
-        out[:, big] = res
-    if not big.all():
-        xs = flat[~big]
-        safe = np.maximum(xs, 1e-300)
+    roots = np.exp(2j * np.pi * np.arange(d) / d)  # w^n
+    for lo in range(0, flat.size, _BLOCK):
+        xk = flat[lo:lo + _BLOCK]
+        acc = np.ones((len(js), xk.size), dtype=complex)  # the n = 0 terms
+        mags = np.ones(xk.size)
+        for n in range(1, d // 2 + 1):
+            live = xk * (1.0 - roots[n].real) < _SKIP
+            if not live.any():
+                break  # 1 - cos(2 pi n / d) grows with n up to d/2
+            at = slice(None) if live.all() else np.flatnonzero(live)
+            e = np.exp(-xk[at] * (1.0 - roots[n]))
+            pair = 2 * n != d
+            for i, ji in enumerate(js):
+                t = roots[-ji * n % d] * e
+                if pair:
+                    t += roots[-ji * (d - n) % d] * e.conj()
+                acc[i, at] += t
+            mags[at] += (2.0 if pair else 1.0) * np.abs(e)
+        if np.any(np.abs(acc.imag) > 1e-12 * mags):
+            raise ArithmeticError("root-of-unity sum has non-negligible imaginary residue")
+        out[:, lo:lo + _BLOCK] = acc.real
         for i, ji in enumerate(js):
-            acc = np.zeros(xs.shape)
-            m = ji
-            while m <= ji + 80 * d:
-                term = np.exp(m * np.log(safe) - gammaln(m + 1.0)) if m else np.ones_like(xs)
-                acc += term
-                if m > ji and np.all(term <= 1e-22 * np.maximum(acc, 1e-300)):
-                    break
-                m += d
-            res = d * np.exp(-xs) * acc
-            res[xs == 0.0] = d if ji == 0 else 0.0
-            out[i, ~big] = res
+            cut = np.flatnonzero(_CANCEL * acc.real[i] < mags)
+            if cut.size:
+                out[i, lo + cut] = _class_mass(ji, xk[cut], d)
     out = out.reshape((len(js),) + x.shape)
     if isinstance(j, tuple):
         return out

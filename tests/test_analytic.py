@@ -11,7 +11,7 @@ from catamp.analytic import Scheme
 from catamp.errors import DivergentGainError
 from catamp.states import HesSpec, ScsSpec
 
-from conftest import cat_column, create, destroy, series_scs_qfi, var4
+from conftest import cat_column, create, destroy, series_scs_fidelity, series_scs_qfi, var4
 
 
 def brute_fidelity(alpha, g, d, k, scheme):
@@ -200,6 +200,22 @@ def test_scs_qfi_matches_high_precision_series(alpha, d, data):
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 3.0), d=st.integers(1, 12), data=st.data())
+def test_scs_fidelity_matches_positive_series(alpha, d, data):
+    # every S_j whose root-of-unity sum cancels (small x, high j; worst from d = 6
+    # on) must come from its positive series, or F drifts off (and above 1)
+    k = data.draw(st.integers(0, d - 1))
+    s = data.draw(st.sampled_from(list(Scheme)))
+    # from g = 1e-6 on, g^2 alpha^2 keeps S_k clear of underflow at every k <= 11
+    g = np.array(data.draw(st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=32)))
+    got = analytic.scs_fidelity(alpha, g, d, k, s)
+    want = series_scs_fidelity(alpha, g, d, k, s.value)
+    assert np.all(got <= 1.0 + 1e-13), got.max() - 1.0
+    big = want >= 1e-3
+    assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big]), (got, want)
+
+
 def test_scs_qfi_last_qudit_index_at_d8():
     # the root-of-unity form returned 1.36e-7 here: 4 (second + mean) - 4 mean^2
     # cancelled at mean ~ 7 on S_j sums 7e-10 off
@@ -320,18 +336,6 @@ def test_scs_qfi_monotonicity_patterns():
     assert min(b - a for a, b in zip(vals, vals[1:])) < -1e-3
 
 
-def test_mod_exp_sum_routes_agree():
-    # series route (x < 0.5) and complex route (x >= 0.5) against the positive
-    # series d e^{-x} sum_{m = j mod d} x^m / m! with exact factorials
-    for d in (1, 2, 3, 5):
-        for j in range(d):
-            for x in (1e-4, 0.05, 0.4, 0.49, 0.5, 0.51, 0.8, 2.0, 11.0):
-                a = states.mod_exp_sum(j, x, d)
-                total = math.fsum(x**m / math.factorial(m) for m in range(j, 100, d))
-                want = d * math.exp(-x) * total
-                assert abs(a - want) <= 1e-12 * max(1.0, want)
-
-
 def test_mod_exp_sum_rejects_negative_or_non_finite_x():
     for x in (-1.0, math.nan, math.inf, [1.0, math.nan]):
         with pytest.raises(ValueError):
@@ -340,8 +344,9 @@ def test_mod_exp_sum_rejects_negative_or_non_finite_x():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8])
 def test_mod_exp_sum_index_tuple_stacks_single_calls(d):
-    # both sides of the 0.5 cutover and of the skip at x (1 - cos 2 pi n / d) = 45
-    xs = np.array([0.05, 0.49, 0.5, 0.8, 3.0, 22.4, 22.6, 30.0, 40.0, 1000.0])
+    # values that cancel (small x, high j) and take the series, and both sides of
+    # the skip at x (1 - cos 2 pi n / d) = 45
+    xs = np.array([0.0, 0.05, 0.49, 0.5, 0.8, 3.0, 22.4, 22.6, 30.0, 40.0, 1000.0])
     js = tuple(range(-2, d))  # negative indices reduce mod d, as k - 2 does
     for x in (*xs, xs):
         want = np.stack([states.mod_exp_sum(j, x, d) for j in js])
@@ -350,9 +355,9 @@ def test_mod_exp_sum_index_tuple_stacks_single_calls(d):
 
 @pytest.mark.parametrize("d", [4, 7])
 def test_mod_exp_sum_blocks_agree_with_scalar_calls(d):
-    # unsorted; three full blocks and 7 points for the complex route, past every
-    # skip threshold, plus series points; the bound is absolute because the term
-    # magnitudes sum to at most d while S_j itself may cancel
+    # unsorted; three full blocks and 7 points, past every skip threshold, with
+    # the values that take the series (small x, high j) scattered over the blocks;
+    # the bound is absolute because the term magnitudes sum to at most d
     big = np.geomspace(0.5, 400.0, 3 * 2**14 + 7)
     x = np.random.default_rng(d).permutation(np.concatenate([big, np.geomspace(0.01, 0.49, 50)]))
     js = tuple(range(d))
@@ -363,16 +368,20 @@ def test_mod_exp_sum_blocks_agree_with_scalar_calls(d):
 
 
 def test_mod_exp_sum_matches_high_precision_series():
-    # S_j > 0, so the bound is relative at every j; x = 22.5 .. 1000 skips terms,
-    # and from x = 20 on, where S_j is near 1, a dropped term must stay below an ulp
-    for x in np.concatenate([np.geomspace(0.5, 1000.0, 24), [0.51, 22.5, 30.0, 40.0]]):
+    # S_j > 0, so the bound is relative at every j, where the complex sum cancels
+    # (small x, high j) too; x = 22.5 .. 1000 skips terms, and from x = 20 on,
+    # where S_j is near 1, a dropped term must stay below an ulp
+    extra = [1e-4, 0.05, 0.4, 0.49, 0.5, 0.51, 0.8, 2.0, 11.0, 22.5, 30.0, 40.0]
+    for x in np.concatenate([np.geomspace(1e-3, 1000.0, 40), extra]):
         tol = 4 * np.finfo(float).eps if x >= 20 else 1e-13
         with mp.workdps(50):
             xm, t, terms = mp.mpf(float(x)), mp.exp(-mp.mpf(float(x))), []
             for m in range(int(x + 40 * math.sqrt(x)) + 200):
                 terms.append(t)
                 t *= xm / (m + 1)
-            for d in range(1, 6):
+            for d in range(1, 13):
                 want = np.array([float(d * mp.fsum(terms[j::d])) for j in range(d)])
                 got = states.mod_exp_sum(tuple(range(d)), x, d)
                 assert np.all(np.abs(got - want) <= tol * want), (x, d)
+    for d in range(1, 13):  # exact at x = 0: d at j = 0 (mod d), 0 elsewhere
+        assert np.array_equal(states.mod_exp_sum(tuple(range(d)), 0.0, d), d * (np.arange(d) == 0))

@@ -276,6 +276,39 @@ def test_config_file_with_overrides(tmp_path, capsys):
     assert len(recs) == 9  # 3 k values x 3 steps (flag overrides file steps=2)
 
 
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("family = hes\nd = 2\nk = 0\nalpha_mx = 9\nschem = adag2\nsteps = 2\n")
+    assert cli.main(["hes-sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "alpha_mx" in captured.err and "schem" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, name", [("hes-sweep", "fig5_scs_ratio_d5.cfg"),
+                                           ("scs-sweep", "fig1_hes_aadag.cfg")])
+def test_config_family_contradicting_the_subcommand_is_a_usage_error(command, name, capsys):
+    assert cli.main([command, "--config", str(CONFIG_DIR / name)]) == 2
+    captured = capsys.readouterr()
+    assert "family" in captured.err
+    assert captured.out == ""
+
+
+def test_prob_sweep_family_from_flag_then_config_then_scs(tmp_path, capsys):
+    body = "d = 3\nk = 1\nalpha_min = 0.5\nalpha_max = 1\nsteps = 2\ngamma = 0.01\ntrunc = 30\n"
+
+    def run(family_line, *flags):
+        cfg = tmp_path / "prob.cfg"
+        cfg.write_text(family_line + body)
+        assert cli.main(["prob-sweep", "--config", str(cfg), *flags]) == 0
+        return capsys.readouterr().out
+
+    hes, scs = run("", "--family", "hes"), run("")
+    assert hes != scs
+    assert run("family = hes\n") == hes
+    assert run("family = hes\n", "--family", "scs") == scs
+
+
 @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIG_DIR.glob("*.cfg"))])
 def test_reference_csvs_regenerate_byte_identically(name, tmp_path):
     cfg_path = CONFIG_DIR / name

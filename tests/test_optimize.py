@@ -167,9 +167,9 @@ def test_scs_gain_is_the_global_maximum(alpha, d, data):
     s = data.draw(st.sampled_from(list(Scheme)))
     res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
     gains = np.linspace(optimize.GAIN_LO, optimize.GAIN_HI, 2001)
-    # scs_fidelity is off by up to ~1e-9 at d = 8 (its root-of-unity sums cancel),
-    # so it only preselects the scan points within 1e-6 of its maximum; the
-    # comparison itself uses the cancellation-free series
+    # scs_fidelity only preselects the scan points within 1e-6 of its maximum;
+    # the comparison itself uses the positive series, which shares no code with
+    # scs_fidelity or the slope
     scan = analytic.scs_fidelity(alpha, gains, d, k, s)
     best = series_scs_fidelity(alpha, gains[scan >= scan.max() - 1e-6], d, k, s.value).max()
     assert series_scs_fidelity(alpha, res.argmax, d, k, s.value)[0] >= best - 1e-12
