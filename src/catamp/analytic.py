@@ -4,8 +4,10 @@ The cat-state fidelity reduces to the root-of-unity sums S_j(x) of
 ``states.mod_exp_sum`` and the scheme polynomial ``amplify.norm_poly``; the
 gain slope and the Fisher information are a mean and a centered variance of
 one positive residue-class series (``_class_series``), which cancel nothing.
-Fidelities carry their exp[-alpha^2 (g-1)^2] envelope explicitly so no
-intermediate overflows even at large gain.
+Past x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the slope's class means
+are plain Poisson means, exact there to e^-45, so the series runs only below
+that bound, in a small window.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope explicitly so
+no intermediate overflows even at large gain.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from scipy.special import gammaln
 from . import amplify
 from .errors import DivergentGainError
 from .fock import DensityMatrix
-from .states import mod_exp_sum
+from .states import _SKIP, mod_exp_sum
+
+#: smallest normal double: a sum below it has lost digits to underflow
+_TINY = np.finfo(float).tiny
 
 
 class Scheme(enum.Enum):
@@ -99,7 +104,9 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     """Fidelity of the amplified cat-state qudit against the gain-g target qudit.
 
     The target carries index k for add-then-subtract and k+2 (mod d) for double
-    addition.  ``g`` may be an array (used by the dense-scan oracles).
+    addition.  ``g`` may be an array (used by the dense-scan oracles).  Where a
+    tiny g alpha takes its numerator or norms below the normal doubles, it
+    raises ``ArithmeticError`` rather than return F without its digits.
     """
     s = as_scheme(s)
     g = _gain_array(alpha, g)
@@ -118,10 +125,15 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     if s is Scheme.AADAG:
         s_k, s_km1 = mod_exp_sum((k, k - 1), y, d)
         num = (s_k + y * s_km1) ** 2
-        val = env * num / (den_in * mod_exp_sum(k, z, d))
     else:
         num = (g * g * a2) ** 2 * mod_exp_sum(k, y, d) ** 2
-        val = env * num / (den_in * mod_exp_sum(k + 2, z, d))
+    den = den_in * mod_exp_sum(target_index(k, d, s), z, d)
+    # at tiny y and z the sums fall below the normal doubles, to 0 or to a few digits
+    lost = (num < _TINY) | (den < _TINY)
+    if np.any(lost):
+        raise ArithmeticError(
+            f"fidelity sums underflow at alpha {alpha:g}, gain {g[lost].flat[0]:g}")
+    val = env * num / den
     return float(val) if val.ndim == 0 else val
 
 
@@ -138,10 +150,27 @@ def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
     return np.exp(logw - logw.max(axis=-1, keepdims=True)), m - j
 
 
-def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = ()):
-    """Mean of m - j over the weights of ``_class_series``."""
-    w, e = _class_series(j, x, d, rises)
-    return np.sum(w * e, axis=-1) / np.sum(w, axis=-1)
+def _mean_excess(j: int, x, d: int, rise: bool = False):
+    """Mean of m - j over the weights x^m / m! on m = j (mod d), times m + 1 with ``rise``.
+
+    A class sum is (1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0
+    terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (with the rise
+    too: |1 + x w^n| <= 1 + x).  So from that exponent _SKIP = 45 on, the mean
+    is the Poisson one, x - j or x (x + 2) / (x + 1) - j, far below an ulp;
+    below it it is the ``_class_series`` mean.  At d = 1 the class is every m,
+    so the Poisson mean is exact at every x.
+    """
+    x = np.asarray(x, dtype=float)
+    rises = (0,) if rise else ()
+    near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
+    if near.all():  # as the scalar calls of the root refinement mostly are
+        w, e = _class_series(j, x, d, rises)
+        return np.sum(w * e, axis=-1) / np.sum(w, axis=-1)
+    out = x * (x + 2.0) / (x + 1.0) - j if rise else x - j
+    if near.any():
+        w, e = _class_series(j, x[near], d, rises)
+        out[near] = np.sum(w * e, axis=-1) / np.sum(w, axis=-1)
+    return out
 
 
 def scs_slope(alpha: float, g, d: int, k: int, s):
@@ -158,7 +187,7 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     if alpha == 0.0:
         val = np.zeros_like(g)  # the fidelity does not depend on g
     elif s is Scheme.AADAG:  # overlap weights (m + 1) y^m / m!, target z^m / m!, m = k
-        val = 2.0 / g * (_mean_excess(k, g * a2, d, (0,)) - _mean_excess(k, g * g * a2, d))
+        val = 2.0 / g * (_mean_excess(k, g * a2, d, rise=True) - _mean_excess(k, g * g * a2, d))
     else:  # overlap weights y^m / m! at m = k, target m = k + 2 (mod d)
         j = (k + 2) % d
         val = 2.0 / g * (2 + k - j + _mean_excess(k, g * a2, d) - _mean_excess(j, g * g * a2, d))

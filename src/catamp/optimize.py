@@ -78,8 +78,7 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
         return val
 
     grid = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
-    # in blocks of 32 gains, so the series windows of the slope stay small
-    scan = np.concatenate([slope(block) for block in np.split(grid, SLOPE_GRID // 32)])
+    scan = slope(grid)
     gains, iterations, converged = [], 0, True
     for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
         root, calls, ok = _illinois(slope, grid[i], grid[i + 1], scan[i], scan[i + 1],

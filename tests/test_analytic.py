@@ -166,6 +166,17 @@ def test_scs_fidelity_stable_at_extreme_gain():
     assert 0.0 <= val < 1e-100
 
 
+@pytest.mark.parametrize("g", [1e-80, 1e-100, 1e-300])
+@pytest.mark.parametrize("s", list(Scheme))
+def test_scs_fidelity_raises_where_its_sums_underflow(g, s):
+    # g^2 alpha^2 = 2.5e-161, 2.5e-201 or 0: S_2 and S_4 of it are subnormal or 0,
+    # and F was 1.0058 (a a-dagger at 1e-80) or 0/0
+    with pytest.raises(ArithmeticError, match=f"gain {g:g}"):
+        analytic.scs_fidelity(0.5, g, 5, 2, s)
+    with pytest.raises(ArithmeticError, match=f"gain {g:g}"):
+        analytic.scs_fidelity(0.5, np.array([1.0, g]), 5, 2, s)
+
+
 def test_scs_qfi_reduces_to_coherent_at_d1():
     for alpha in (0.01, 0.5, 1.2, 2.4):
         assert abs(analytic.scs_qfi(alpha, 1, 0) - 4 * alpha * alpha) <= 1e-13 * 4 * alpha * alpha
@@ -385,3 +396,37 @@ def test_mod_exp_sum_matches_high_precision_series():
                 assert np.all(np.abs(got - want) <= tol * want), (x, d)
     for d in range(1, 13):  # exact at x = 0: d at j = 0 (mod d), 0 elsewhere
         assert np.array_equal(states.mod_exp_sum(tuple(range(d)), 0.0, d), d * (np.arange(d) == 0))
+
+
+def test_mean_excess_matches_high_precision_class_means():
+    # on both sides of x (1 - cos 2 pi / d) = 45: beyond it the Poisson mean x - j
+    # (x (x + 2) / (x + 1) - j with the rise) is exact, inside it the series
+    for d in range(2, 13):
+        edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d))
+        for x in (0.5 * edge, 0.999 * edge, 1.001 * edge, 3.0 * edge):
+            tol = 1e-15 if x > edge else 1e-14
+            with mp.workdps(50):
+                xm, t, terms = mp.mpf(float(x)), mp.mpf(1), []
+                for m in range(int(x + 40 * math.sqrt(x)) + 200):
+                    terms.append(t)
+                    t *= xm / (m + 1)
+                for rise in (False, True):
+                    for j in range(d):
+                        w = [(1 + rise * m) * terms[m] for m in range(j, len(terms), d)]
+                        want = float(mp.fsum(wi * i * d for i, wi in enumerate(w)) / mp.fsum(w))
+                        got = analytic._mean_excess(j, x, d, rise)
+                        assert abs(got - want) <= tol * want, (d, j, x, rise)
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_slope_in_the_far_field_makes_no_series_call(monkeypatch, s):
+    # alpha = 5, d = 3: y = 25 g and z = 25 g^2 pass x (1 - cos 2 pi / 3) >= 45 from g = 2
+    calls = []
+    series = analytic._class_series
+    monkeypatch.setattr(analytic, "_class_series", lambda *a: calls.append(a) or series(*a))
+    val = analytic.scs_slope(5.0, np.linspace(2.0, 20.0, 64), 3, 1, s)
+    assert np.all(np.isfinite(val)) and calls == []
+    analytic.scs_slope(0.5, np.linspace(1e-3, 20.0, 64), 1, 0, s)  # d = 1: every x
+    assert calls == []
+    analytic.scs_slope(5.0, 1.1, 3, 1, s)  # y = 27.5 is inside the bound, z = 30.25 beyond it
+    assert len(calls) == 1

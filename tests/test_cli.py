@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catamp import analytic, cli, optimize
@@ -201,6 +202,17 @@ def test_check_names_broken_closed_form(monkeypatch, capsys):
     assert cli.check_suite("quick") == 1
     out = capsys.readouterr().out
     assert "FAIL analytic.hes_fidelity_equivalence" in out
+
+
+def test_check_names_one_bad_fidelity_gain(monkeypatch, capsys):
+    # the check takes each (d, k, alpha, scheme) over all gains in one call, and
+    # must still hold every gain to its own bound
+    closed = analytic.scs_fidelity
+    monkeypatch.setattr(analytic, "scs_fidelity", lambda alpha, g, *a: closed(alpha, g, *a)
+                        * np.where(np.equal(g, 1.4), 1.0 + 1e-11, 1.0))
+    assert cli.check_suite("quick") == 1
+    out = capsys.readouterr().out
+    assert "FAIL analytic.scs_fidelity_equivalence" in out and "g=[1.4]" in out
 
 
 @pytest.mark.parametrize("alpha,d,k", [(0.3, 7, 6), (0.71, 8, 7)])

@@ -32,6 +32,14 @@ def test_nonfinite_objective_raises(monkeypatch):
         optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
 
 
+def test_slope_scan_is_one_call(monkeypatch):
+    sizes = []
+    slope = analytic.scs_slope
+    monkeypatch.setattr(analytic, "scs_slope", lambda *a: sizes.append(np.size(a[1])) or slope(*a))
+    optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
+    assert sizes[0] == optimize.SLOPE_GRID and set(sizes[1:]) == {1}
+
+
 def test_zero_amplitude_has_fidelity_but_no_gain():
     # number states: F is the same at every gain, so none is singled out
     for s in Scheme:
