@@ -4,10 +4,14 @@ The cat-state fidelity reduces to the root-of-unity sums S_j(x) of
 ``states.mod_exp_sum`` and the scheme polynomial ``amplify.norm_poly``; the
 gain slope and the Fisher information are a mean and a centered variance of
 one positive residue-class series (``_class_series``), which cancel nothing.
-Past x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the slope's class means
-are plain Poisson means, exact there to e^-45, so the series runs only below
-that bound, in a small window.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope explicitly so
-no intermediate overflows even at large gain.
+On weights proportional to x^m, d(mean)/dx = Var/x, so the slope's derivative
+in g is a difference of class variances on the same weights.  Past
+x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the class moments are plain
+Poisson ones, exact there to e^-45: mean x and variance x on x^m / m!, and
+with the rise m + 1 mean x (x + 2) / (x + 1) and variance
+x (x^2 + 2 x + 2) / (x + 1)^2.  So the series runs only below that bound, in a
+small window.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope
+explicitly so no intermediate overflows even at large gain.
 """
 
 from __future__ import annotations
@@ -150,27 +154,57 @@ def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
     return np.exp(logw - logw.max(axis=-1, keepdims=True)), m - j
 
 
-def _mean_excess(j: int, x, d: int, rise: bool = False):
-    """Mean of m - j over the weights x^m / m! on m = j (mod d), times m + 1 with ``rise``.
+def _moments(w, e, var: bool):
+    """Mean of e over the weights w along the last axis, and with ``var`` also
+    the centered variance (no cancellation)."""
+    total = w.sum(axis=-1)
+    mean = (w * e).sum(axis=-1) / total
+    if not var:
+        return mean
+    return mean, (w * (e - mean[..., None]) ** 2).sum(axis=-1) / total
+
+
+def _mean_excess(j: int, x, d: int, rise: bool = False, var: bool = False):
+    """Mean of m - j over the weights x^m / m! on m = j (mod d), times m + 1 with
+    ``rise``; with ``var`` the pair (mean, variance).
 
     A class sum is (1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0
     terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (with the rise
-    too: |1 + x w^n| <= 1 + x).  So from that exponent _SKIP = 45 on, the mean
-    is the Poisson one, x - j or x (x + 2) / (x + 1) - j, far below an ulp;
-    below it it is the ``_class_series`` mean.  At d = 1 the class is every m,
-    so the Poisson mean is exact at every x.
+    too: |1 + x w^n| <= 1 + x).  So from that exponent _SKIP = 45 on, the
+    moments are the Poisson ones of the module docstring, far below an ulp;
+    below it they are ``_class_series`` moments.  At d = 1 the class is every m,
+    so the Poisson moments are exact at every x.
     """
     x = np.asarray(x, dtype=float)
     rises = (0,) if rise else ()
     near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
-    if near.all():  # as the scalar calls of the root refinement mostly are
-        w, e = _class_series(j, x, d, rises)
-        return np.sum(w * e, axis=-1) / np.sum(w, axis=-1)
-    out = x * (x + 2.0) / (x + 1.0) - j if rise else x - j
+    if near.all():
+        return _moments(*_class_series(j, x, d, rises), var)
+    out = [x * (x + 2.0) / (x + 1.0) - j if rise else x - j]
+    if var:
+        out.append(x * (x * x + 2.0 * x + 2.0) / (x + 1.0) ** 2 if rise else x.copy())
     if near.any():
-        w, e = _class_series(j, x[near], d, rises)
-        out[near] = np.sum(w * e, axis=-1) / np.sum(w, axis=-1)
-    return out
+        inner = _moments(*_class_series(j, x[near], d, rises), var)
+        for o, v in zip(out, inner if var else (inner,)):
+            o[near] = v
+    return tuple(out) if var else out[0]
+
+
+def _gap(alpha: float, g, d: int, k: int, s: Scheme, var: bool = False):
+    """g/2 times the slope: the overlap class mean at y = g alpha^2 minus the
+    target's at z = g^2 alpha^2, each relative to its class's lowest photon
+    number; with ``var`` also its derivative in g, (Var_y - 2 Var_z) / g, as
+    dy/dg = y/g and dz/dg = 2 z/g."""
+    a2 = alpha * alpha
+    j = target_index(k, d, s)
+    # a a-dagger: overlap weights (m + 1) y^m / m!, target z^m / m!, both at m = k;
+    # a-dagger^2: overlap y^m / m! at m = k, target at m = k + 2 (mod d)
+    shift, rise = (0, True) if s is Scheme.AADAG else (2 + k - j, False)
+    y = _mean_excess(k, g * a2, d, rise, var)
+    z = _mean_excess(j, g * g * a2, d, False, var)
+    if not var:
+        return shift + y - z
+    return shift + y[0] - z[0], (y[1] - 2.0 * z[1]) / g
 
 
 def scs_slope(alpha: float, g, d: int, k: int, s):
@@ -183,15 +217,22 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     """
     s = as_scheme(s)
     g = _gain_array(alpha, g)
-    a2 = alpha * alpha
     if alpha == 0.0:
         val = np.zeros_like(g)  # the fidelity does not depend on g
-    elif s is Scheme.AADAG:  # overlap weights (m + 1) y^m / m!, target z^m / m!, m = k
-        val = 2.0 / g * (_mean_excess(k, g * a2, d, rise=True) - _mean_excess(k, g * g * a2, d))
-    else:  # overlap weights y^m / m! at m = k, target m = k + 2 (mod d)
-        j = (k + 2) % d
-        val = 2.0 / g * (2 + k - j + _mean_excess(k, g * a2, d) - _mean_excess(j, g * g * a2, d))
+    else:
+        val = 2.0 / g * _gap(alpha, g, d, k, s)
     return float(val) if val.ndim == 0 else val
+
+
+def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float]:
+    """(D, dD/dg) at one gain, where ``scs_slope`` = 2 D / g: a Newton step on D
+    refines the slope's root without a second evaluation for the derivative."""
+    s = as_scheme(s)
+    g = _gain_array(alpha, g)
+    if alpha == 0.0:
+        return 0.0, 0.0
+    gap, dgap = _gap(alpha, g, d, k, s, var=True)
+    return float(gap), float(dgap)
 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
@@ -203,9 +244,7 @@ def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
     # weights x^m / m! on m = k (mod d), times (m + 1)^2 for a a-dagger or (m + 1)(m + 2)
     # for a-dagger^2, whose shift of every m by 2 leaves Var(n) as it is
     rises = () if s is None else (0, 0) if as_scheme(s) is Scheme.AADAG else (0, 1)
-    w, e = _class_series(k % d, alpha * alpha, d, rises)
-    mean = np.sum(w * e) / np.sum(w)
-    return 4.0 * float(np.sum(w * (e - mean) ** 2) / np.sum(w))  # centered: no cancellation
+    return 4.0 * float(_moments(*_class_series(k % d, alpha * alpha, d, rises), True)[1])
 
 
 def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float:

@@ -2,7 +2,10 @@
 
 The optimized gain is a root of the closed-form slope ``analytic.scs_slope``:
 every stationary point in the search range is bracketed on a fixed grid and
-refined by regula falsi, and the candidate of largest fidelity wins.
+refined by Newton steps on D = g/2 times the slope, a difference of class
+means, whose derivative is closed form too (``analytic.scs_slope_newton``).
+Where a Newton step would leave the current sign bracket, the bracket's
+false-position point is taken instead.  The candidate of largest fidelity wins.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ ROOT_MAX_CALLS = 100
 
 @dataclass(frozen=True)
 class OptResult:
-    """A maximum: ``iterations`` counts the slope evaluations of the root
+    """A maximum: ``iterations`` counts the (D, dD/dg) evaluations of the root
     refinement, ``converged`` holds when every refinement converged, and
     ``boundary_hit`` when the argmax is the top of the search range.
     ``argmax`` is None where the value does not depend on the gain."""
@@ -56,33 +59,56 @@ def _illinois(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[
     return b, ROOT_MAX_CALLS, False
 
 
+def _newton(step, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[float, int, bool]:
+    """Root of f in [a, b], where fa and fb have opposite signs, from the
+    false-position point by Newton steps on step(x) = (f(x), f'(x)); a step
+    that would not land strictly inside the current sign bracket is replaced by
+    the bracket's false-position point.  Stops once a step is at most tol;
+    returns (root, evaluations of step, converged)."""
+    x = (a * fb - b * fa) / (fb - fa)
+    for calls in range(1, ROOT_MAX_CALLS + 1):
+        fx, dfx = step(x)
+        if not (np.isfinite(fx) and np.isfinite(dfx)):
+            raise OptimizationError(f"objective or its derivative non-finite at {x}")
+        if fx == 0.0:
+            return x, calls, True
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        if dfx == 0.0 or not a < (new := x - fx / dfx) < b:
+            new = (a * fb - b * fa) / (fb - fa)
+        if abs(new - x) <= tol:
+            return new, calls, True
+        x = new
+    return x, ROOT_MAX_CALLS, False
+
+
 def scs_gain(spec: ScsSpec, s) -> OptResult:
     """Gain maximizing the cat-state fidelity on [GAIN_LO, GAIN_HI].
 
     Candidates are the roots of the slope at each + to - sign change of a
-    SLOPE_GRID-point scan, refined to ROOT_XTOL, and GAIN_HI when the slope is
-    still positive there (the last qudit indices under double addition at
-    small amplitude).  The candidate of largest fidelity wins.  At alpha = 0
-    the qudit is a number state, F does not depend on the gain, and no gain is
-    returned.
+    SLOPE_GRID-point scan, refined by ``_newton`` until a step is at most
+    ROOT_XTOL, and GAIN_HI when the slope is still positive there (the last
+    qudit indices under double addition at small amplitude).  ``iterations``
+    counts the (D, dD/dg) evaluations of every refinement.  The candidate of
+    largest fidelity wins.  At alpha = 0 the qudit is a number state, F does
+    not depend on the gain, and no gain is returned.
     """
     scheme = analytic.as_scheme(s)
     alpha, d, k = spec.alpha, spec.d, spec.k
     if alpha == 0.0:
         return OptResult(None, analytic.scs_fidelity(0.0, 1.0, d, k, scheme), 0, True, False)
 
-    def slope(g):
-        val = analytic.scs_slope(alpha, g, d, k, scheme)
-        if not np.all(np.isfinite(val)):
-            raise OptimizationError(f"fidelity slope non-finite at gain {g}")
-        return val
-
     grid = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
-    scan = slope(grid)
+    scan = analytic.scs_slope(alpha, grid, d, k, scheme)
+    if not np.all(np.isfinite(scan)):
+        raise OptimizationError(f"fidelity slope non-finite on the gain scan of {spec}")
+    gap = scan * grid / 2.0  # D, the slope's class-mean difference
     gains, iterations, converged = [], 0, True
     for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
-        root, calls, ok = _illinois(slope, grid[i], grid[i + 1], scan[i], scan[i + 1],
-                                    ROOT_XTOL)
+        root, calls, ok = _newton(lambda g: analytic.scs_slope_newton(alpha, g, d, k, scheme),
+                                  grid[i], grid[i + 1], gap[i], gap[i + 1], ROOT_XTOL)
         gains.append(root)
         iterations += calls
         converged &= ok

@@ -418,6 +418,38 @@ def test_mean_excess_matches_high_precision_class_means():
                         assert abs(got - want) <= tol * want, (d, j, x, rise)
 
 
+def test_class_moments_match_high_precision_class_sums():
+    # mean and variance of m - j, on both sides of x (1 - cos 2 pi / d) = 45 (d = 1:
+    # the Poisson moments at every x), against 50-digit sums over the class.  Near
+    # side, the series weights carry the rounding of their exponent m ln x - ln m!
+    # (each term about x ln x at the peak), which the mean feels only by about
+    # 1/sqrt(x) of it and the variance in full
+    eps = np.finfo(float).eps
+    for d in range(1, 13):
+        edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)) if d > 1 else 0.0
+        xs = (0.05, 3.0, 50.0, 400.0) if d == 1 else (
+            0.01 * edge, 0.1 * edge, 0.5 * edge, 0.999 * edge, 1.001 * edge, 3.0 * edge)
+        for x in xs:
+            tol = 1e-15 if x > edge else 1e-14
+            vtol = tol if x > edge else max(tol, 4.0 * eps * x * math.log(x))
+            with mp.workdps(50):
+                xm, t, terms = mp.mpf(float(x)), mp.mpf(1), []
+                for m in range(int(x + 40 * math.sqrt(x)) + 200):
+                    terms.append(t)
+                    t *= xm / (m + 1)
+                for rise in (False, True):
+                    for j in range(d):
+                        w = [(1 + rise * m) * terms[m] for m in range(j, len(terms), d)]
+                        total = mp.fsum(w)
+                        mean = mp.fsum(wi * i * d for i, wi in enumerate(w)) / total
+                        var = float(mp.fsum(wi * (i * d - mean) ** 2 for i, wi in enumerate(w))
+                                    / total)
+                        got = analytic._mean_excess(j, x, d, rise, var=True)
+                        assert got[0] == analytic._mean_excess(j, x, d, rise)
+                        assert abs(got[0] - float(mean)) <= tol * float(mean), (d, j, x, rise)
+                        assert abs(got[1] - var) <= vtol * var, (d, j, x, rise)
+
+
 @pytest.mark.parametrize("s", list(Scheme))
 def test_slope_in_the_far_field_makes_no_series_call(monkeypatch, s):
     # alpha = 5, d = 3: y = 25 g and z = 25 g^2 pass x (1 - cos 2 pi / 3) >= 45 from g = 2

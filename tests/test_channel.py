@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catamp import channel, fock, states
 from catamp.analytic import Scheme
@@ -399,3 +401,17 @@ def test_qudit_index_spread_shrinks_with_amplitude():
 
     for s in Scheme:
         assert spread(0.2, s) >= 5.0 * spread(2.0, s)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(alpha=st.floats(1e-3, 8.0), d=st.integers(1, 12),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       hybrid=st.booleans(), s=st.sampled_from(list(Scheme)), data=st.data())
+def test_success_probability_is_a_probability(alpha, d, gamma, hybrid, s, data):
+    # cat and hybrid inputs on the sweep's own truncation, gamma across (0, 1)
+    k = data.draw(st.integers(0, d - 1))
+    trunc = max(30, fock.auto_trunc(alpha, additions=2))
+    v = (states.hes_state(HesSpec(alpha, d, k), trunc) if hybrid
+         else states.scs_state(ScsSpec(alpha, d, k), trunc))
+    p = channel.scheme_success_prob(v, s, gamma)
+    assert 0.0 <= p <= 1.0, (alpha, d, k, gamma, hybrid, s, p)

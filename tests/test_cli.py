@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catamp import analytic, cli, optimize
 from catamp.cli import SweepConfig
@@ -342,3 +344,17 @@ def test_reference_csvs_regenerate_byte_identically(name, tmp_path):
     out = tmp_path / "regen.csv"
     cli.emit_csv(cli.run_sweep(cfg), str(out))
     assert out.read_bytes() == ref_path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.floats(1e-3, 8.0), d=st.integers(1, 12), family=st.sampled_from(("scs", "hes")),
+       scheme=st.sampled_from(("aadag", "adag2")), data=st.data())
+def test_sweep_cell_rows_respect_physical_bounds(alpha, d, family, scheme, data):
+    # no exception escapes a cell, and an ok row holds a fidelity and Fisher informations
+    k = data.draw(st.integers(0, d - 1))
+    cfg = SweepConfig(family=family, d=d, k_list=(k,), scheme=scheme,
+                      alpha_min=0.0, alpha_max=8.0, steps=2)
+    rec = cli._run_cell(cfg, alpha, k)
+    if rec.status.startswith("ok"):
+        assert 0.0 <= rec.F_opt <= 1.0 + 1e-13, rec
+        assert rec.qfi_in >= 0.0 and rec.qfi_out >= 0.0, rec

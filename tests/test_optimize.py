@@ -33,11 +33,45 @@ def test_nonfinite_objective_raises(monkeypatch):
 
 
 def test_slope_scan_is_one_call(monkeypatch):
-    sizes = []
-    slope = analytic.scs_slope
+    # the scan is the only slope call; each counted iteration is one (D, dD/dg) call
+    sizes, steps = [], []
+    slope, step = analytic.scs_slope, analytic.scs_slope_newton
     monkeypatch.setattr(analytic, "scs_slope", lambda *a: sizes.append(np.size(a[1])) or slope(*a))
-    optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
-    assert sizes[0] == optimize.SLOPE_GRID and set(sizes[1:]) == {1}
+    monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: steps.append(a[1]) or step(*a))
+    res = optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
+    assert sizes == [optimize.SLOPE_GRID]
+    assert len(steps) == res.iterations > 0
+
+
+ROBUST_CELLS = ((1.5, 5, 2, Scheme.AADAG), (1.3, 3, 1, Scheme.ADAG2), (0.2, 5, 4, Scheme.AADAG),
+                (2.0, 1, 0, Scheme.ADAG2))
+
+
+@pytest.mark.parametrize("alpha,d,k,s", ROBUST_CELLS)
+def test_refinement_falls_back_where_newton_leaves_the_bracket(monkeypatch, alpha, d, k, s):
+    # a derivative of the wrong sign sends every Newton step out of its bracket,
+    # so only the false-position steps remain, and they find the same root
+    want = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+    step = analytic.scs_slope_newton
+    monkeypatch.setattr(analytic, "scs_slope_newton",
+                        lambda *a: (lambda f, df: (f, -df))(*step(*a)))
+    got = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+    assert got.converged and not got.boundary_hit
+    assert abs(got.argmax - want.argmax) <= optimize.ROOT_XTOL, (got.argmax, want.argmax)
+
+
+def test_refinement_raises_on_a_non_finite_step(monkeypatch):
+    for bad in ((float("nan"), -1.0), (1.0, float("nan")), (float("inf"), -1.0)):
+        monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a, bad=bad: bad)
+        with pytest.raises(OptimizationError):
+            optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
+
+
+def test_refinement_that_never_shrinks_its_step_is_not_converged(monkeypatch):
+    # D > 0 and dD/dg = -1e10 everywhere: every step is +1e-10, inside the bracket
+    monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: (1.0, -1e10))
+    res = optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
+    assert res.iterations == optimize.ROOT_MAX_CALLS and not res.converged
 
 
 def test_zero_amplitude_has_fidelity_but_no_gain():
@@ -128,8 +162,8 @@ def test_hes_ratio_minimum_location():
     assert 1.38 <= amin <= 1.48
 
 
-def _mp_slope_root(alpha, d, k, s, guess):
-    """Root of d(ln F)/dg from the S_j' = S_{j-1} - S_j expansion, at 50 digits."""
+def _mp_slope(alpha, d, k, s):
+    """d(ln F)/dg from the S_j' = S_{j-1} - S_j expansion, for mpmath gains."""
 
     def S(j, x):
         w = mp.exp(2j * mp.pi / d)
@@ -146,9 +180,15 @@ def _mp_slope_root(alpha, d, k, s, guess):
         return (v + 4 / g + 2 * a2 * (S(k - 1, y) / S(k, y) - 1)
                 - 2 * g * a2 * (S(k + 1, z) / S(k + 2, z) - 1))
 
+    return slope
+
+
+def _mp_slope_root(alpha, d, k, s, guess):
+    """Root of d(ln F)/dg at 50 digits."""
     with mp.workdps(50):
         g0 = mp.mpf(guess)
-        return float(mp.findroot(slope, (g0 * (1 - 1e-3), g0 * (1 + 1e-3)), solver="anderson"))
+        return float(mp.findroot(_mp_slope(alpha, d, k, s), (g0 * (1 - 1e-3), g0 * (1 + 1e-3)),
+                                 solver="anderson"))
 
 
 # the reference rows whose gain moved by more than 1e-6 when the slope root
@@ -166,6 +206,18 @@ def test_scs_gain_matches_high_precision_slope_root(alpha, d, k, s):
     res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
     exact = _mp_slope_root(alpha, d, k, s, res.argmax)
     assert abs(res.argmax - exact) <= 1e-12 * exact, (res.argmax, exact)
+
+
+@pytest.mark.parametrize("alpha,d,k,s", PINNED_ROWS)
+def test_slope_derivative_matches_high_precision(alpha, d, k, s):
+    # dD/dg, D = g/2 times the slope, at the root and on either side of it
+    root = optimize.scs_gain(ScsSpec(alpha, d, k), s).argmax
+    slope = _mp_slope(alpha, d, k, s)
+    for g in (0.5 * root, root, 1.5 * root):
+        dgap = analytic.scs_slope_newton(alpha, g, d, k, s)[1]
+        with mp.workdps(50):
+            want = float(mp.diff(lambda x: x * slope(x) / 2, mp.mpf(g)))
+        assert abs(dgap - want) <= 2e-14 * abs(want), (g, dgap, want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
