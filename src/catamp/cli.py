@@ -106,8 +106,11 @@ def _run_cell(cfg: SweepConfig, alpha: float, k: int) -> SweepRecord:
             if opt.boundary_hit:  # the slope certifies a maximum at the edge
                 rec.status = "ok;gain-at-edge"
             rec.qfi_in = analytic.scs_qfi(alpha, cfg.d, k)
-            rec.qfi_out = analytic.scs_qfi(alpha, cfg.d, k, scheme)
-            rec.qfi_ratio = analytic.qfi_ratio(alpha, cfg.d, k)
+            qfi = {s: analytic.scs_qfi(alpha, cfg.d, k, s) for s in Scheme}
+            rec.qfi_out = qfi[scheme]
+            if alpha <= 0:  # as analytic.qfi_ratio: the ratio is 0/0 there
+                raise ValueError("alpha must be > 0")
+            rec.qfi_ratio = qfi[Scheme.AADAG] / qfi[Scheme.ADAG2]
             if cfg.gamma is not None:
                 v = states.scs_state(spec, rec.trunc_used)
                 rec.p_success = channel.scheme_success_prob(v, scheme, cfg.gamma)

@@ -16,13 +16,18 @@ The cat-state fidelity and norm factors reduce to root-of-unity sums
 
 which are real and positive for x >= 0 (they equal d e^{-x} times the Taylor
 mass of e^x on photon numbers congruent to j mod d).  ``mod_exp_sum`` is the
-one evaluation of them, for one index or a tuple of indices at once.  It takes
-the complex sum, with an asserted imaginary residue: the exponentials
-E_n(x) = exp[-x (1 - w^n)] are taken for n <= d/2 only, shared by every index,
-and term d - n is conj(E_n) times its own phase; terms below e^-45 are skipped,
-and the points go through in cache-sized blocks.  Where that sum cancelled
-(small x, high j: S_j below sum_n |E_n| / 64), the value comes from the
-positive series instead, on those points only.
+one evaluation of them, for one index or a tuple of indices at once.  It works
+in real arithmetic: with theta_q = 2 pi q / d, terms n and d - n are complex
+conjugates, so together they give
+
+    2 exp[-x (1 - cos theta_n)] cos(x sin theta_n - theta_{jn mod d}),
+
+and the unpaired n = d/2 term is the same with factor 1.  So each n <= d/2 costs
+one real exponential, shared by every index, and one cosine per index; no
+imaginary part is ever formed.  Terms below e^-45 are skipped, and the points
+go through in cache-sized blocks.  Where that sum cancelled (small x, high j:
+S_j below sum_n |E_n| / 64, with E_n(x) = exp[-x (1 - w^n)]), the value comes
+from the positive series instead, on those points only.
 """
 
 from __future__ import annotations
@@ -39,10 +44,10 @@ from .fock import FockVector
 #: coherent-tail bound a caller-supplied truncation must certify
 GATE_EPS = 1e-10
 
-#: a value of the complex sum is off by about eps sum_n |E_n| / S_j relative, so it is
+#: a value of the root-of-unity sum is off by about eps sum_n |E_n| / S_j relative, so it is
 #: replaced by the positive series where 64 S_j < sum_n |E_n|; those kept are within ~64 eps
 _CANCEL = 64.0
-#: points per block: 2^14 points make 256 KiB per complex temporary, so the
+#: points per block: 2^14 points make 128 KiB per float temporary, so the
 #: accumulators and the few temporaries of one block stay inside a 2 MiB L2
 #: cache, and peak memory does not grow with the array
 _BLOCK = 1 << 14
@@ -130,32 +135,27 @@ def mod_exp_sum(j, x, d: int):
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("x must be finite and >= 0")
     flat = x.reshape(-1)
-    out = np.empty((len(js), flat.size))
-    roots = np.exp(2j * np.pi * np.arange(d) / d)  # w^n
+    out = np.ones((len(js), flat.size))  # the n = 0 terms
+    theta = 2.0 * np.pi * np.arange(d) / d
+    cos, sin = np.cos(theta), np.sin(theta)
     for lo in range(0, flat.size, _BLOCK):
-        xk = flat[lo:lo + _BLOCK]
-        acc = np.ones((len(js), xk.size), dtype=complex)  # the n = 0 terms
+        xk, acc = flat[lo:lo + _BLOCK], out[:, lo:lo + _BLOCK]
         mags = np.ones(xk.size)
         for n in range(1, d // 2 + 1):
-            live = xk * (1.0 - roots[n].real) < _SKIP
+            live = xk * (1.0 - cos[n]) < _SKIP
             if not live.any():
                 break  # 1 - cos(2 pi n / d) grows with n up to d/2
             at = slice(None) if live.all() else np.flatnonzero(live)
-            e = np.exp(-xk[at] * (1.0 - roots[n]))
-            pair = 2 * n != d
+            xl = xk[at]
+            mag = (1.0 if 2 * n == d else 2.0) * np.exp(-xl * (1.0 - cos[n]))
+            phase = xl * sin[n]
             for i, ji in enumerate(js):
-                t = roots[-ji * n % d] * e
-                if pair:
-                    t += roots[-ji * (d - n) % d] * e.conj()
-                acc[i, at] += t
-            mags[at] += (2.0 if pair else 1.0) * np.abs(e)
-        if np.any(np.abs(acc.imag) > 1e-12 * mags):
-            raise ArithmeticError("root-of-unity sum has non-negligible imaginary residue")
-        out[:, lo:lo + _BLOCK] = acc.real
+                acc[i, at] += mag * np.cos(phase - theta[ji * n % d])
+            mags[at] += mag
         for i, ji in enumerate(js):
-            cut = np.flatnonzero(_CANCEL * acc.real[i] < mags)
+            cut = np.flatnonzero(_CANCEL * acc[i] < mags)
             if cut.size:
-                out[i, lo + cut] = _class_mass(ji, xk[cut], d)
+                acc[i, cut] = _class_mass(ji, xk[cut], d)
     out = out.reshape((len(js),) + x.shape)
     if isinstance(j, tuple):
         return out

@@ -398,6 +398,23 @@ def test_mod_exp_sum_matches_high_precision_series():
         assert np.array_equal(states.mod_exp_sum(tuple(range(d)), 0.0, d), d * (np.arange(d) == 0))
 
 
+def test_mod_exp_sum_matches_direct_complex_sum():
+    # the real form pairs terms n and d - n; the oracle sums all d complex terms, with
+    # no pairing and no skip, at the values that are kept from the sum: 64 S_j >= sum |E_n|
+    x = np.concatenate([np.geomspace(1e-3, 1000.0, 90), [0.5, 2.0, 22.4, 22.6, 45.0, 90.0]])
+    for d in range(1, 13):
+        n = np.arange(d)
+        e = np.exp(-x[:, None] * (1.0 - np.exp(2j * np.pi * n / d)))  # E_n(x), a column per n
+        direct = np.stack([(np.exp(-2j * np.pi * (j * n % d) / d) * e).sum(axis=1) for j in range(d)])
+        kept = states._CANCEL * direct.real >= np.abs(e).sum(axis=1)
+        got = states.mod_exp_sum(tuple(range(d)), x, d)
+        assert np.all(np.abs(got - direct.real)[kept] <= 1e-13 * direct.real[kept]), d
+        for i in np.flatnonzero(kept.any(axis=0))[::3]:  # scalar x
+            for j in np.flatnonzero(kept[:, i]):
+                assert abs(states.mod_exp_sum(int(j), x[i], d) - direct[j, i].real) <= (
+                    1e-13 * direct[j, i].real), (d, j, x[i])
+
+
 def test_mean_excess_matches_high_precision_class_means():
     # on both sides of x (1 - cos 2 pi / d) = 45: beyond it the Poisson mean x - j
     # (x (x + 2) / (x + 1) - j with the rise) is exact, inside it the series
