@@ -6,11 +6,18 @@ product: the rightmost entry acts first.  The two named schemes are
     AADAG = ("subtract", "add")   addition first, then subtraction  (a a-dagger)
     ADAG2 = ("add", "add")        two successive additions          (a-dagger^2)
 
+The word is the only place a scheme's action is written down: ``rises`` maps
+it to W |m> = f(m) |m + l> (Fiurasek, PRA 80, 053822 (2009)), and every closed
+form follows from f(m)^2 and the overlap polynomial by ``class_poly``.
+
 Words applied to a hybrid state (a row stack) act on the bosonic mode of
 every discrete block, with a single global renormalization.
 """
 
 from __future__ import annotations
+
+import functools
+from collections import Counter
 
 import numpy as np
 
@@ -27,8 +34,61 @@ ADAG2: SchemeWord = (ADD, ADD)
 #: polynomial in ladder operators: sequence of (coefficient, word) terms
 LadderPoly = tuple[tuple[complex, SchemeWord], ...]
 
-#: (c1, c0) of <x| W-dagger W |x> = |x|^4 + c1 |x|^2 + c0 for the named words
-_NORM_POLY = {AADAG: (3.0, 1.0), ADAG2: (4.0, 2.0)}
+
+@functools.cache
+def rises(word: SchemeWord) -> tuple[int, tuple[int, ...]]:
+    """(l, offsets) with W |m> = f(m) |m + l>, f(m)^2 = prod (m + 1 + i) over offsets i.
+
+    Rightmost first, an addition at level c adds offset c, a subtraction from c to
+    c - 1 adds c - 1: a a-dagger gives (0, (0, 0)), a-dagger^2 (2, (0, 1)).
+    """
+    level, offsets = 0, []
+    for op in reversed(word):
+        if op == ADD:
+            offsets.append(level)
+            level += 1
+        elif op == SUBTRACT:
+            level -= 1
+            offsets.append(level)
+        else:
+            raise ValueError(f"unknown ladder op {op!r}")
+    return level, tuple(sorted(offsets))
+
+
+@functools.cache
+def overlap_rises(word: SchemeWord) -> tuple[int, ...]:
+    """Offsets of the overlap polynomial P(m) = f(m) sqrt(m! / (m + l)!): the word's
+    offsets less 0 .. l-1, halved; (0,) for a a-dagger and () for a-dagger^2."""
+    l, offsets = rises(word)
+    rest = sorted((Counter(offsets) - Counter(range(l))).elements())
+    if l < 0 or rest[::2] != rest[1::2]:
+        raise ValueError(f"word {word} has no polynomial overlap with a target qudit")
+    return tuple(rest[::2])
+
+
+@functools.cache
+def falling(offsets: tuple[int, ...]) -> tuple[float, ...]:
+    """c_J .. c_0 with prod_i (m + 1 + i) = sum_j c_j m^(j), m^(j) = m (m-1) .. (m-j+1), by
+    (m + a) m^(j) = m^(j+1) + (j + a) m^(j): (1, 3, 1) for a a-dagger, (1, 4, 2) for a-dagger^2."""
+    c = [1]  # lowest j first
+    for i in offsets:
+        c = [(j + 1 + i) * cj + (c[j - 1] if j else 0) for j, cj in enumerate(c)] + [c[-1]]
+    return tuple(float(cj) for cj in reversed(c))
+
+
+def class_poly(offsets: tuple[int, ...], x, k: int, d: int):
+    """sum_j (c_j x^j) S_{k-j}(x), c = ``falling(offsets)``, highest j first: d e^-x times
+    sum prod_i (m + 1 + i) x^m / m! over m = k (mod d); at d = 1 every S_j is 1.  Factors
+    of exactly 1 are left out, which changes no bit and spares array temporaries."""
+    c = falling(offsets)
+    top = len(c) - 1
+    sums = states.mod_exp_sum(tuple(range(k - top, k + 1)), x, d)
+    powers = [1.0, x]
+    while len(powers) <= top:
+        powers.append(powers[-1] * x)
+    terms = [s if j == 0 and cj == 1.0 else (powers[j] if cj == 1.0 else cj * powers[j]) * s
+             for j, cj, s in zip(range(top, -1, -1), c, sums)]
+    return sum(terms[1:], terms[0])
 
 
 def word_counts(word: SchemeWord) -> tuple[int, int]:
@@ -41,17 +101,6 @@ def net_change(word: SchemeWord) -> int:
     """Net photon-number change l = (#add - #subtract)."""
     adds, subs = word_counts(word)
     return adds - subs
-
-
-def norm_poly(word: SchemeWord, a2, s2=1.0, s1=1.0, s0=1.0):
-    """Squared norm of a named word's image, a2^2 s2 + c1 a2 s1 + c0 s0.
-
-    With the default weights this is <alpha| W-dagger W |alpha> at a2 = alpha^2
-    (the hybrid case); a cat-state qudit (d, k) weighs the three normally
-    ordered moments with s2, s1, s0 = S_{k-2}, S_{k-1}, S_k at alpha^2.
-    """
-    c1, c0 = _NORM_POLY[word]
-    return a2 * a2 * s2 + c1 * a2 * s1 + c0 * s0
 
 
 def _apply_word_raw(v: FockVector, word: SchemeWord) -> FockVector:
@@ -92,48 +141,24 @@ def scs_amplified(spec: ScsSpec, word: SchemeWord, trunc: int) -> tuple[FockVect
 
 
 def hes_norm_factor_amplified(alpha: float, word: SchemeWord) -> float:
-    """Normalization factor of a word applied to a hybrid qudit (d, k independent).
-
-    Closed forms for the two named schemes; general words are evaluated as
-    1/sqrt(<alpha| W-dagger W |alpha>) on an automatically sized space.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if word in _NORM_POLY:
-        return 1.0 / np.sqrt(norm_poly(word, alpha * alpha))
-    trunc = fock.auto_trunc(alpha, additions=word_counts(word)[0])
-    raw = _apply_word_raw(fock.coherent(alpha, trunc), word)
-    nrm = raw.norm()
-    if nrm <= 0.0:
-        raise DegenerateStateError(f"word {word} annihilates the coherent state")
-    return 1.0 / nrm
+    """Normalization factor 1/sqrt(<alpha| W-dagger W |alpha>) of a word applied to a
+    hybrid qudit (d, k independent): the coherent state's, the d = 1 cat one."""
+    return scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), word)
 
 
 def scs_norm_factor_amplified(spec: ScsSpec, word: SchemeWord) -> float:
     """Normalization factor of a word applied to the bare cat-state superposition.
 
-    For the named schemes this is 1/sqrt(d norm_poly(word, alpha^2, S_{k-2},
-    S_{k-1}, S_k)) with the sums S_j at alpha^2; other words are evaluated
-    numerically on the unnormalized superposition.  Unlike the hybrid case the
-    value depends on both d and k.
+    1/sqrt(d class_poly(offsets, alpha^2, k, d)), with the word's offsets from
+    ``rises``.  Unlike the hybrid case the value depends on both d and k.
     """
     a, d, k = spec.alpha, spec.d, spec.k
-    if word in _NORM_POLY:
-        x = a * a
-        val = d * norm_poly(word, x, *states.mod_exp_sum((k - 2, k - 1, k), x, d))
-        if val < 1e-300:
-            raise DegenerateStateError(
-                f"amplified-superposition norm degenerates at alpha={a}, d={d}, k={k}"
-            )
-        return 1.0 / np.sqrt(val)
-    # raw (unnormalized) superposition sum_n w^{-kn} |alpha w^n>, exactly zero off m = k (mod d)
-    trunc = max(fock.auto_trunc(a, additions=word_counts(word)[0]), k + 1)
-    bare = states.scs_state(spec, trunc).amps / states.scs_norm_factor(spec)
-    raw = _apply_word_raw(FockVector(bare), word)
-    nrm = raw.norm()
-    if nrm <= 0.0:
-        raise DegenerateStateError(f"word {word} annihilates the superposition")
-    return 1.0 / nrm
+    val = d * class_poly(rises(word)[1], a * a, k, d)
+    if not val >= 1e-300:
+        raise DegenerateStateError(
+            f"word {word} annihilates the superposition at alpha={a}, d={d}, k={k}"
+        )
+    return 1.0 / np.sqrt(val)
 
 
 def _validate_poly(poly: LadderPoly) -> LadderPoly:
@@ -141,9 +166,7 @@ def _validate_poly(poly: LadderPoly) -> LadderPoly:
     if not poly:
         raise ValueError("polynomial needs at least one term")
     for _, word in poly:
-        for op in word:
-            if op not in (ADD, SUBTRACT):
-                raise ValueError(f"unknown ladder op {op!r}")
+        rises(word)  # rejects an unknown ladder op
     return poly
 
 

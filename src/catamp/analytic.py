@@ -1,11 +1,13 @@
 """Closed-form fidelities, optimized gains, and quantum Fisher information.
 
-The cat-state fidelity reduces to the root-of-unity sums S_j(x) of
-``states.mod_exp_sum`` and the scheme polynomial ``amplify.norm_poly``; the
-gain slope and the Fisher information are a mean and a centered variance of
-one positive residue-class series (``_class_series``), which cancel nothing.
-On weights proportional to x^m, d(mean)/dx = Var/x, so the slope's derivative
-in g is a difference of class variances on the same weights.  Past
+Every closed form comes from the scheme word's offsets (``amplify.rises``).
+The cat-state fidelity reduces to root-of-unity sums S_j(x) via
+``amplify.class_poly``; the gain slope and the Fisher information are a mean
+and a centered variance of one positive residue-class series
+(``_class_series``), which cancel nothing.  A hybrid qudit amplifies as a
+coherent state does, so its closed forms are the d = 1 cat ones.  On weights
+proportional to x^m, d(mean)/dx = Var/x, so the slope's derivative in g is a
+difference of class variances on the same weights.  Past
 x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the class moments are plain
 Poisson ones, exact there to e^-45: mean x and variance x on x^m / m!, and
 with the rise m + 1 mean x (x + 2) / (x + 1) and variance
@@ -44,26 +46,18 @@ def as_scheme(s) -> Scheme:
 
 
 def scheme_word(s) -> amplify.SchemeWord:
-    return amplify.AADAG if as_scheme(s) is Scheme.AADAG else amplify.ADAG2
+    return {Scheme.AADAG: amplify.AADAG, Scheme.ADAG2: amplify.ADAG2}[as_scheme(s)]
 
 
 def target_index(k: int, d: int, s) -> int:
-    """Qudit index of the amplification target: k, or k+2 (mod d) for double addition."""
-    return k % d if as_scheme(s) is Scheme.AADAG else (k + 2) % d
+    """Qudit index (k + l) mod d of the amplification target, l the word's net photon change."""
+    return (k + amplify.rises(scheme_word(s))[0]) % d
 
 
 def hes_fidelity(alpha: float, g, s) -> float:
-    """Fidelity of the amplified hybrid qudit against the gain-g target (d, k free)."""
-    s = as_scheme(s)
-    g = _gain_array(alpha, g)
-    a2 = alpha * alpha
-    env = np.exp(-a2 * (g - 1.0) ** 2)
-    den = amplify.norm_poly(scheme_word(s), a2)
-    if s is Scheme.AADAG:
-        val = (g * g * a2 * a2 + 2 * g * a2 + 1.0) / den * env
-    else:
-        val = g**4 * a2 * a2 / den * env
-    return float(val) if val.ndim == 0 else val
+    """Fidelity of the amplified hybrid qudit against the gain-g target (d, k free):
+    the coherent state's, the d = 1 cat one."""
+    return scs_fidelity(alpha, g, 1, 0, s)
 
 
 def hes_gain(alpha: float, s) -> float:
@@ -81,18 +75,11 @@ def hes_gain(alpha: float, s) -> float:
 
 
 def hes_qfi(alpha: float, s=None) -> float:
-    """Phase-estimation Fisher information of a (possibly amplified) hybrid qudit."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    a2 = alpha * alpha
-    if s is None:
-        return 4.0 * a2
-    s = as_scheme(s)
-    a4, a6, a8 = a2 * a2, a2**3, a2**4
-    den = amplify.norm_poly(scheme_word(s), a2)
-    if s is Scheme.AADAG:
-        return 4.0 * a2 * (a8 + 6 * a6 + 14 * a4 + 10 * a2 + 4.0) / den**2
-    return 4.0 * a2 * (a8 + 8 * a6 + 24 * a4 + 24 * a2 + 12.0) / den**2
+    """Phase-estimation Fisher information of a (possibly amplified) hybrid qudit:
+    the d = 1 cat one, and exactly 4 alpha^2 unamplified."""
+    if s is None and alpha >= 0:
+        return 4.0 * alpha * alpha
+    return scs_qfi(alpha, 1, 0, s)
 
 
 def _gain_array(alpha: float, g) -> np.ndarray:
@@ -107,31 +94,27 @@ def _gain_array(alpha: float, g) -> np.ndarray:
 def scs_fidelity(alpha: float, g, d: int, k: int, s):
     """Fidelity of the amplified cat-state qudit against the gain-g target qudit.
 
-    The target carries index k for add-then-subtract and k+2 (mod d) for double
-    addition.  ``g`` may be an array (used by the dense-scan oracles).  Where a
-    tiny g alpha takes its numerator or norms below the normal doubles, it
-    raises ``ArithmeticError`` rather than return F without its digits.
+    The target carries index k + l (mod d), l the word's net photon change; the
+    overlap and the norms are ``amplify.class_poly`` sums.  ``g`` may be an array
+    (used by the dense-scan oracles).  Where a tiny g alpha takes its numerator
+    or norms below the normal doubles, it raises ``ArithmeticError`` rather than
+    return F without its digits.
     """
-    s = as_scheme(s)
+    word = scheme_word(s)
+    l, offsets = amplify.rises(word)
     g = _gain_array(alpha, g)
     if alpha == 0.0:
-        # both states collapse onto number states
-        if s is Scheme.AADAG:
-            val = np.ones_like(g)
-        else:
-            val = np.full_like(g, 1.0 if k + 2 < d else 0.0)
+        # both states collapse onto number states, |k + l> and |(k + l) mod d>
+        val = np.full_like(g, 1.0 if k + l < d else 0.0)
         return float(val) if val.ndim == 0 else val
     a2 = alpha * alpha
     y = g * a2
     z = g * g * a2
     env = np.exp(-a2 * (g - 1.0) ** 2)
-    den_in = amplify.norm_poly(scheme_word(s), a2, *mod_exp_sum((k - 2, k - 1, k), a2, d))
-    if s is Scheme.AADAG:
-        s_k, s_km1 = mod_exp_sum((k, k - 1), y, d)
-        num = (s_k + y * s_km1) ** 2
-    else:
-        num = (g * g * a2) ** 2 * mod_exp_sum(k, y, d) ** 2
-    den = den_in * mod_exp_sum(target_index(k, d, s), z, d)
+    num = amplify.class_poly(amplify.overlap_rises(word), y, k, d) ** 2
+    if l:
+        num = z ** l * num
+    den = amplify.class_poly(offsets, a2, k, d) * mod_exp_sum((k + l) % d, z, d)
     # at tiny y and z the sums fall below the normal doubles, to 0 or to a few digits
     lost = (num < _TINY) | (den < _TINY)
     if np.any(lost):
@@ -164,22 +147,23 @@ def _moments(w, e, var: bool):
     return mean, (w * (e - mean[..., None]) ** 2).sum(axis=-1) / total
 
 
-def _mean_excess(j: int, x, d: int, rise: bool = False, var: bool = False):
-    """Mean of m - j over the weights x^m / m! on m = j (mod d), times m + 1 with
-    ``rise``; with ``var`` the pair (mean, variance).
+def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = False):
+    """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
+    on m = j (mod d); with ``var`` the pair (mean, variance).
 
     A class sum is (1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0
     terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (with the rise
-    too: |1 + x w^n| <= 1 + x).  So from that exponent _SKIP = 45 on, the
-    moments are the Poisson ones of the module docstring, far below an ulp;
-    below it they are ``_class_series`` moments.  At d = 1 the class is every m,
-    so the Poisson moments are exact at every x.
+    m + 1 too: |1 + x w^n| <= 1 + x).  So for rises () and (0,), from that
+    exponent _SKIP = 45 on, the moments are the Poisson ones of the module
+    docstring, far below an ulp; below it, and for other rises, they are
+    ``_class_series`` moments.  At d = 1 the class is every m, so the Poisson
+    moments are exact at every x.
     """
     x = np.asarray(x, dtype=float)
-    rises = (0,) if rise else ()
     near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
-    if near.all():
+    if near.all() or rises not in ((), (0,)):
         return _moments(*_class_series(j, x, d, rises), var)
+    rise = rises == (0,)
     out = [x * (x + 2.0) / (x + 1.0) - j if rise else x - j]
     if var:
         out.append(x * (x * x + 2.0 * x + 2.0) / (x + 1.0) ** 2 if rise else x.copy())
@@ -190,21 +174,20 @@ def _mean_excess(j: int, x, d: int, rise: bool = False, var: bool = False):
     return tuple(out) if var else out[0]
 
 
-def _gap(alpha: float, g, d: int, k: int, s: Scheme, var: bool = False):
+def _gap(alpha: float, g, d: int, k: int, word: amplify.SchemeWord, var: bool = False):
     """g/2 times the slope: the overlap class mean at y = g alpha^2 minus the
     target's at z = g^2 alpha^2, each relative to its class's lowest photon
     number; with ``var`` also its derivative in g, (Var_y - 2 Var_z) / g, as
     dy/dg = y/g and dz/dg = 2 z/g."""
     a2 = alpha * alpha
-    j = target_index(k, d, s)
-    # a a-dagger: overlap weights (m + 1) y^m / m!, target z^m / m!, both at m = k;
-    # a-dagger^2: overlap y^m / m! at m = k, target at m = k + 2 (mod d)
-    shift, rise = (0, True) if s is Scheme.AADAG else (2 + k - j, False)
-    y = _mean_excess(k, g * a2, d, rise, var)
-    z = _mean_excess(j, g * g * a2, d, False, var)
+    l = amplify.rises(word)[0]
+    j = (k + l) % d
+    # overlap weights P(m) y^m / m! at m = k, target z^m / m! at m = k + l (mod d)
+    y = _mean_excess(k, g * a2, d, amplify.overlap_rises(word), var)
+    z = _mean_excess(j, g * g * a2, d, (), var)
     if not var:
-        return shift + y - z
-    return shift + y[0] - z[0], (y[1] - 2.0 * z[1]) / g
+        return l + k - j + y - z
+    return l + k - j + y[0] - z[0], (y[1] - 2.0 * z[1]) / g
 
 
 def scs_slope(alpha: float, g, d: int, k: int, s):
@@ -215,23 +198,23 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     y = g alpha^2 and of the target at z = g^2 alpha^2.  Each is taken relative
     to its class's lowest photon number, so no digits cancel where F is flat.
     """
-    s = as_scheme(s)
+    word = scheme_word(s)
     g = _gain_array(alpha, g)
     if alpha == 0.0:
         val = np.zeros_like(g)  # the fidelity does not depend on g
     else:
-        val = 2.0 / g * _gap(alpha, g, d, k, s)
+        val = 2.0 / g * _gap(alpha, g, d, k, word)
     return float(val) if val.ndim == 0 else val
 
 
 def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float]:
     """(D, dD/dg) at one gain, where ``scs_slope`` = 2 D / g: a Newton step on D
     refines the slope's root without a second evaluation for the derivative."""
-    s = as_scheme(s)
+    word = scheme_word(s)
     g = _gain_array(alpha, g)
     if alpha == 0.0:
         return 0.0, 0.0
-    gap, dgap = _gap(alpha, g, d, k, s, var=True)
+    gap, dgap = _gap(alpha, g, d, k, word, var=True)
     return float(gap), float(dgap)
 
 
@@ -241,9 +224,9 @@ def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
         raise ValueError("alpha must be >= 0")
     if alpha == 0.0:
         return 0.0  # number states are phase invariant
-    # weights x^m / m! on m = k (mod d), times (m + 1)^2 for a a-dagger or (m + 1)(m + 2)
-    # for a-dagger^2, whose shift of every m by 2 leaves Var(n) as it is
-    rises = () if s is None else (0, 0) if as_scheme(s) is Scheme.AADAG else (0, 1)
+    # weights f(m)^2 x^m / m! on m = k (mod d), f(m)^2 the product over the word's
+    # offsets; its shift of every m by l leaves Var(n) as it is
+    rises = () if s is None else amplify.rises(scheme_word(s))[1]
     return 4.0 * float(_moments(*_class_series(k % d, alpha * alpha, d, rises), True)[1])
 
 
@@ -256,8 +239,8 @@ def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     if d is None:
-        return hes_qfi(alpha, Scheme.AADAG) / hes_qfi(alpha, Scheme.ADAG2)
-    if k is None:
+        d, k = 1, 0  # a hybrid qudit's Fisher information is the coherent state's
+    elif k is None:
         raise ValueError("k is required together with d")
     return scs_qfi(alpha, d, k, Scheme.AADAG) / scs_qfi(alpha, d, k, Scheme.ADAG2)
 

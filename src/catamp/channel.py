@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, states
-from .analytic import Scheme, as_scheme
+from .analytic import scheme_word
 from .errors import DegenerateStateError
 from .fock import ADD, SUBTRACT, FockVector
 from .states import HesSpec, ScsSpec
@@ -197,27 +197,24 @@ def kraus_apply(v: FockVector, gamma: float, kind: str) -> FockVector:
     raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
 
 
-def _scheme_kinds(s: Scheme) -> tuple[str, str]:
-    """Stage order (first, second) of a scheme circuit."""
-    return (ADD, SUBTRACT) if s is Scheme.AADAG else (ADD, ADD)
-
-
-def _kraus_scheme(v: FockVector, s: Scheme, gamma: float) -> FockVector:
-    first, second = _scheme_kinds(s)
-    return kraus_apply(kraus_apply(v, gamma, first), gamma, second)
+def _kraus_scheme(v: FockVector, s, gamma: float) -> FockVector:
+    for kind in reversed(scheme_word(s)):  # one stage per letter, rightmost first
+        v = kraus_apply(v, gamma, kind)
+    return v
 
 
 def scheme_success_prob(state: FockVector, s, gamma: float) -> float:
     """Joint herald probability of a scheme circuit on a normalized input."""
-    return float(np.linalg.norm(_kraus_scheme(state, as_scheme(s), gamma).amps) ** 2)
+    return float(np.linalg.norm(_kraus_scheme(state, s, gamma).amps) ** 2)
 
 
-def _circuit_scheme(v: FockVector, s: Scheme, gamma: float) -> tuple[FockVector, float]:
+def _circuit_scheme(v: FockVector, s, gamma: float) -> tuple[FockVector, float]:
     bs = BeamSplitter(gamma)
-    first, second = _scheme_kinds(s)
-    out1, p1 = heralded_op(v, bs, first)
-    out2, p2 = heralded_op(out1, bs, second)
-    return out2, p1 * p2
+    prob = 1.0
+    for kind in reversed(scheme_word(s)):
+        v, p = heralded_op(v, bs, kind)
+        prob *= p
+    return v, prob
 
 
 def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, float, float]:
@@ -227,7 +224,6 @@ def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, floa
     Accepts a cat-state or hybrid spec; for hybrid states the circuit acts on
     the bosonic mode of every discrete block with global heralding.
     """
-    s = as_scheme(s)
     if isinstance(spec, ScsSpec):
         v = states.scs_state(spec, trunc)
     elif isinstance(spec, HesSpec):

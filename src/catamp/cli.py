@@ -85,35 +85,30 @@ def _fmt(x) -> str:
 def _run_cell(cfg: SweepConfig, alpha: float, k: int) -> SweepRecord:
     scheme = analytic.as_scheme(cfg.scheme)
     rec = SweepRecord(alpha=alpha, d=cfg.d, k=k, scheme=scheme.value)
+    hybrid = cfg.family == "hes"
+    # a hybrid qudit amplifies as a coherent state does: the d = 1 cat row
+    d, kk = (1, 0) if hybrid else (cfg.d, k)
     try:
         rec.trunc_used = (cfg.trunc if cfg.trunc is not None
                           else max(30, fock.auto_trunc(alpha, additions=2)))
-        if cfg.family == "hes":
-            g = analytic.hes_gain(alpha, scheme)
-            rec.G = g
-            rec.F_opt = analytic.hes_fidelity(alpha, g, scheme)
-            rec.qfi_in = analytic.hes_qfi(alpha)
-            rec.qfi_out = analytic.hes_qfi(alpha, scheme)
-            rec.qfi_ratio = analytic.qfi_ratio(alpha)
-            if cfg.gamma is not None:
-                h = states.hes_state(HesSpec(alpha, cfg.d, k), rec.trunc_used)
-                rec.p_success = channel.scheme_success_prob(h, scheme, cfg.gamma)
+        if hybrid:
+            rec.G = analytic.hes_gain(alpha, scheme)
+            rec.F_opt = analytic.scs_fidelity(alpha, rec.G, d, kk, scheme)
         else:
-            spec = ScsSpec(alpha, cfg.d, k)
-            opt = optimize.scs_gain(spec, scheme)
-            rec.G = opt.argmax
-            rec.F_opt = opt.value
+            opt = optimize.scs_gain(ScsSpec(alpha, d, kk), scheme)
+            rec.G, rec.F_opt = opt.argmax, opt.value
             if opt.boundary_hit:  # the slope certifies a maximum at the edge
                 rec.status = "ok;gain-at-edge"
-            rec.qfi_in = analytic.scs_qfi(alpha, cfg.d, k)
-            qfi = {s: analytic.scs_qfi(alpha, cfg.d, k, s) for s in Scheme}
-            rec.qfi_out = qfi[scheme]
-            if alpha <= 0:  # as analytic.qfi_ratio: the ratio is 0/0 there
-                raise ValueError("alpha must be > 0")
-            rec.qfi_ratio = qfi[Scheme.AADAG] / qfi[Scheme.ADAG2]
-            if cfg.gamma is not None:
-                v = states.scs_state(spec, rec.trunc_used)
-                rec.p_success = channel.scheme_success_prob(v, scheme, cfg.gamma)
+        rec.qfi_in = analytic.scs_qfi(alpha, d, kk)
+        qfi = {s: analytic.scs_qfi(alpha, d, kk, s) for s in Scheme}
+        rec.qfi_out = qfi[scheme]
+        if alpha <= 0:  # as analytic.qfi_ratio: the ratio is 0/0 there
+            raise ValueError("alpha must be > 0")
+        rec.qfi_ratio = qfi[Scheme.AADAG] / qfi[Scheme.ADAG2]
+        if cfg.gamma is not None:
+            build = states.hes_state if hybrid else states.scs_state
+            v = build((HesSpec if hybrid else ScsSpec)(alpha, cfg.d, k), rec.trunc_used)
+            rec.p_success = channel.scheme_success_prob(v, scheme, cfg.gamma)
     except (CatampError, ValueError, ArithmeticError) as exc:
         rec.status = f"error: {type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
     return rec
@@ -184,13 +179,14 @@ def _grids(level: str):
                 circuit_alphas=(0.5, 1.0, 2.0, 5.0))
 
 
-def brute_scs_fidelity(alpha, g, d, k, scheme) -> float:
-    """Truncated-Fock route: build, amplify, overlap; no closed forms involved."""
-    word = analytic.scheme_word(scheme)
+def brute_scs_fidelity(alpha, g, d, k, scheme, hybrid: bool = False) -> float:
+    """Truncated-Fock route: build, amplify, overlap; no closed forms involved.
+    With ``hybrid`` the qudits are hybrid ones."""
+    spec, build = (HesSpec, states.hes_state) if hybrid else (ScsSpec, states.scs_state)
     tk = analytic.target_index(k, d, scheme)
     trunc = fock.auto_trunc(max(alpha, g * alpha), additions=2)
-    amped, _ = amplify.scs_amplified(ScsSpec(alpha, d, k), word, trunc)
-    target = states.scs_state(ScsSpec(g * alpha, d, tk), amped.trunc)
+    amped, _ = amplify.apply_word(build(spec(alpha, d, k), trunc), analytic.scheme_word(scheme))
+    target = build(spec(g * alpha, d, tk), amped.trunc)
     return abs(fock.inner(target, amped)) ** 2
 
 
@@ -251,14 +247,15 @@ def _check_pseudo_number(g):
 
 
 def _check_hes_fidelity_equivalence(g):
+    # amplified hybrid qudits of d = 2, 3 against the coherent closed form
     for alpha in g["alphas"]:
         for gain in g["gains"]:
             for scheme in Scheme:
                 closed = analytic.hes_fidelity(alpha, gain, scheme)
-                brute = brute_scs_fidelity(alpha, gain, 1, 0, scheme)
-                assert abs(closed - brute) < 1e-8, (
-                    f"hes fidelity equivalence alpha={alpha} g={gain} {scheme.value}"
-                )
+                for d, k in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+                    brute = brute_scs_fidelity(alpha, gain, d, k, scheme, hybrid=True)
+                    assert abs(closed - brute) <= 1e-12 * closed, (
+                        f"hes fidelity equivalence alpha={alpha} g={gain} d={d} k={k} {scheme}")
 
 
 def _check_scs_fidelity_equivalence(g):

@@ -91,6 +91,25 @@ def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndar
     return np.exp(log_f)
 
 
+def coherent_fidelity(alpha: float, g: float, scheme: str) -> float:
+    """Amplified coherent-state (hybrid) fidelity, the hand-expanded polynomials:
+    a a-dagger gives (g^2 a^4 + 2 g a^2 + 1) / (a^4 + 3 a^2 + 1) and a-dagger^2
+    gives g^4 a^4 / (a^4 + 4 a^2 + 2), each times exp[-a^2 (g - 1)^2]."""
+    a2 = alpha * alpha
+    env = math.exp(-a2 * (g - 1.0) ** 2)
+    if scheme == "aadag":
+        return (g * g * a2 * a2 + 2 * g * a2 + 1.0) / (a2 * a2 + 3 * a2 + 1.0) * env
+    return g**4 * a2 * a2 / (a2 * a2 + 4 * a2 + 2.0) * env
+
+
+def coherent_qfi(alpha: float, scheme: str) -> float:
+    """4 Var(n) of an amplified coherent state, the hand-expanded polynomials."""
+    a2 = alpha * alpha
+    if scheme == "aadag":
+        return 4 * a2 * (a2**4 + 6 * a2**3 + 14 * a2**2 + 10 * a2 + 4) / (a2**2 + 3 * a2 + 1) ** 2
+    return 4 * a2 * (a2**4 + 8 * a2**3 + 24 * a2**2 + 24 * a2 + 12) / (a2**2 + 4 * a2 + 2) ** 2
+
+
 def series_scs_qfi(alpha: float, d: int, k: int, scheme: str | None = None) -> float:
     """4 Var(n) of a bare or amplified cat state from its residue-class series, at 50 digits.
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catamp import amplify, fock, states
+from catamp import amplify, analytic, fock, states
 from catamp.amplify import AADAG, ADAG2
 from catamp.errors import DegenerateStateError
 from catamp.states import HesSpec, ScsSpec
@@ -43,12 +43,14 @@ def test_apply_word_never_leaks():
     assert out.trunc == 8
 
 
+QUADRATIC_FORM_WORDS = [AADAG, ADAG2, ("add", "subtract"), ("subtract", "subtract", "add", "add")]
+
+
 def test_raw_norm_equals_quadratic_form(rng):
     # |W psi|^2 == <psi| W-dagger W |psi> evaluated with dense matrices
     n = 30
-    words = [AADAG, ADAG2, ("add", "subtract"), ("subtract", "subtract", "add", "add")]
     mats = {"add": create(n + 8), "subtract": destroy(n + 8)}
-    for word in words:
+    for word in QUADRATIC_FORM_WORDS:
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         v, _ = fock.normalize(fock.FockVector(amps))
         _, nrm = amplify.apply_word(v, word)
@@ -99,6 +101,58 @@ def test_scs_amplified_double_addition_escapes_low_qudits():
     assert abs(fock.inner(low, out)) ** 2 < 1e-6
 
 
+def test_rises_net_change_and_named_offsets():
+    assert amplify.rises(AADAG) == (0, (0, 0))
+    assert amplify.rises(ADAG2) == (2, (0, 1))
+    assert amplify.rises(("add", "subtract")) == (0, (-1, -1))
+    words = QUADRATIC_FORM_WORDS + [w for w, _ in analytic._IDENTITIES.values()] + [
+        ("add", "subtract", "add"), ("subtract",) * 3, ("add", "add", "add", "subtract")]
+    for word in words:
+        assert amplify.rises(word)[0] == amplify.net_change(word), word
+    with pytest.raises(ValueError, match="unknown ladder op"):
+        amplify.rises(("add", "hop"))
+
+
+def test_overlap_polynomial_is_the_normal_ordering():
+    # a balanced word is sum_j c_j a-dagger^j a^j, which multiplies |m> by P(m) = sum_j c_j m^(j)
+    for name, (word, coeffs) in analytic._IDENTITIES.items():
+        got = amplify.falling(amplify.overlap_rises(word))
+        want = tuple(coeffs.get(j, 0.0) for j in range(len(got) - 1, -1, -1))
+        assert got == want, name
+    assert amplify.falling(amplify.overlap_rises(AADAG)) == (1.0, 1.0)
+    assert amplify.falling(amplify.overlap_rises(ADAG2)) == (1.0,)
+    with pytest.raises(ValueError, match="no polynomial overlap"):
+        amplify.overlap_rises(("subtract",))
+
+
+def test_norm_coefficients_match_dense_quadratic_form():
+    # <m| W-dagger W |m> = sum_j c_j m (m-1) .. (m-j+1), and W-dagger W is diagonal
+    n = 30
+    mats = {"add": create(n + 8), "subtract": destroy(n + 8)}
+    assert amplify.falling(amplify.rises(AADAG)[1]) == (1.0, 3.0, 1.0)
+    assert amplify.falling(amplify.rises(ADAG2)[1]) == (1.0, 4.0, 2.0)
+    for word in QUADRATIC_FORM_WORDS:
+        w = np.eye(n + 8)
+        for op in word:
+            w = w @ mats[op]
+        gram = (w.T @ w)[:n, :n]
+        c = amplify.falling(amplify.rises(word)[1])
+        m = np.arange(n, dtype=float)
+        want = sum(cj * np.prod([m - i for i in range(len(c) - 1 - j)], axis=0)
+                   for j, cj in enumerate(c))
+        assert np.allclose(gram, np.diag(want), rtol=1e-13, atol=1e-9), word
+
+
+def test_norm_factor_of_an_annihilated_state_raises():
+    for word in (("subtract",), ("subtract", "subtract", "add")):
+        with pytest.raises(DegenerateStateError):
+            amplify.hes_norm_factor_amplified(0.0, word)
+    with pytest.raises(DegenerateStateError):
+        amplify.scs_norm_factor_amplified(ScsSpec(0.0, 3, 0), ("subtract",))
+    with pytest.raises(DegenerateStateError):
+        amplify.scs_norm_factor_amplified(ScsSpec(0.0, 3, 1), ("subtract",) * 2)
+
+
 def test_scs_amplified_raw_norm_matches_norm_factors():
     # raw norm on the unit-norm qudit equals N_bare / N_amplified
     for d in (1, 2, 3, 4):
@@ -132,8 +186,9 @@ def test_hes_norm_factor_general_matches_closed_for_named_words():
 def test_scs_norm_factor_amplified_d1_reduces_to_coherent():
     for alpha in (0.5, 1.0, 2.0):
         got = amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), AADAG)
-        want = amplify.hes_norm_factor_amplified(alpha, AADAG)
+        want = 1.0 / math.sqrt(alpha**4 + 3 * alpha**2 + 1)  # <alpha| (a a-dagger)^2 |alpha>^-1/2
         assert abs(got - want) < 1e-12
+        assert amplify.hes_norm_factor_amplified(alpha, AADAG) == got
 
 
 def test_scs_norm_factor_amplified_matches_bare_sum_norm():
@@ -185,7 +240,7 @@ def test_scs_norm_factor_amplified_depends_on_k():
 
 
 def test_scs_norm_factor_general_word_route():
-    # force the numeric route with a non-named word and check against dense matrices
+    # a word outside the named schemes, closed form against dense matrices
     word = ("add", "subtract", "add")
     spec = ScsSpec(0.8, 3, 2)
     n = 60

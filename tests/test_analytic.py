@@ -11,7 +11,8 @@ from catamp.analytic import Scheme
 from catamp.errors import DivergentGainError
 from catamp.states import HesSpec, ScsSpec
 
-from conftest import cat_column, create, destroy, series_scs_fidelity, series_scs_qfi, var4
+from conftest import (cat_column, coherent_fidelity, coherent_qfi, create, destroy,
+                      series_scs_fidelity, series_scs_qfi, var4)
 
 
 def brute_fidelity(alpha, g, d, k, scheme):
@@ -118,8 +119,9 @@ def test_scs_fidelity_reduces_to_hes_at_d1():
         for g in (0.8, 1.3, 2.0):
             for s in Scheme:
                 got = analytic.scs_fidelity(alpha, g, 1, 0, s)
-                want = analytic.hes_fidelity(alpha, g, s)
+                want = coherent_fidelity(alpha, g, s.value)
                 assert abs(got - want) < 1e-12
+                assert analytic.hes_fidelity(alpha, g, s) == got
 
 
 def test_scs_fidelity_zero_amplitude_limits():
@@ -181,8 +183,9 @@ def test_scs_qfi_reduces_to_coherent_at_d1():
     for alpha in (0.01, 0.5, 1.2, 2.4):
         assert abs(analytic.scs_qfi(alpha, 1, 0) - 4 * alpha * alpha) <= 1e-13 * 4 * alpha * alpha
         for s in Scheme:
-            want = analytic.hes_qfi(alpha, s)
+            want = coherent_qfi(alpha, s.value)
             assert abs(analytic.scs_qfi(alpha, 1, 0, s) - want) <= 1e-13 * want
+            assert analytic.hes_qfi(alpha, s) == analytic.scs_qfi(alpha, 1, 0, s)
 
 
 def test_scs_qfi_zero_amplitude():
@@ -431,7 +434,7 @@ def test_mean_excess_matches_high_precision_class_means():
                     for j in range(d):
                         w = [(1 + rise * m) * terms[m] for m in range(j, len(terms), d)]
                         want = float(mp.fsum(wi * i * d for i, wi in enumerate(w)) / mp.fsum(w))
-                        got = analytic._mean_excess(j, x, d, rise)
+                        got = analytic._mean_excess(j, x, d, (0,) if rise else ())
                         assert abs(got - want) <= tol * want, (d, j, x, rise)
 
 
@@ -461,8 +464,8 @@ def test_class_moments_match_high_precision_class_sums():
                         mean = mp.fsum(wi * i * d for i, wi in enumerate(w)) / total
                         var = float(mp.fsum(wi * (i * d - mean) ** 2 for i, wi in enumerate(w))
                                     / total)
-                        got = analytic._mean_excess(j, x, d, rise, var=True)
-                        assert got[0] == analytic._mean_excess(j, x, d, rise)
+                        got = analytic._mean_excess(j, x, d, (0,) if rise else (), var=True)
+                        assert got[0] == analytic._mean_excess(j, x, d, (0,) if rise else ())
                         assert abs(got[0] - float(mean)) <= tol * float(mean), (d, j, x, rise)
                         assert abs(got[1] - var) <= vtol * var, (d, j, x, rise)
 

@@ -183,19 +183,22 @@ def test_zero_amplitude_scs_row_keeps_its_fidelity():
     assert rest.status == "ok" and rest.G > 1.0
 
 
-def test_scs_row_takes_each_fisher_information_once(monkeypatch):
-    # qfi_in, then one scs_qfi per scheme: qfi_out and the ratio share them
+@pytest.mark.parametrize("family", ["scs", "hes"])
+def test_scs_row_takes_each_fisher_information_once(monkeypatch, family):
+    # qfi_in, then one scs_qfi per scheme: qfi_out and the ratio share them; a
+    # hybrid row is the d = 1 cat row
     calls = []
     real = analytic.scs_qfi
     monkeypatch.setattr(analytic, "scs_qfi", lambda *a: calls.append(a) or real(*a))
+    d, k = (3, 1) if family == "scs" else (1, 0)
     for scheme in ("aadag", "adag2"):
-        cfg = SweepConfig(family="scs", d=3, k_list=(1,), scheme=scheme,
+        cfg = SweepConfig(family=family, d=3, k_list=(1,), scheme=scheme,
                           alpha_min=0.0, alpha_max=0.8, steps=2)
         calls.clear()
         rec = cli._run_cell(cfg, 0.8, 1)
         assert rec.status == "ok" and len(calls) == 3, calls
-        assert rec.qfi_out == real(0.8, 3, 1, scheme)
-        assert rec.qfi_ratio == analytic.qfi_ratio(0.8, 3, 1)
+        assert rec.qfi_out == real(0.8, d, k, scheme)
+        assert rec.qfi_ratio == analytic.qfi_ratio(0.8, d, k)
 
 
 def test_check_quick_passes(capsys):

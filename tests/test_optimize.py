@@ -9,7 +9,7 @@ from catamp.analytic import Scheme
 from catamp.errors import OptimizationError
 from catamp.states import ScsSpec
 
-from conftest import series_scs_fidelity
+from conftest import coherent_fidelity, series_scs_fidelity
 
 
 def test_boundary_hit_flag():
@@ -92,11 +92,11 @@ def test_recovers_hes_gains():
 
 
 def test_scs_gain_reduces_to_closed_form_at_d1():
-    # at d = 1 the optimum is the hybrid one: its fidelity is hes_fidelity at hes_gain
+    # at d = 1 the optimum is the hybrid one: its fidelity is the coherent polynomial at hes_gain
     for alpha in np.round(np.arange(0.3, 3.0001, 0.1), 10):
         for s in Scheme:
             res = optimize.scs_gain(ScsSpec(float(alpha), 1, 0), s)
-            exact = float(analytic.hes_fidelity(float(alpha), analytic.hes_gain(float(alpha), s), s))
+            exact = coherent_fidelity(float(alpha), analytic.hes_gain(float(alpha), s), s.value)
             assert abs(res.value - exact) <= 1e-13 * exact, (alpha, s)
             assert res.converged and not res.boundary_hit
 
