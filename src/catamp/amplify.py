@@ -97,12 +97,6 @@ def word_counts(word: SchemeWord) -> tuple[int, int]:
     return adds, subs
 
 
-def net_change(word: SchemeWord) -> int:
-    """Net photon-number change l = (#add - #subtract)."""
-    adds, subs = word_counts(word)
-    return adds - subs
-
-
 def _apply_word_raw(v: FockVector, word: SchemeWord) -> FockVector:
     adds, _ = word_counts(word)
     out = v.padded(v.trunc + adds)  # headroom so creation never leaks
@@ -140,17 +134,12 @@ def scs_amplified(spec: ScsSpec, word: SchemeWord, trunc: int) -> tuple[FockVect
     return apply_word(states.scs_state(spec, trunc), word)
 
 
-def hes_norm_factor_amplified(alpha: float, word: SchemeWord) -> float:
-    """Normalization factor 1/sqrt(<alpha| W-dagger W |alpha>) of a word applied to a
-    hybrid qudit (d, k independent): the coherent state's, the d = 1 cat one."""
-    return scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), word)
-
-
 def scs_norm_factor_amplified(spec: ScsSpec, word: SchemeWord) -> float:
     """Normalization factor of a word applied to the bare cat-state superposition.
 
     1/sqrt(d class_poly(offsets, alpha^2, k, d)), with the word's offsets from
-    ``rises``.  Unlike the hybrid case the value depends on both d and k.
+    ``rises``: the empty word gives the bare superposition's 1/sqrt(d S_k(alpha^2)),
+    and d = 1 the coherent state's, which is also a hybrid qudit's for every d, k.
     """
     a, d, k = spec.alpha, spec.d, spec.k
     val = d * class_poly(rises(word)[1], a * a, k, d)
@@ -178,7 +167,7 @@ def prop1_pair(spec: HesSpec, poly: LadderPoly) -> tuple[complex, complex]:
     """
     poly = _validate_poly(poly)
     for _, word in poly:
-        if net_change(word) != 0:
+        if rises(word)[0] != 0:
             raise ValueError(f"term {word} is not balanced")
     max_adds = max(word_counts(w)[0] for _, w in poly)
     trunc = fock.auto_trunc(spec.alpha, additions=max_adds)
@@ -199,7 +188,7 @@ def prop2_pair(
     (<H^{k+l}_beta| Q |H^k_alpha>, <beta| Q |alpha>), which agree.
     """
     poly = _validate_poly(poly)
-    changes = {net_change(word) for _, word in poly}
+    changes = {rises(word)[0] for _, word in poly}
     if len(changes) != 1:
         raise ValueError(f"terms have mixed net photon change: {sorted(changes)}")
     l = changes.pop()

@@ -1,7 +1,9 @@
 """Closed-form fidelities, optimized gains, and quantum Fisher information.
 
-Every closed form comes from the scheme word's offsets (``amplify.rises``).
-The cat-state fidelity reduces to root-of-unity sums S_j(x) via
+Every closed form takes a named ``Scheme`` (or its name) or a scheme word with
+no negative offset (``scheme_word``), and comes from the word's offsets
+(``amplify.rises``); m-fold photon addition, for one, is the word
+("add",) * m.  The cat-state fidelity reduces to root-of-unity sums S_j(x) via
 ``amplify.class_poly``; the gain slope and the Fisher information are a mean
 and a centered variance of one positive residue-class series
 (``_class_series``), which cancel nothing.  A hybrid qudit amplifies as a
@@ -23,7 +25,7 @@ import enum
 import numpy as np
 from scipy.special import gammaln
 
-from . import amplify
+from . import amplify, states
 from .errors import DivergentGainError
 from .fock import DensityMatrix
 from .states import _SKIP, mod_exp_sum
@@ -46,6 +48,13 @@ def as_scheme(s) -> Scheme:
 
 
 def scheme_word(s) -> amplify.SchemeWord:
+    """The word of a named scheme, or ``s`` itself if it is a word none of whose
+    offsets is negative: such a word never takes a photon below the input's
+    photon number, so its class series have positive weights."""
+    if isinstance(s, tuple):
+        if min(amplify.rises(s)[1], default=0) < 0:
+            raise ValueError(f"word {s} subtracts below the input photon number")
+        return s
     return {Scheme.AADAG: amplify.AADAG, Scheme.ADAG2: amplify.ADAG2}[as_scheme(s)]
 
 
@@ -82,12 +91,11 @@ def hes_qfi(alpha: float, s=None) -> float:
     return scs_qfi(alpha, 1, 0, s)
 
 
-def _gain_array(alpha: float, g) -> np.ndarray:
+def _gain_array(alpha: float, g, d: int, k: int) -> np.ndarray:
+    states._check_dims(alpha, d, k)
     g = np.asarray(g, dtype=float)
     if np.any(g <= 0):
         raise ValueError("gain must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     return g
 
 
@@ -102,7 +110,7 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     """
     word = scheme_word(s)
     l, offsets = amplify.rises(word)
-    g = _gain_array(alpha, g)
+    g = _gain_array(alpha, g, d, k)
     if alpha == 0.0:
         # both states collapse onto number states, |k + l> and |(k + l) mod d>
         val = np.full_like(g, 1.0 if k + l < d else 0.0)
@@ -199,7 +207,7 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     to its class's lowest photon number, so no digits cancel where F is flat.
     """
     word = scheme_word(s)
-    g = _gain_array(alpha, g)
+    g = _gain_array(alpha, g, d, k)
     if alpha == 0.0:
         val = np.zeros_like(g)  # the fidelity does not depend on g
     else:
@@ -211,7 +219,7 @@ def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, 
     """(D, dD/dg) at one gain, where ``scs_slope`` = 2 D / g: a Newton step on D
     refines the slope's root without a second evaluation for the derivative."""
     word = scheme_word(s)
-    g = _gain_array(alpha, g)
+    g = _gain_array(alpha, g, d, k)
     if alpha == 0.0:
         return 0.0, 0.0
     gap, dgap = _gap(alpha, g, d, k, word, var=True)
@@ -220,14 +228,13 @@ def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
     """Phase-estimation Fisher information 4 Var(n) of a (possibly amplified) cat-state qudit."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    states._check_dims(alpha, d, k)
     if alpha == 0.0:
         return 0.0  # number states are phase invariant
     # weights f(m)^2 x^m / m! on m = k (mod d), f(m)^2 the product over the word's
     # offsets; its shift of every m by l leaves Var(n) as it is
     rises = () if s is None else amplify.rises(scheme_word(s))[1]
-    return 4.0 * float(_moments(*_class_series(k % d, alpha * alpha, d, rises), True)[1])
+    return 4.0 * float(_moments(*_class_series(k, alpha * alpha, d, rises), True)[1])
 
 
 def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float:

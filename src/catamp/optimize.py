@@ -85,7 +85,8 @@ def _newton(step, a: float, b: float, fa: float, fb: float, tol: float) -> tuple
 
 
 def scs_gain(spec: ScsSpec, s) -> OptResult:
-    """Gain maximizing the cat-state fidelity on [GAIN_LO, GAIN_HI].
+    """Gain maximizing the cat-state fidelity on [GAIN_LO, GAIN_HI], for a named
+    scheme or a word (``analytic.scheme_word``).
 
     Candidates are the roots of the slope at each + to - sign change of a
     SLOPE_GRID-point scan, refined by ``_newton`` until a step is at most
@@ -95,19 +96,19 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     largest fidelity wins.  At alpha = 0 the qudit is a number state, F does
     not depend on the gain, and no gain is returned.
     """
-    scheme = analytic.as_scheme(s)
+    word = analytic.scheme_word(s)
     alpha, d, k = spec.alpha, spec.d, spec.k
     if alpha == 0.0:
-        return OptResult(None, analytic.scs_fidelity(0.0, 1.0, d, k, scheme), 0, True, False)
+        return OptResult(None, analytic.scs_fidelity(0.0, 1.0, d, k, word), 0, True, False)
 
     grid = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
-    scan = analytic.scs_slope(alpha, grid, d, k, scheme)
+    scan = analytic.scs_slope(alpha, grid, d, k, word)
     if not np.all(np.isfinite(scan)):
         raise OptimizationError(f"fidelity slope non-finite on the gain scan of {spec}")
     gap = scan * grid / 2.0  # D, the slope's class-mean difference
     gains, iterations, converged = [], 0, True
     for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
-        root, calls, ok = _newton(lambda g: analytic.scs_slope_newton(alpha, g, d, k, scheme),
+        root, calls, ok = _newton(lambda g: analytic.scs_slope_newton(alpha, g, d, k, word),
                                   grid[i], grid[i + 1], gap[i], gap[i + 1], ROOT_XTOL)
         gains.append(root)
         iterations += calls
@@ -116,7 +117,7 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
         gains.append(GAIN_HI)
     if not gains:
         raise OptimizationError(f"fidelity has no maximum in gain at {spec}")
-    values = [analytic.scs_fidelity(alpha, g, d, k, scheme) for g in gains]
+    values = [analytic.scs_fidelity(alpha, g, d, k, word) for g in gains]
     if not np.all(np.isfinite(values)):
         raise OptimizationError(f"fidelity non-finite at a stationary gain of {spec}")
     best = int(np.argmax(values))

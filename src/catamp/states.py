@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import fock
-from .errors import DegenerateStateError, TruncationError
+from .errors import TruncationError
 from .fock import FockVector
 
 #: coherent-tail bound a caller-supplied truncation must certify
@@ -60,11 +60,6 @@ _SKIP = 45.0
 def omega(d: int) -> complex:
     """Primitive d-th root of unity exp(2 pi i / d)."""
     return np.exp(2j * np.pi / d)
-
-
-def mod_delta(m: int, k: int, d: int) -> int:
-    """1 if m = k (mod d) else 0."""
-    return 1 if (m - k) % d == 0 else 0
 
 
 def _check_dims(alpha: float, d: int, k: int) -> None:
@@ -162,18 +157,6 @@ def mod_exp_sum(j, x, d: int):
     return float(out[0]) if x.ndim == 0 else out[0]
 
 
-def scs_norm_factor(spec: ScsSpec) -> float:
-    """Normalization factor 1/sqrt(d S_k(alpha^2)) of the bare coherent superposition."""
-    a, d, k = spec.alpha, spec.d, spec.k
-    raw_sq = d * mod_exp_sum(k, a * a, d)  # squared 2-norm of the bare coherent superposition
-    if raw_sq < 1e-300:
-        raise DegenerateStateError(
-            f"coherent superposition degenerates at alpha={a}, d={d}, k={k}; "
-            "use the Fock-limit state |k>"
-        )
-    return 1.0 / np.sqrt(raw_sq)
-
-
 def scs_state(spec: ScsSpec, trunc: int) -> FockVector:
     """Unit-norm cat-state qudit on the truncated space.
 
@@ -217,50 +200,3 @@ def photon_distribution(state: FockVector) -> np.ndarray:
     if abs(state.norm() ** 2 - 1.0) > 1e-8:
         raise ValueError("photon_distribution requires a normalized state")
     return state.probs()
-
-
-def addition_norm_factor(alpha: float, m: int) -> float:
-    """Norm of the m-fold photon-added coherent state a-dagger^m |alpha>.
-
-    sqrt( sum_{j=0..m} (m!)^2 / (j! ((m-j)!)^2) alpha^{2(m-j)} ); approaches
-    alpha^m for large alpha.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    j = np.arange(m + 1, dtype=float)
-    log_coef = 2 * gammaln(m + 1.0) - gammaln(j + 1.0) - 2 * gammaln(m - j + 1.0)
-    if alpha == 0.0:
-        # only the j = m term survives
-        return float(np.exp(0.5 * (2 * gammaln(m + 1.0) - gammaln(m + 1.0))))
-    terms = np.exp(log_coef + 2 * (m - j) * np.log(alpha))
-    return float(np.sqrt(terms.sum()))
-
-
-def addition_overlap(alpha: float, beta: float, d: int, k: int, l: int, m: int) -> float:
-    """Normalized overlap of the m-photon-added hybrid qudit with a target qudit.
-
-    Vanishes unless l = k + m (mod d); otherwise equals
-    beta^m exp[-(alpha-beta)^2 / 2] / addition_norm_factor(alpha, m).
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if alpha < 0 or beta < 0:
-        raise ValueError("amplitudes must be >= 0")
-    if not mod_delta(l, k + m, d):
-        return 0.0
-    return float(
-        beta**m * np.exp(-0.5 * (alpha - beta) ** 2) / addition_norm_factor(alpha, m)
-    )
-
-
-def optimal_beta(alpha: float, m: int, d: int) -> tuple[float, float]:
-    """Target amplitude maximizing the m-addition overlap, and the fidelity there.
-
-    Stationarity of beta^{2m} exp[-(alpha - beta)^2] gives beta^2 - alpha beta - m = 0.
-    """
-    if m == 0:
-        return alpha, 1.0
-    beta = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0 * m))
-    return float(beta), addition_overlap(alpha, beta, d, 0, m % d, m) ** 2

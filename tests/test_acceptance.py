@@ -242,10 +242,12 @@ def test_criterion_9_addition_overlap():
                     added = ket
                     for _ in range(m):
                         added = added @ create(n).T
-                    brute = np.vdot(bra, added) / states.addition_norm_factor(alpha, m)
-                    got = states.addition_overlap(alpha, beta, d, k, l, m)
+                    word = ("add",) * m
+                    norm = 1.0 / amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), word)
+                    brute = np.vdot(bra, added) / norm
+                    got = math.sqrt(analytic.hes_fidelity(alpha, beta / alpha, word))
                     assert abs(got - brute) <= 1e-8, (alpha, beta, d, m)
-    _pass("criterion-9", "m-addition overlap closed form vs brute force, m <= 4")
+    _pass("criterion-9", "m-addition overlap: word closed form vs brute force, m <= 4")
 
 
 def test_criterion_9_optimal_beta_bound():
@@ -254,7 +256,8 @@ def test_criterion_9_optimal_beta_bound():
     # beta^2 - alpha beta - m = 0, so beta* = 3 and the fidelity there is
     # 3^6 / (e 3! L_3(-4)) = 729/(286 e) = 0.937707.
     alpha, m = 2.0, 3
-    beta, fid = states.optimal_beta(alpha, m, 4)
+    opt = optimize.scs_gain(ScsSpec(alpha, 1, 0), ("add",) * m)
+    beta, fid = alpha * opt.argmax, opt.value
     beta_star = 0.5 * (alpha + math.sqrt(alpha**2 + 4 * m))
     f_star = (beta_star ** (2 * m) * math.exp(-((alpha - beta_star) ** 2))
               / (math.factorial(m) * eval_laguerre(m, -alpha**2)))

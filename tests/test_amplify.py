@@ -14,8 +14,8 @@ from conftest import coherent_column, create, destroy
 def test_named_words():
     assert AADAG == ("subtract", "add")
     assert ADAG2 == ("add", "add")
-    assert amplify.net_change(AADAG) == 0
-    assert amplify.net_change(ADAG2) == 2
+    assert amplify.rises(AADAG)[0] == 0
+    assert amplify.rises(ADAG2)[0] == 2
 
 
 def test_apply_word_fixes_number_state():
@@ -108,7 +108,7 @@ def test_rises_net_change_and_named_offsets():
     words = QUADRATIC_FORM_WORDS + [w for w, _ in analytic._IDENTITIES.values()] + [
         ("add", "subtract", "add"), ("subtract",) * 3, ("add", "add", "add", "subtract")]
     for word in words:
-        assert amplify.rises(word)[0] == amplify.net_change(word), word
+        assert amplify.rises(word)[0] == word.count("add") - word.count("subtract"), word
     with pytest.raises(ValueError, match="unknown ladder op"):
         amplify.rises(("add", "hop"))
 
@@ -146,7 +146,7 @@ def test_norm_coefficients_match_dense_quadratic_form():
 def test_norm_factor_of_an_annihilated_state_raises():
     for word in (("subtract",), ("subtract", "subtract", "add")):
         with pytest.raises(DegenerateStateError):
-            amplify.hes_norm_factor_amplified(0.0, word)
+            amplify.scs_norm_factor_amplified(ScsSpec(0.0, 1, 0), word)
     with pytest.raises(DegenerateStateError):
         amplify.scs_norm_factor_amplified(ScsSpec(0.0, 3, 0), ("subtract",))
     with pytest.raises(DegenerateStateError):
@@ -159,18 +159,24 @@ def test_scs_amplified_raw_norm_matches_norm_factors():
         for k in range(d):
             spec = ScsSpec(0.9, d, k)
             _, nrm = amplify.scs_amplified(spec, AADAG, 50)
-            want = states.scs_norm_factor(spec) / amplify.scs_norm_factor_amplified(spec, AADAG)
+            want = (amplify.scs_norm_factor_amplified(spec, ())
+                    / amplify.scs_norm_factor_amplified(spec, AADAG))
             assert abs(nrm - want) < 1e-10
 
 
+def hes_norm_factor(alpha, word):
+    """A hybrid qudit's norm factor for every d, k: the coherent state's, at d = 1."""
+    return amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), word)
+
+
 def test_hes_norm_factor_closed_forms():
-    assert amplify.hes_norm_factor_amplified(0.0, AADAG) == 1.0
-    assert abs(amplify.hes_norm_factor_amplified(1.0, ADAG2) - 1.0 / math.sqrt(7.0)) < 1e-14
+    assert hes_norm_factor(0.0, AADAG) == 1.0
+    assert abs(hes_norm_factor(1.0, ADAG2) - 1.0 / math.sqrt(7.0)) < 1e-14
 
 
 def test_hes_norm_factor_general_word():
     # subtract-then-add is the number operator: <n^2> = alpha^4 + alpha^2
-    got = amplify.hes_norm_factor_amplified(1.0, ("add", "subtract"))
+    got = hes_norm_factor(1.0, ("add", "subtract"))
     assert abs(got - 1.0 / math.sqrt(2.0)) < 1e-10
 
 
@@ -180,7 +186,7 @@ def test_hes_norm_factor_general_matches_closed_for_named_words():
         v = fock.coherent(alpha, trunc)
         for word in (AADAG, ADAG2):
             _, nrm = amplify.apply_word(v, word)
-            assert abs(amplify.hes_norm_factor_amplified(alpha, word) - 1.0 / nrm) < 1e-10
+            assert abs(hes_norm_factor(alpha, word) - 1.0 / nrm) < 1e-10
 
 
 def test_scs_norm_factor_amplified_d1_reduces_to_coherent():
@@ -188,7 +194,6 @@ def test_scs_norm_factor_amplified_d1_reduces_to_coherent():
         got = amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), AADAG)
         want = 1.0 / math.sqrt(alpha**4 + 3 * alpha**2 + 1)  # <alpha| (a a-dagger)^2 |alpha>^-1/2
         assert abs(got - want) < 1e-12
-        assert amplify.hes_norm_factor_amplified(alpha, AADAG) == got
 
 
 def test_scs_norm_factor_amplified_matches_bare_sum_norm():
@@ -214,7 +219,7 @@ def test_norm_factors_match_exact_series_at_small_amplitude():
     # squared norm of W sum_n w^{-kn} |alpha w^n> is d^2 e^{-x} sum_{m = k mod d} c(m) x^m / m!
     # with x = alpha^2 and c(m) = 1 (bare), (m+1)^2 (a a-dagger), (m+1)(m+2) (a-dagger^2)
     weights = {
-        None: lambda m: 1,
+        (): lambda m: 1,
         AADAG: lambda m: (m + 1) ** 2,
         ADAG2: lambda m: (m + 1) * (m + 2),
     }
@@ -226,10 +231,7 @@ def test_norm_factors_match_exact_series_at_small_amplitude():
                 for word, c in weights.items():
                     total = math.fsum(c(m) * x**m / math.factorial(m) for m in range(k, 100, d))
                     want = 1.0 / math.sqrt(d * d * math.exp(-x) * total)
-                    if word is None:
-                        got = states.scs_norm_factor(spec)
-                    else:
-                        got = amplify.scs_norm_factor_amplified(spec, word)
+                    got = amplify.scs_norm_factor_amplified(spec, word)
                     assert abs(got - want) <= 1e-12 * want, (alpha, d, k, word)
 
 

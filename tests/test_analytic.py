@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catamp import amplify, analytic, fock, states
+from catamp import amplify, analytic, cli, fock, optimize, states
 from catamp.analytic import Scheme
 from catamp.errors import DivergentGainError
 from catamp.states import HesSpec, ScsSpec
@@ -322,6 +323,74 @@ def test_schemes_accept_strings():
     assert analytic.as_scheme("ADAG2") is Scheme.ADAG2
     with pytest.raises(ValueError):
         analytic.as_scheme("bogus")
+
+
+def _accepted(word):
+    try:
+        return analytic.scheme_word(word) == word
+    except ValueError:
+        return False
+
+
+#: every word of at most 4 letters that the closed forms take
+WORDS = [w for n in range(5) for w in itertools.product(("add", "subtract"), repeat=n)
+         if _accepted(w)]
+
+
+def test_scheme_word_takes_exactly_the_words_that_never_go_below_the_input():
+    # rightmost first, the photon number relative to the input must stay >= 0
+    for n in range(6):
+        for word in itertools.product(("add", "subtract"), repeat=n):
+            levels = itertools.accumulate(1 if op == "add" else -1 for op in reversed(word))
+            assert _accepted(word) == all(lv >= 0 for lv in levels), word
+    assert len(WORDS) == 13
+    assert analytic.scheme_word("aadag") == amplify.AADAG
+    assert analytic.scheme_word(Scheme.ADAG2) == amplify.ADAG2
+    with pytest.raises(ValueError, match="unknown ladder op"):
+        analytic.scheme_word(("add", "hop"))
+
+
+@pytest.mark.parametrize("word", WORDS, ids=lambda w: "-".join(w) or "empty")
+def test_word_closed_forms_match_the_fock_oracles(word):
+    grid = np.linspace(optimize.GAIN_LO, optimize.GAIN_HI, 4001)
+    for d in (1, 3):
+        for alpha in (0.4, 1.1, 2.3):
+            for k in range(d):
+                for g in (0.8, 1.3):
+                    closed = analytic.scs_fidelity(alpha, g, d, k, word)
+                    brute = cli.brute_scs_fidelity(alpha, g, d, k, word)
+                    assert abs(closed - brute) <= 1e-12 * closed, (d, alpha, k, g)
+                opt = optimize.scs_gain(ScsSpec(alpha, d, k), word)
+                scan = analytic.scs_fidelity(alpha, grid, d, k, word)
+                assert opt.value >= scan.max() - 1e-9, (d, alpha, k)
+                closed = analytic.scs_qfi(alpha, d, k, word)
+                brute = cli.brute_scs_qfi(alpha, d, k, word)
+                assert abs(closed - brute) <= 1e-10 * closed, (d, alpha, k)
+
+
+@pytest.mark.parametrize("word", [("add", "subtract"), ("subtract",)])
+def test_words_that_subtract_below_the_input_are_rejected(word):
+    # their class weights would take log1p(-1): -inf or nan, with a RuntimeWarning
+    with pytest.raises(ValueError, match="below the input"):
+        analytic.scs_fidelity(1.0, 1.2, 3, 1, word)
+    with pytest.raises(ValueError, match="below the input"):
+        analytic.scs_qfi(1.0, 3, 1, word)
+    with pytest.raises(ValueError, match="below the input"):
+        optimize.scs_gain(ScsSpec(1.0, 3, 1), word)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic.scs_fidelity(0.0, 1.0, 3, 4, "aadag"),
+    lambda: analytic.scs_fidelity(1e-3, 1.0, 3, 4, "aadag"),
+    lambda: analytic.scs_slope(1.0, 1.2, 3, 4, "aadag"),
+    lambda: analytic.scs_slope_newton(1.0, 1.2, 3, -1, "adag2"),
+    lambda: analytic.qfi_ratio(1.0, 3, 5),
+    lambda: analytic.scs_qfi(1.0, 0, 0),
+], ids=["F-alpha-0", "F", "slope", "newton", "qfi-ratio", "qfi-d-0"])
+def test_closed_forms_reject_out_of_range_qudit_index(call):
+    # k was reduced mod d only in some paths, so a bad (d, k) gave a value
+    with pytest.raises(ValueError, match="must"):
+        call()
 
 
 def test_fidelity_ordering_on_grid():

@@ -1,4 +1,5 @@
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from catamp.errors import TruncationError
 from conftest import series_scs_qfi
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIG_DIR.parent / "README.md"
 
 
 def hes_cfg(**kw):
@@ -339,6 +341,21 @@ def test_prob_sweep_family_from_flag_then_config_then_scs(tmp_path, capsys):
     assert hes != scs
     assert run("family = hes\n") == hes
     assert run("family = hes\n", "--family", "scs") == scs
+
+
+def test_readme_sweep_commands_run_without_error_rows(tmp_path, capsys):
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    sweeps = [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("catamp ")]
+    sweeps = [argv for argv in sweeps if argv[0].endswith("-sweep")]
+    assert len(sweeps) == 3
+    for argv in sweeps:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert cli.main(argv) == 0, argv
+        rows = cli.parse_csv(argv[out])
+        errors = [r for r in rows if r.status.startswith("error")]
+        assert rows and not errors, (argv, len(errors), errors[:1])
 
 
 @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIG_DIR.glob("*.cfg"))])

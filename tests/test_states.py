@@ -3,33 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from catamp import fock, states
+from catamp import amplify, analytic, fock, optimize, states
 from catamp.errors import DegenerateStateError, TruncationError
 from catamp.states import HesSpec, ScsSpec
 
 from conftest import cat_column, coherent_column, create, hybrid_matrix, poisson_tail
 
+ADD = ("add",)
 
-def test_mod_delta_periodicity():
-    for d in (2, 3, 5):
-        for m in range(-2, 2 * d):
-            for k in range(-2, 2 * d):
-                base = states.mod_delta(m, k, d)
-                assert states.mod_delta(m + d, k, d) == base
-                assert states.mod_delta(m, k + d, d) == base
-    assert states.mod_delta(7, 1, 3) == 1
-    assert states.mod_delta(7, 2, 3) == 0
+
+def bare_norm_factor(spec):
+    """1/sqrt(d S_k(alpha^2)): the norm factor of the empty word."""
+    return amplify.scs_norm_factor_amplified(spec, ())
+
+
+def added_norm(alpha, m):
+    """Norm sqrt(m! L_m(-alpha^2)) of a-dagger^m |alpha>: the inverse d = 1 norm factor."""
+    return 1.0 / amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), ADD * m)
 
 
 def test_norm_factor_even_cat():
-    got = states.scs_norm_factor(ScsSpec(1.0, 2, 0))
+    got = bare_norm_factor(ScsSpec(1.0, 2, 0))
     want = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0)))
     assert abs(got - want) < 1e-14
 
 
 def test_norm_factor_large_amplitude_limit():
     for k in range(3):
-        got = states.scs_norm_factor(ScsSpec(4.0, 3, k))
+        got = bare_norm_factor(ScsSpec(4.0, 3, k))
         assert abs(got - 1.0 / math.sqrt(3.0)) < 1e-5
 
 
@@ -41,13 +42,13 @@ def test_norm_factor_matches_bare_superposition_norm():
                 acc = np.zeros(80, dtype=complex)
                 for n in range(d):
                     acc += w ** (-k * n) * coherent_column(alpha * w**n, 80)
-                got = states.scs_norm_factor(ScsSpec(alpha, d, k))
+                got = bare_norm_factor(ScsSpec(alpha, d, k))
                 assert abs(got - 1.0 / np.linalg.norm(acc)) < 1e-10
 
 
 def test_norm_factor_degenerate_raises():
     with pytest.raises(DegenerateStateError):
-        states.scs_norm_factor(ScsSpec(0.0, 3, 1))
+        bare_norm_factor(ScsSpec(0.0, 3, 1))
 
 
 def test_scs_small_amplitude_reduces_to_number_state():
@@ -160,8 +161,8 @@ def test_photon_distribution_coherent_poisson():
 
 
 def test_addition_norm_factor_base_cases():
-    assert states.addition_norm_factor(1.0, 0) == 1.0
-    assert abs(states.addition_norm_factor(1.0, 1) - math.sqrt(2.0)) < 1e-14
+    assert added_norm(1.0, 0) == 1.0
+    assert abs(added_norm(1.0, 1) - math.sqrt(2.0)) < 1e-14
 
 
 def test_addition_norm_factor_matches_fock_norm():
@@ -171,55 +172,32 @@ def test_addition_norm_factor_matches_fock_norm():
             vec = coherent_column(alpha, n)
             for _ in range(m):
                 vec = create(n) @ vec
-            assert abs(states.addition_norm_factor(alpha, m) - np.linalg.norm(vec)) < 1e-10
+            assert abs(added_norm(alpha, m) - np.linalg.norm(vec)) < 1e-10
 
 
 def test_addition_norm_factor_asymptotics():
-    got = states.addition_norm_factor(30.0, 3) / 30.0**3
+    got = added_norm(30.0, 3) / 30.0**3
     assert abs(got - 1.0) < 1e-2
 
 
-def test_addition_overlap_selection_rule():
-    for l in range(5):
-        val = states.addition_overlap(1.0, 1.2, 5, 1, l, 2)
-        if l == 3:
-            assert val > 0
-        else:
-            assert val == 0.0
-
-
 def test_addition_overlap_identity_case():
-    assert states.addition_overlap(1.3, 1.3, 4, 2, 2, 0) == 1.0
+    # the squared overlap of the m-added hybrid qudit with its target is the word's fidelity
+    assert analytic.hes_fidelity(1.3, 1.0, ()) == 1.0
 
 
 def test_addition_overlap_single_addition_value():
-    got = states.addition_overlap(2.0, 2.0, 3, 0, 1, 1)
+    got = math.sqrt(analytic.hes_fidelity(2.0, 1.0, ADD))
     assert abs(got - 2.0 / math.sqrt(5.0)) < 1e-14
 
 
-def test_addition_overlap_matches_bruteforce():
-    # <H^l_beta| (I x adag^m) |H^k_alpha> / N against dense two-mode arithmetic
-    n = 100
-    for alpha in (0.5, 1.0, 2.0, 3.0):
-        for beta in (0.5, 1.0, 2.0, 3.0):
-            for d in (2, 3, 5):
-                for m in range(5):
-                    k = 1 % d
-                    l = (k + m) % d
-                    ket = hybrid_matrix(alpha, d, k, n)
-                    bra = hybrid_matrix(beta, d, l, n)
-                    added = ket @ create(n).T.conj()  # adag acting on every row
-                    for _ in range(m - 1):
-                        added = added @ create(n).T.conj()
-                    if m == 0:
-                        added = ket
-                    brute = np.vdot(bra, added) / states.addition_norm_factor(alpha, m)
-                    got = states.addition_overlap(alpha, beta, d, k, l, m)
-                    assert abs(got - brute) < 1e-8
+def best_added_target(alpha, m):
+    """Target amplitude alpha G maximizing the m-addition fidelity, and that fidelity."""
+    opt = optimize.scs_gain(ScsSpec(alpha, 1, 0), ADD * m)
+    return alpha * opt.argmax, opt.value
 
 
 def test_optimal_beta_large_amplitude():
-    beta, fid = states.optimal_beta(30.0, 2, 2)
+    beta, fid = best_added_target(30.0, 2)
     assert fid > 0.9999
     assert abs(beta - 30.0) < 0.2
 
@@ -227,7 +205,7 @@ def test_optimal_beta_large_amplitude():
 def test_optimal_beta_against_stationarity_oracle():
     # d(ln F)/d(beta) = 0 gives beta^2 - alpha beta - m = 0, so beta* = 3 at (2, 3)
     # and F* = beta*^{2m} e^{-(alpha-beta*)^2} / norm^2 = 729 e^{-1} / 286
-    beta, fid = states.optimal_beta(2.0, 3, 4)
+    beta, fid = best_added_target(2.0, 3)
     assert abs(beta - 3.0) < 1e-6
     assert abs(fid - 729.0 * math.exp(-1.0) / 286.0) < 1e-9
     assert fid > 0.93
@@ -235,13 +213,13 @@ def test_optimal_beta_against_stationarity_oracle():
 
 def test_optimal_beta_high_fidelity_regime():
     # a few additions on a large-amplitude state are nearly reversible
-    beta, fid = states.optimal_beta(5.0, 3, 4)
+    beta, fid = best_added_target(5.0, 3)
     assert fid > 0.99
     assert beta > 5.0
 
 
 def test_optimal_beta_zero_additions():
-    assert states.optimal_beta(1.7, 0, 3) == (1.7, 1.0)
+    assert best_added_target(1.7, 0) == (1.7, 1.0)
 
 
 def test_quadrature_zero_for_qudits():
