@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import gammaln
 
-from . import amplify, states
+from . import amplify, fock, states
 from .errors import DivergentGainError
 from .fock import DensityMatrix
 from .states import _SKIP, mod_exp_sum
@@ -141,7 +140,7 @@ def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
     span = 10.0 * np.sqrt(x) + 30.0
     m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
                  + np.arange(np.ceil(2.0 * span.max() / d) + 1.0))
-    logw = sum(np.log1p(m + i) for i in rises) + m * np.log(x) - gammaln(m + 1.0)
+    logw = sum(np.log1p(m + i) for i in rises) + m * np.log(x) - fock.log_factorial(m)
     return np.exp(logw - logw.max(axis=-1, keepdims=True)), m - j
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import amplify, analytic, channel, fock, optimize, states
 from .analytic import Scheme
-from .errors import CatampError
+from .errors import CatampError, OptimizationError
 from .states import HesSpec, ScsSpec
 
 CSV_HEADER = "alpha,d,k,scheme,F_opt,G,qfi_in,qfi_out,qfi_ratio,p_success,trunc_used,status"
@@ -188,6 +188,37 @@ def brute_scs_fidelity(alpha, g, d, k, scheme, hybrid: bool = False) -> float:
     amped, _ = amplify.apply_word(build(spec(alpha, d, k), trunc), analytic.scheme_word(scheme))
     target = build(spec(g * alpha, d, tk), amped.trunc)
     return abs(fock.inner(target, amped)) ** 2
+
+
+def brute_scs_gain(alpha, d, k, scheme, lo, hi) -> float:
+    """Stationary gain of the cat-state fidelity in [lo, hi], from Fock vectors alone.
+
+    With psi the amplified state and t the gain-g target, both real and
+    non-negative on the target class m = tk (mod d), d ln F/dg = (2/g) D with
+    D = <e>_u - <e>_{t^2}, u_m = t_m psi_m and e = m - tk the excess over the
+    class's lowest photon number; dD/dg = (Var_u - 2 Var_{t^2}) / g.  D must
+    change sign on [lo, hi]; its root comes from safeguarded Newton steps.  The
+    truncation counts from k, as in ``brute_scs_qfi``, and holds the target up
+    to 1.01 hi.
+    """
+    tk = analytic.target_index(k, d, scheme)
+    trunc = k + d + fock.auto_trunc(1.01 * hi * alpha, additions=2)
+    amped, _ = amplify.scs_amplified(ScsSpec(alpha, d, k), analytic.scheme_word(scheme), trunc)
+    psi = amped.amps.real[tk::d]
+    e = d * np.arange(psi.size)
+
+    def step(g):
+        t = states.scs_state(ScsSpec(g * alpha, d, tk), amped.trunc).amps.real[tk::d]
+        (mu, vu), (mt, vt) = (analytic._moments(w, e, var=True) for w in (t * psi, t * t))
+        return mu - mt, (vu - 2.0 * vt) / g
+
+    fa, fb = step(lo)[0], step(hi)[0]
+    if not fa > 0 >= fb:
+        raise ValueError(f"the Fock slope does not fall through 0 on [{lo}, {hi}]")
+    root, _, converged = optimize._newton(step, lo, hi, fa, fb, optimize.ROOT_XTOL)
+    if not converged:
+        raise OptimizationError(f"Fock slope root not converged on [{lo}, {hi}]")
+    return root
 
 
 def brute_scs_qfi(alpha, d, k, scheme) -> float:

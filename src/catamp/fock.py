@@ -15,10 +15,10 @@ accumulated in the ``leaked`` diagnostic so truncation error stays observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .errors import DegenerateStateError, TruncationError
 
@@ -27,6 +27,28 @@ SUBTRACT = "subtract"
 
 #: default certified tail mass for automatically chosen truncations
 TAIL_EPS = 1e-14
+
+#: ln m! at index m, from ``math.lgamma``; ``log_factorial`` doubles it on demand
+_LOG_FACT = np.zeros(1)
+
+
+def log_factorial(m) -> np.ndarray:
+    """ln m! for an array of integers m >= 0 (integral floats are accepted).
+
+    The values come from one table: an m past its end extends it by doubling,
+    and an entry never changes, so threads that extend it at once only
+    repeat work.
+    """
+    global _LOG_FACT
+    m = np.asarray(m, dtype=np.intp)
+    table, top = _LOG_FACT, int(m.max(initial=0))
+    if top >= table.size:
+        size = table.size
+        while size <= top:
+            size *= 2
+        new = [math.lgamma(i + 1.0) for i in range(table.size, size)]
+        _LOG_FACT = table = np.concatenate((table, new))
+    return table[m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +103,7 @@ def basis(n: int, trunc: int) -> FockVector:
 
 
 def coherent_amps(z: complex, trunc: int) -> np.ndarray:
-    """Amplitudes of |z>: exp(-|z|^2/2) z^n / sqrt(n!), via log-gamma."""
+    """Amplitudes of |z>: exp(-|z|^2/2) z^n / sqrt(n!), via ln n!."""
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     if z == 0:
@@ -91,7 +113,7 @@ def coherent_amps(z: complex, trunc: int) -> np.ndarray:
     n = np.arange(trunc)
     r = abs(z)
     phase = z / r
-    log_mod = -0.5 * r * r + n * np.log(r) - 0.5 * gammaln(n + 1.0)
+    log_mod = -0.5 * r * r + n * np.log(r) - 0.5 * log_factorial(n)
     return np.exp(log_mod) * phase**n
 
 
@@ -106,9 +128,36 @@ def coherent(alpha: float, trunc: int) -> FockVector:
     return FockVector(coherent_amps(alpha, trunc))
 
 
+def _log_poisson(n: int, lam: float) -> float:
+    """ln of the Poisson(lam) probability of n, lam > 0."""
+    return n * math.log(lam) - lam - math.lgamma(n + 1.0)
+
+
 def coherent_tail(alpha: float, trunc: int) -> float:
-    """Probability mass of |alpha> on photon numbers >= trunc (Poisson upper tail)."""
-    return float(pdtrc(trunc - 1, alpha * alpha)) if trunc > 0 else 1.0
+    """Probability mass of |alpha> on photon numbers >= trunc (Poisson upper tail).
+
+    Past the mean it is the series of the tail itself, summed up from trunc;
+    below, 1 minus the lower series, summed down from trunc - 1.  Either way
+    every term is positive and the terms fall away from where the sum starts.
+    """
+    lam = alpha * alpha
+    if trunc <= 0:
+        return 1.0
+    if lam == 0.0:
+        return 0.0
+    if trunc > lam:
+        n, term, acc = trunc, math.exp(_log_poisson(trunc, lam)), 0.0
+        while term > 1e-17 * acc:
+            acc += term
+            n += 1
+            term *= lam / n
+        return acc
+    n, term, acc = trunc - 1, math.exp(_log_poisson(trunc - 1, lam)), 0.0
+    while term > 1e-17 * acc:  # the term of n = -1 is 0
+        acc += term
+        term *= n / lam
+        n -= 1
+    return 1.0 - acc
 
 
 def ladder(v: FockVector, kind: str) -> FockVector:
@@ -171,19 +220,30 @@ def quadrature_expect(v: FockVector, lam: float) -> float:
 def min_trunc(alpha_max: float, epsilon: float) -> int:
     """Smallest N with Poisson(alpha_max^2) tail mass below epsilon.
 
-    Callers enlarge the result by the number of photon additions in their
-    pipeline (plus slack) before building states.
+    The tail is summed downward, one term per N, from well past it: from
+    lam + 40 + 12 sqrt(lam) (lam = alpha_max^2), or lower where that term is
+    not a normal double.  Callers enlarge the result by the number of photon
+    additions in their pipeline (plus slack) before building states.
     """
     if alpha_max < 0:
         raise ValueError("alpha_max must be >= 0")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     lam = alpha_max * alpha_max
-    hi = 2 * int(lam) + 2
-    while pdtrc(hi - 1, lam) >= epsilon:  # the tail falls in N: double up to a bound
-        hi *= 2
-    n = np.arange(1, hi + 1)
-    return int(n[np.argmax(pdtrc(n - 1, lam) < epsilon)])
+    if lam == 0.0:
+        return 1
+    n = int(lam + 40.0 + 12.0 * math.sqrt(lam))
+    log_term = _log_poisson(n, lam)
+    while log_term < -700.0:  # what lies above n is then below e^-700 too
+        log_term += math.log(n / lam)
+        n -= 1
+    term, tail = math.exp(log_term), 0.0
+    while True:
+        tail += term  # the tail mass on photon numbers >= n
+        if tail >= epsilon or n == 0:
+            return n + 1
+        term *= n / lam
+        n -= 1
 
 
 def auto_trunc(alpha_max: float, additions: int = 0, epsilon: float = TAIL_EPS) -> int:

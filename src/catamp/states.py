@@ -32,10 +32,10 @@ from the positive series instead, on those points only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .errors import TruncationError
@@ -112,7 +112,7 @@ def _class_mass(j: int, x: np.ndarray, d: int) -> np.ndarray:
         lx = np.log(x)  # -inf at x = 0, where every term past m = 0 is exactly 0
     acc, m = np.zeros(x.shape), j
     while True:
-        term = np.exp(m * lx - gammaln(m + 1.0) - x) if m else np.exp(-x)
+        term = np.exp(m * lx - math.lgamma(m + 1.0) - x) if m else np.exp(-x)
         acc += term
         if m >= x.max() and np.all(term <= 1e-22 * acc):  # past m = x, terms only fall
             return d * acc
@@ -170,12 +170,12 @@ def scs_state(spec: ScsSpec, trunc: int) -> FockVector:
         raise TruncationError(f"trunc={trunc} cannot hold support starting at m={k}")
     if a == 0.0:
         return FockVector(fock.basis(k, trunc).amps, tags=frozenset({"fock-limit"}))
-    m = np.arange(k, trunc, d, dtype=float)
-    logs = m * np.log(a) - 0.5 * gammaln(m + 1.0)
+    m = np.arange(k, trunc, d)
+    logs = m * np.log(a) - 0.5 * fock.log_factorial(m)
     rel = np.exp(logs - logs.max())
     rel /= np.linalg.norm(rel)
     amps = np.zeros(trunc, dtype=complex)
-    amps[np.arange(k, trunc, d)] = rel
+    amps[m] = rel
     tags = frozenset({"fock-limit"}) if np.count_nonzero(rel) == 1 else frozenset()
     return FockVector(amps, tags=tags)
 

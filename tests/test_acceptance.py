@@ -14,6 +14,7 @@ from scipy.special import eval_laguerre, gammaln
 from catamp import amplify, analytic, channel, fock, optimize, states
 from catamp.analytic import Scheme
 from catamp.cli import brute_scs_fidelity as brute_fidelity
+from catamp.cli import brute_scs_gain as brute_gain
 from catamp.cli import brute_scs_qfi as brute_qfi
 from catamp.states import HesSpec, ScsSpec
 
@@ -64,15 +65,13 @@ def test_criterion_2_spot_values():
     ]
     for got, want in spots:
         assert abs(got - want) < 1e-10
-    # brute-force route for the same six numbers
-    assert abs(brute_fidelity(1.0, 1.0, 1, 0, Scheme.AADAG) - 0.8) < 1e-8
-    g_a = ternary_argmax(lambda g: brute_fidelity(1.0, g, 1, 0, Scheme.AADAG), 1.0, 2.0)
-    assert abs(g_a - math.sqrt(2.0)) < 1e-8
-    g_2 = ternary_argmax(lambda g: brute_fidelity(1.0, g, 1, 0, Scheme.ADAG2), 1.5, 2.5)
-    assert abs(g_2 - 2.0) < 1e-8
-    assert abs(brute_qfi(1.0, 1, 0, None) - 4.0) < 1e-8
-    assert abs(brute_qfi(1.0, 1, 0, Scheme.AADAG) - 5.6) < 1e-8
-    assert abs(brute_qfi(1.0, 1, 0, Scheme.ADAG2) - 276.0 / 49.0) < 1e-8
+    # brute-force route for the same six numbers; the gains are Fock-side slope roots
+    assert abs(brute_fidelity(1.0, 1.0, 1, 0, Scheme.AADAG) - 0.8) < 1e-12
+    assert abs(brute_gain(1.0, 1, 0, Scheme.AADAG, 1.0, 2.0) - math.sqrt(2.0)) < 1e-12
+    assert abs(brute_gain(1.0, 1, 0, Scheme.ADAG2, 1.5, 2.5) - 2.0) < 1e-12
+    assert abs(brute_qfi(1.0, 1, 0, None) - 4.0) < 1e-12
+    assert abs(brute_qfi(1.0, 1, 0, Scheme.AADAG) - 5.6) < 1e-12
+    assert abs(brute_qfi(1.0, 1, 0, Scheme.ADAG2) - 276.0 / 49.0) < 1e-12
     _pass("criterion-2", "six closed-form spot values, both routes")
 
 

@@ -1,5 +1,8 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +13,13 @@ from hypothesis import strategies as st
 from catamp import analytic, cli, optimize
 from catamp.cli import SweepConfig
 from catamp.errors import TruncationError
+from catamp.states import ScsSpec
 
 from conftest import series_scs_qfi
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 README = CONFIG_DIR.parent / "README.md"
+SRC = CONFIG_DIR.parent / "src"
 
 
 def hes_cfg(**kw):
@@ -245,6 +250,41 @@ def test_brute_qfi_keeps_the_residue_class(alpha, d, k):
         got = cli.brute_scs_qfi(alpha, d, k, s)
         want = series_scs_qfi(alpha, d, k, None if s is None else s.value)
         assert abs(got - want) <= 1e-10 * want, (s, got, want)
+
+
+def test_brute_gain_matches_the_closed_form_gain_on_interior_cells():
+    # the Fock-side slope root against the closed-form one; the truncation
+    # counts from k, or (0.3, 8, 5..7) lose the class's second member
+    checked = set()
+    for d in (2, 3, 5, 8):
+        for k in range(d):
+            for s in analytic.Scheme:
+                for alpha in (0.3, 0.6, 1.2, 2.1, 3.0):
+                    res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+                    if res.boundary_hit:
+                        continue
+                    g = res.argmax
+                    got = cli.brute_scs_gain(alpha, d, k, s, g * (1 - 1e-3), g * (1 + 1e-3))
+                    assert abs(got - g) <= 1e-12 * g, (alpha, d, k, s, got, g)
+                    checked.add((alpha, d, k))
+    assert {(0.3, 8, 5), (0.3, 8, 6), (0.3, 8, 7)} <= checked
+    assert len(checked) >= 80
+
+
+def test_brute_gain_needs_a_falling_slope_in_its_bracket():
+    with pytest.raises(ValueError):
+        cli.brute_scs_gain(1.0, 1, 0, analytic.Scheme.AADAG, 1.5, 2.0)
+
+
+def test_check_runs_where_scipy_cannot_be_imported():
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import catamp.cli\n"
+            "sys.exit(catamp.cli.main(['check', 'quick']))")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "FAIL" not in done.stdout
 
 
 def test_check_full_passes(capsys):

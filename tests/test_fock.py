@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from catamp import fock
 from catamp.errors import DegenerateStateError, TruncationError
@@ -213,12 +214,60 @@ def test_min_trunc_is_the_exact_smallest_truncation():
                 assert tail(alpha, n) < eps <= tail(alpha, n - 1), (alpha, eps, n)
 
 
+@pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-4])
+def test_min_trunc_is_exact_where_the_first_tail_term_underflows(alpha):
+    # at these amplitudes the term at lam + 40 + 12 sqrt(lam) is below the normal doubles
+    def tail(n):
+        return mpmath.gammainc(n, 0, mpmath.mpf(alpha) ** 2, regularized=True) if n else 1
+
+    with mpmath.workdps(30):
+        for eps in (1e-10, 1e-14, 1e-30):
+            n = fock.min_trunc(alpha, eps)
+            assert tail(n) < eps <= tail(n - 1), (alpha, eps, n)
+
+
 def test_coherent_tail_is_exact_deep_in_the_tail():
     with mpmath.workdps(30):
         exact = float(mpmath.gammainc(184, 0, 100, regularized=True))  # ~3.6e-14
     assert abs(fock.coherent_tail(10.0, 184) - exact) <= 1e-12 * exact
     assert fock.coherent_tail(0.0, 5) == 0.0
     assert fock.coherent_tail(1.0, 0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 1.0, 1.7, 2.5, 4.0, 5.2, 7.0])
+def test_coherent_tail_matches_high_precision_poisson_tails(alpha):
+    # truncations below the mean, at it, just past it, a few sigma out, deep in the
+    # tail, and none at all
+    lam = alpha * alpha
+    truncs = {1, 2, int(lam) // 2 + 1, int(lam), int(lam) + 1, int(lam) + 2,
+              int(lam + 3 * alpha) + 1, int(lam + 8 * alpha) + 5, int(lam + 12 * alpha) + 40}
+    with mpmath.workdps(40):
+        for trunc in sorted(truncs - {0}):
+            exact = float(mpmath.gammainc(trunc, 0, mpmath.mpf(alpha) ** 2, regularized=True))
+            got = fock.coherent_tail(alpha, trunc)
+            assert abs(got - exact) <= 1e-12 * exact, (alpha, trunc, got, exact)
+    assert fock.coherent_tail(alpha, 0) == fock.coherent_tail(alpha, -3) == 1.0
+
+
+def test_log_factorial_table_matches_gammaln_as_it_grows():
+    # a request past the table's end doubles it; the entries it held stay as they were
+    before = fock._LOG_FACT.copy()
+    m = np.arange(2 * before.size + 3)
+    got = fock.log_factorial(m)
+    size = fock._LOG_FACT.size
+    assert size >= m.size and size & (size - 1) == 0
+    assert np.array_equal(fock._LOG_FACT[: before.size], before)
+    want = gammaln(m + 1.0)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    assert np.array_equal(fock.log_factorial(m[::7].astype(float)), got[::7])
+
+
+@pytest.mark.parametrize("z", [0.3, 1.7 * np.exp(0.4j), 3.1j, 5.2, -6.5])
+def test_coherent_amps_match_gammaln_amplitudes(z):
+    n = np.arange(90)
+    r = abs(z)
+    want = np.exp(-0.5 * r * r + n * np.log(r) - 0.5 * gammaln(n + 1.0)) * (z / r) ** n
+    assert np.max(np.abs(fock.coherent_amps(z, 90) - want)) <= 1e-14
 
 
 def test_min_trunc_validates_epsilon():

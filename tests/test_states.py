@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from catamp import amplify, analytic, fock, optimize, states
 from catamp.errors import DegenerateStateError, TruncationError
@@ -82,6 +83,17 @@ def test_scs_matches_coherent_sum_construction():
             oracle = cat_column(1.3, d, k, 50)
             # global phase is fixed positive in both constructions
             assert np.max(np.abs(v.amps - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,d,k", [(0.05, 3, 2), (0.7, 1, 0), (1.3, 4, 1), (2.9, 5, 4),
+                                      (5.0, 8, 3)])
+def test_scs_matches_gammaln_amplitudes(alpha, d, k):
+    trunc = fock.auto_trunc(alpha, additions=2) + k
+    m = np.arange(k, trunc, d)
+    w = np.exp(m * math.log(alpha) - 0.5 * gammaln(m + 1.0))
+    want = np.zeros(trunc)
+    want[m] = w / np.linalg.norm(w)
+    assert np.max(np.abs(states.scs_state(ScsSpec(alpha, d, k), trunc).amps - want)) <= 1e-14
 
 
 def test_scs_support_pattern():
