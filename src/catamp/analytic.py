@@ -134,14 +134,16 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
 def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
     """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
     0 <= j < d, x > 0, scaled to a peak of 1 within +-10 sigma of it from log
-    space, and their excesses e = m - j: moments over them stay accurate where
-    tiny (S_j ratios, and second moment minus mean squared, cancel there)."""
+    space, their excesses e = m - j, and the log of that scale, so the class
+    sum is e^peak sum w: moments over them stay accurate where tiny (S_j
+    ratios, and second moment minus mean squared, cancel there)."""
     x = np.asarray(x, dtype=float)[..., None]
     span = 10.0 * np.sqrt(x) + 30.0
     m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
                  + np.arange(np.ceil(2.0 * span.max() / d) + 1.0))
     logw = sum(np.log1p(m + i) for i in rises) + m * np.log(x) - fock.log_factorial(m)
-    return np.exp(logw - logw.max(axis=-1, keepdims=True)), m - j
+    peak = logw.max(axis=-1, keepdims=True)
+    return np.exp(logw - peak), m - j, peak[..., 0]
 
 
 def _moments(w, e, var: bool):
@@ -154,28 +156,39 @@ def _moments(w, e, var: bool):
     return mean, (w * (e - mean[..., None]) ** 2).sum(axis=-1) / total
 
 
+def _series_moments(j: int, x, d: int, rises: tuple[int, ...], var: bool):
+    """``_moments`` of the ``_class_series``; with ``var`` the triple (mean,
+    variance, ln of the class sum)."""
+    w, e, peak = _class_series(j, x, d, rises)
+    if not var:
+        return _moments(w, e, False)
+    return *_moments(w, e, True), peak + np.log(w.sum(axis=-1))
+
+
 def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = False):
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
-    on m = j (mod d); with ``var`` the pair (mean, variance).
+    on m = j (mod d); with ``var`` the triple (mean, variance, ln of their sum).
 
     A class sum is (1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0
     terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (with the rise
     m + 1 too: |1 + x w^n| <= 1 + x).  So for rises () and (0,), from that
     exponent _SKIP = 45 on, the moments are the Poisson ones of the module
-    docstring, far below an ulp; below it, and for other rises, they are
-    ``_class_series`` moments.  At d = 1 the class is every m, so the Poisson
-    moments are exact at every x.
+    docstring, far below an ulp, and the log sums x - ln d and
+    x + ln(1 + x) - ln d; below it, and for other rises, they are
+    ``_class_series`` ones.  At d = 1 the class is every m, so the Poisson
+    forms are exact at every x.
     """
     x = np.asarray(x, dtype=float)
     near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
     if near.all() or rises not in ((), (0,)):
-        return _moments(*_class_series(j, x, d, rises), var)
+        return _series_moments(j, x, d, rises, var)
     rise = rises == (0,)
     out = [x * (x + 2.0) / (x + 1.0) - j if rise else x - j]
     if var:
         out.append(x * (x * x + 2.0 * x + 2.0) / (x + 1.0) ** 2 if rise else x.copy())
+        out.append(x + np.log1p(x) - np.log(d) if rise else x - np.log(d))
     if near.any():
-        inner = _moments(*_class_series(j, x[near], d, rises), var)
+        inner = _series_moments(j, x[near], d, rises, var)
         for o, v in zip(out, inner if var else (inner,)):
             o[near] = v
     return tuple(out) if var else out[0]
@@ -185,7 +198,9 @@ def _gap(alpha: float, g, d: int, k: int, word: amplify.SchemeWord, var: bool = 
     """g/2 times the slope: the overlap class mean at y = g alpha^2 minus the
     target's at z = g^2 alpha^2, each relative to its class's lowest photon
     number; with ``var`` also its derivative in g, (Var_y - 2 Var_z) / g, as
-    dy/dg = y/g and dz/dg = 2 z/g."""
+    dy/dg = y/g and dz/dg = 2 z/g, and ln F + L, L the g-free log sum of
+    ``scs_log_norm``: 2 L_y + l ln z - L_z from the log class sums L_y, L_z of
+    the same weights (the envelope and the e^-x of every S_j cancel)."""
     a2 = alpha * alpha
     l = amplify.rises(word)[0]
     j = (k + l) % d
@@ -194,7 +209,8 @@ def _gap(alpha: float, g, d: int, k: int, word: amplify.SchemeWord, var: bool = 
     z = _mean_excess(j, g * g * a2, d, (), var)
     if not var:
         return l + k - j + y - z
-    return l + k - j + y[0] - z[0], (y[1] - 2.0 * z[1]) / g
+    log_f = 2.0 * y[2] - z[2] + (l * np.log(g * g * a2) if l else 0.0)
+    return l + k - j + y[0] - z[0], (y[1] - 2.0 * z[1]) / g, log_f
 
 
 def scs_slope(alpha: float, g, d: int, k: int, s):
@@ -214,15 +230,28 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     return float(val) if val.ndim == 0 else val
 
 
-def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float]:
-    """(D, dD/dg) at one gain, where ``scs_slope`` = 2 D / g: a Newton step on D
-    refines the slope's root without a second evaluation for the derivative."""
+def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float, float]:
+    """(D, dD/dg, ln F + ``scs_log_norm``) at one gain, where ``scs_slope`` = 2 D / g:
+    a Newton step on D refines the slope's root without a second evaluation for
+    the derivative, and the class sums it takes give the fidelity there too."""
     word = scheme_word(s)
     g = _gain_array(alpha, g, d, k)
     if alpha == 0.0:
-        return 0.0, 0.0
-    gap, dgap = _gap(alpha, g, d, k, word, var=True)
-    return float(gap), float(dgap)
+        return 0.0, 0.0, 0.0
+    gap, dgap, log_f = _gap(alpha, g, d, k, word, var=True)
+    return float(gap), float(dgap), float(log_f)
+
+
+def scs_log_norm(alpha: float, d: int, k: int, s) -> float:
+    """ln of sum f(m)^2 alpha^(2m) / m! over m = k (mod d), f(m)^2 the product
+    over the word's offsets, for alpha > 0: the gain-free part of ln F, which is
+    ``scs_slope_newton``'s third value less this.  The weights are
+    ``scs_qfi``'s; the named schemes' offsets, (0, 0) and (0, 1), have no
+    far-field form, so they always take the series."""
+    states._check_dims(alpha, d, k)
+    if alpha == 0.0:
+        raise ValueError("alpha must be > 0")
+    return float(_mean_excess(k, alpha * alpha, d, amplify.rises(scheme_word(s))[1], True)[2])
 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
@@ -233,7 +262,7 @@ def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
     # weights f(m)^2 x^m / m! on m = k (mod d), f(m)^2 the product over the word's
     # offsets; its shift of every m by l leaves Var(n) as it is
     rises = () if s is None else amplify.rises(scheme_word(s))[1]
-    return 4.0 * float(_moments(*_class_series(k, alpha * alpha, d, rises), True)[1])
+    return 4.0 * float(_series_moments(k, alpha * alpha, d, rises, True)[1])
 
 
 def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float:

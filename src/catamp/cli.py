@@ -190,14 +190,14 @@ def brute_scs_fidelity(alpha, g, d, k, scheme, hybrid: bool = False) -> float:
     return abs(fock.inner(target, amped)) ** 2
 
 
-def brute_scs_gain(alpha, d, k, scheme, lo, hi) -> float:
-    """Stationary gain of the cat-state fidelity in [lo, hi], from Fock vectors alone.
+def brute_scs_slope(alpha, d, k, scheme, hi):
+    """The Fock-side slope of the cat-state fidelity, as g -> (D, dD/dg) for
+    gains up to hi, from Fock vectors alone.
 
     With psi the amplified state and t the gain-g target, both real and
     non-negative on the target class m = tk (mod d), d ln F/dg = (2/g) D with
     D = <e>_u - <e>_{t^2}, u_m = t_m psi_m and e = m - tk the excess over the
-    class's lowest photon number; dD/dg = (Var_u - 2 Var_{t^2}) / g.  D must
-    change sign on [lo, hi]; its root comes from safeguarded Newton steps.  The
+    class's lowest photon number; dD/dg = (Var_u - 2 Var_{t^2}) / g.  The
     truncation counts from k, as in ``brute_scs_qfi``, and holds the target up
     to 1.01 hi.
     """
@@ -212,10 +212,18 @@ def brute_scs_gain(alpha, d, k, scheme, lo, hi) -> float:
         (mu, vu), (mt, vt) = (analytic._moments(w, e, var=True) for w in (t * psi, t * t))
         return mu - mt, (vu - 2.0 * vt) / g
 
+    return step
+
+
+def brute_scs_gain(alpha, d, k, scheme, lo, hi) -> float:
+    """Stationary gain of the cat-state fidelity in [lo, hi], from Fock vectors
+    alone: the root of ``brute_scs_slope``'s D, which must change sign on
+    [lo, hi], by safeguarded Newton steps."""
+    step = brute_scs_slope(alpha, d, k, scheme, hi)
     fa, fb = step(lo)[0], step(hi)[0]
     if not fa > 0 >= fb:
         raise ValueError(f"the Fock slope does not fall through 0 on [{lo}, {hi}]")
-    root, _, converged = optimize._newton(step, lo, hi, fa, fb, optimize.ROOT_XTOL)
+    root, _, converged, _ = optimize._newton(step, lo, hi, fa, fb, optimize.ROOT_XTOL)
     if not converged:
         raise OptimizationError(f"Fock slope root not converged on [{lo}, {hi}]")
     return root
@@ -380,6 +388,27 @@ def _check_optimizer_gains(g):
             res = optimize.scs_gain(ScsSpec(alpha, 1, 0), scheme)
             exact = analytic.hes_gain(alpha, scheme)
             assert abs(res.argmax - exact) <= 1e-12 * exact, f"d=1 gain at alpha={alpha}"
+            f = analytic.hes_fidelity(alpha, exact, scheme)
+            assert abs(res.value - f) <= 1e-13 * f, f"d=1 fidelity at alpha={alpha}"
+
+
+def _check_optimizer_fock_oracle(g):
+    # G against the root of the Fock-side slope (at the edge: that slope still
+    # rises at GAIN_HI), and F_opt against the Fock fidelity at G
+    for d in g["dims"]:
+        for k in range(d):
+            for alpha in g["alphas"]:
+                for scheme in Scheme:
+                    res = optimize.scs_gain(ScsSpec(alpha, d, k), scheme)
+                    G, at = res.argmax, f"a={alpha} d={d} k={k} {scheme}"
+                    if res.boundary_hit:
+                        rising = brute_scs_slope(alpha, d, k, scheme, G)(G)[0] > 0
+                        assert rising, f"gain at the edge without a rising Fock slope {at}"
+                    else:
+                        brute = brute_scs_gain(alpha, d, k, scheme, G * (1 - 1e-3), G * (1 + 1e-3))
+                        assert abs(G - brute) <= 1e-12 * brute, f"gain vs Fock slope root {at}"
+                    f = brute_scs_fidelity(alpha, G, d, k, scheme)
+                    assert abs(res.value - f) <= 1e-12 * f, f"F_opt vs Fock fidelity {at}"
 
 
 def _check_quadrature_zero(g):
@@ -406,6 +435,7 @@ CHECKS = (
     ("analytic.scheme_ordering", _check_scheme_ordering),
     ("analytic.normal_ordering_identities", _check_normal_ordering),
     ("optimize.gain_closed_forms", _check_optimizer_gains),
+    ("optimize.gain_fock_oracle", _check_optimizer_fock_oracle),
     ("channel.sim_vs_kraus", _check_channel_agreement),
     ("channel.hes_success_uniformity", _check_hes_success_uniformity),
 )

@@ -5,7 +5,8 @@ every stationary point in the search range is bracketed on a fixed grid and
 refined by Newton steps on D = g/2 times the slope, a difference of class
 means, whose derivative is closed form too (``analytic.scs_slope_newton``).
 Where a Newton step would leave the current sign bracket, the bracket's
-false-position point is taken instead.  The candidate of largest fidelity wins.
+false-position point is taken instead.  The same steps give each candidate's
+fidelity from their log class sums, and the candidate of largest fidelity wins.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ ROOT_MAX_CALLS = 100
 
 @dataclass(frozen=True)
 class OptResult:
-    """A maximum: ``iterations`` counts the (D, dD/dg) evaluations of the root
-    refinement, ``converged`` holds when every refinement converged, and
+    """A maximum: ``value`` is the fidelity at ``argmax`` (from the log class
+    sums of the refinement, not an ``analytic.scs_fidelity`` call, except at
+    alpha = 0), ``iterations`` counts the (D, dD/dg) evaluations of the root
+    refinement (about three per root; the one that values GAIN_HI is not
+    counted), ``converged`` holds when every refinement converged, and
     ``boundary_hit`` when the argmax is the top of the search range.
     ``argmax`` is None where the value does not depend on the gain."""
 
@@ -59,29 +63,43 @@ def _illinois(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[
     return b, ROOT_MAX_CALLS, False
 
 
-def _newton(step, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[float, int, bool]:
+def _newton(step, a: float, b: float, fa: float, fb: float, tol: float):
     """Root of f in [a, b], where fa and fb have opposite signs, from the
-    false-position point by Newton steps on step(x) = (f(x), f'(x)); a step
+    false-position point by Newton steps on step(x) = (f(x), f'(x), ...); a step
     that would not land strictly inside the current sign bracket is replaced by
-    the bracket's false-position point.  Stops once a step is at most tol;
-    returns (root, evaluations of step, converged)."""
+    the bracket's false-position point.
+
+    Stops once a step is at most tol, or once two Newton steps in a row,
+    s_{k-1} then s_k <= s_{k-1} / 4, estimate the error left after s_k under
+    quadratic convergence, s_k^3 / s_{k-1}^2, at most tol.  A false-position
+    step breaks that chain, and the factor 4 keeps out the linear contraction
+    of Newton's method at a multiple root (a ratio of at least 1/2), where that
+    estimate is too small.  Returns (root, evaluations of step, converged,
+    (x, step(x)) at the last evaluation).
+    """
     x = (a * fb - b * fa) / (fb - fa)
+    prev = None  # size of the previous step, if it was a Newton one
     for calls in range(1, ROOT_MAX_CALLS + 1):
-        fx, dfx = step(x)
+        last = x, step(x)
+        fx, dfx = last[1][:2]
         if not (np.isfinite(fx) and np.isfinite(dfx)):
             raise OptimizationError(f"objective or its derivative non-finite at {x}")
         if fx == 0.0:
-            return x, calls, True
+            return x, calls, True, last
         if (fx > 0) == (fa > 0):
             a, fa = x, fx
         else:
             b, fb = x, fx
-        if dfx == 0.0 or not a < (new := x - fx / dfx) < b:
+        newton = dfx != 0.0 and a < (new := x - fx / dfx) < b
+        if not newton:
             new = (a * fb - b * fa) / (fb - fa)
-        if abs(new - x) <= tol:
-            return new, calls, True
+        size = abs(new - x)
+        if size <= tol or (prev is not None and newton and 4.0 * size <= prev
+                           and size ** 3 <= tol * prev * prev):
+            return new, calls, True, last
+        prev = size if newton else None
         x = new
-    return x, ROOT_MAX_CALLS, False
+    return x, ROOT_MAX_CALLS, False, last
 
 
 def scs_gain(spec: ScsSpec, s) -> OptResult:
@@ -89,12 +107,15 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     scheme or a word (``analytic.scheme_word``).
 
     Candidates are the roots of the slope at each + to - sign change of a
-    SLOPE_GRID-point scan, refined by ``_newton`` until a step is at most
-    ROOT_XTOL, and GAIN_HI when the slope is still positive there (the last
-    qudit indices under double addition at small amplitude).  ``iterations``
-    counts the (D, dD/dg) evaluations of every refinement.  The candidate of
-    largest fidelity wins.  At alpha = 0 the qudit is a number state, F does
-    not depend on the gain, and no gain is returned.
+    SLOPE_GRID-point scan, refined by ``_newton`` to ROOT_XTOL, and GAIN_HI
+    when the slope is still positive there (the last qudit indices under double
+    addition at small amplitude).  ``iterations`` counts the (D, dD/dg)
+    evaluations of every refinement.  Each candidate's fidelity comes from the
+    log class sums of its last ``analytic.scs_slope_newton`` call (one more
+    call values GAIN_HI), carried to the root by the second-order Taylor step
+    of ln F, whose derivative is 2 D / g; no ``analytic.scs_fidelity`` call
+    is made.  The candidate of largest fidelity wins.  At alpha = 0 the qudit
+    is a number state, F does not depend on the gain, and no gain is returned.
     """
     word = analytic.scheme_word(s)
     alpha, d, k = spec.alpha, spec.d, spec.k
@@ -106,18 +127,26 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     if not np.all(np.isfinite(scan)):
         raise OptimizationError(f"fidelity slope non-finite on the gain scan of {spec}")
     gap = scan * grid / 2.0  # D, the slope's class-mean difference
-    gains, iterations, converged = [], 0, True
+
+    def step(g):
+        return analytic.scs_slope_newton(alpha, g, d, k, word)
+
+    gains, logs, iterations, converged = [], [], 0, True
     for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
-        root, calls, ok = _newton(lambda g: analytic.scs_slope_newton(alpha, g, d, k, word),
-                                  grid[i], grid[i + 1], gap[i], gap[i + 1], ROOT_XTOL)
+        root, calls, ok, (x, (gap_x, dgap_x, log_f)) = _newton(
+            step, grid[i], grid[i + 1], gap[i], gap[i + 1], ROOT_XTOL)
+        # ln F from x to the root, h away: (ln F)' = 2 D / g, (ln F)'' = 2 (D' - D / g) / g
+        h = root - x
         gains.append(root)
+        logs.append(log_f + 2.0 * h / x * (gap_x + 0.5 * h * (dgap_x - gap_x / x)))
         iterations += calls
         converged &= ok
     if scan[-1] > 0:
         gains.append(GAIN_HI)
+        logs.append(step(GAIN_HI)[2])
     if not gains:
         raise OptimizationError(f"fidelity has no maximum in gain at {spec}")
-    values = [analytic.scs_fidelity(alpha, g, d, k, word) for g in gains]
+    values = np.exp(np.array(logs) - analytic.scs_log_norm(alpha, d, k, word))
     if not np.all(np.isfinite(values)):
         raise OptimizationError(f"fidelity non-finite at a stationary gain of {spec}")
     best = int(np.argmax(values))

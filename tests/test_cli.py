@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import shlex
@@ -274,6 +275,19 @@ def test_brute_gain_matches_the_closed_form_gain_on_interior_cells():
 def test_brute_gain_needs_a_falling_slope_in_its_bracket():
     with pytest.raises(ValueError):
         cli.brute_scs_gain(1.0, 1, 0, analytic.Scheme.AADAG, 1.5, 2.0)
+
+
+def test_gain_fock_oracle_covers_edge_cells(monkeypatch):
+    # the check grids hold no edge cell; at alpha = 0.1 two of these do, where
+    # the check asks the Fock slope to rise at GAIN_HI instead of a root
+    assert optimize.scs_gain(ScsSpec(0.1, 3, 2), analytic.Scheme.ADAG2).boundary_hit
+    cli._check_optimizer_fock_oracle(dict(dims=(3, 4), alphas=(0.1,)))
+    # and it sees an F_opt off by 1e-11
+    gain = optimize.scs_gain
+    monkeypatch.setattr(optimize, "scs_gain", lambda *a: (
+        lambda res: dataclasses.replace(res, value=res.value * (1 + 1e-11)))(gain(*a)))
+    with pytest.raises(AssertionError, match="F_opt"):
+        cli._check_optimizer_fock_oracle(dict(dims=(3,), alphas=(0.1,)))
 
 
 def test_check_runs_where_scipy_cannot_be_imported():

@@ -27,7 +27,9 @@ def test_nonfinite_objective_raises(monkeypatch):
         m.setattr(analytic, "scs_slope", lambda *args: np.full(np.shape(args[1]), np.nan))
         with pytest.raises(OptimizationError):
             optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
-    monkeypatch.setattr(analytic, "scs_fidelity", lambda *args: float("inf"))
+    # a non-finite candidate value: the log sums that value the roots
+    step = analytic.scs_slope_newton
+    monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: (*step(*a)[:2], float("inf")))
     with pytest.raises(OptimizationError):
         optimize.scs_gain(ScsSpec(1.0, 3, 0), Scheme.AADAG)
 
@@ -54,14 +56,14 @@ def test_refinement_falls_back_where_newton_leaves_the_bracket(monkeypatch, alph
     want = optimize.scs_gain(ScsSpec(alpha, d, k), s)
     step = analytic.scs_slope_newton
     monkeypatch.setattr(analytic, "scs_slope_newton",
-                        lambda *a: (lambda f, df: (f, -df))(*step(*a)))
+                        lambda *a: (lambda f, df, log_f: (f, -df, log_f))(*step(*a)))
     got = optimize.scs_gain(ScsSpec(alpha, d, k), s)
     assert got.converged and not got.boundary_hit
     assert abs(got.argmax - want.argmax) <= optimize.ROOT_XTOL, (got.argmax, want.argmax)
 
 
 def test_refinement_raises_on_a_non_finite_step(monkeypatch):
-    for bad in ((float("nan"), -1.0), (1.0, float("nan")), (float("inf"), -1.0)):
+    for bad in ((float("nan"), -1.0, 0.0), (1.0, float("nan"), 0.0), (float("inf"), -1.0, 0.0)):
         monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a, bad=bad: bad)
         with pytest.raises(OptimizationError):
             optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
@@ -69,9 +71,86 @@ def test_refinement_raises_on_a_non_finite_step(monkeypatch):
 
 def test_refinement_that_never_shrinks_its_step_is_not_converged(monkeypatch):
     # D > 0 and dD/dg = -1e10 everywhere: every step is +1e-10, inside the bracket
-    monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: (1.0, -1e10))
+    monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: (1.0, -1e10, 0.0))
     res = optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
     assert res.iterations == optimize.ROOT_MAX_CALLS and not res.converged
+
+
+def test_candidates_are_valued_without_a_fidelity_call(monkeypatch):
+    # every candidate, GAIN_HI too, is valued from the log class sums of a
+    # slope step, so all of them compare on one route
+    calls, fidelity = [], analytic.scs_fidelity
+    monkeypatch.setattr(analytic, "scs_fidelity", lambda *a: calls.append(a) or fidelity(*a))
+    for alpha, d, k, s in (*ROBUST_CELLS, (0.1, 3, 2, Scheme.ADAG2), (0.05, 8, 7, Scheme.ADAG2)):
+        res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+        want = fidelity(alpha, res.argmax, d, k, s)
+        assert abs(res.value - want) <= 1e-13 * want, (alpha, d, k, s)
+    assert res.boundary_hit and calls == []
+
+
+def _random_cells(n: int, seed: int):
+    """n cells (alpha, d, k, scheme): d in 1..8, alpha in [0.05, 3], k and scheme uniform."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        d = int(rng.integers(1, 9))
+        yield float(rng.uniform(0.05, 3.0)), d, int(rng.integers(0, d)), list(Scheme)[
+            int(rng.integers(0, 2))]
+
+
+def test_optimized_fidelity_matches_the_fidelity_at_the_gain():
+    interior = 0
+    for alpha, d, k, s in _random_cells(320, 17):
+        res = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+        if res.boundary_hit:
+            continue
+        interior += 1
+        want = analytic.scs_fidelity(alpha, res.argmax, d, k, s)
+        assert abs(res.value - want) <= 1e-13 * want, (alpha, d, k, s, res.value, want)
+    assert interior >= 300
+
+
+def test_refinement_takes_about_three_evaluations_per_root(monkeypatch):
+    # Newton steps converge quadratically (errors of about 1e-3, 1e-6, 1e-12), so
+    # the quadratic stop saves the evaluation that only confirms the root
+    roots, newton = [], optimize._newton
+    monkeypatch.setattr(optimize, "_newton", lambda *a: roots.append(newton(*a)) or roots[-1])
+    total = sum(optimize.scs_gain(ScsSpec(alpha, d, k), s).iterations
+                for alpha, d, k, s in _random_cells(400, 0))
+    assert total / len(roots) <= 3.1, total / len(roots)
+
+
+def _traced(step):
+    """step, and the list of points it is evaluated at."""
+    points = []
+    return (lambda x: points.append(x) or step(x)), points
+
+
+def test_newton_stops_on_the_quadratic_error_estimate():
+    # x^2 - 2: the stop comes after a step larger than tol, once the step before
+    # it puts the error left below tol
+    step, points = _traced(lambda x: (x * x - 2.0, 2.0 * x))
+    root, calls, ok, (x, out) = optimize._newton(step, 1.0, 2.0, -1.0, 2.0, 1e-14)
+    assert ok and abs(root - 2.0 ** 0.5) <= 4e-16
+    assert calls == len(points) and x == points[-1] and out == (x * x - 2.0, 2.0 * x)
+    assert abs(root - x) > 1e-14
+
+
+def test_newton_linear_contraction_never_stops_early():
+    # x |x| at its double-root-like zero: each Newton step is exactly half the
+    # last, which a quadratic error estimate would take for convergence
+    step, points = _traced(lambda x: (x * abs(x), 2.0 * abs(x)))
+    root, calls, ok, (x, _) = optimize._newton(step, -1.0, 0.5, -1.0, 0.25, 1e-14)
+    assert ok and calls == len(points) > 40
+    assert abs(root - x) <= 1e-14 < abs(points[-2] - x)
+
+
+def test_newton_false_position_steps_never_stop_early():
+    # a derivative of the wrong sign sends every step to the false-position
+    # point, which on the convex x^2 - 2 contracts linearly (ratio about 0.17)
+    step, points = _traced(lambda x: (x * x - 2.0, -2.0 * x))
+    root, calls, ok, (x, _) = optimize._newton(step, 1.0, 2.0, -1.0, 2.0, 1e-14)
+    assert ok and calls == len(points)
+    assert abs(root - x) <= 1e-14 and abs(root - 2.0 ** 0.5) <= 1e-14
 
 
 def test_zero_amplitude_has_fidelity_but_no_gain():
