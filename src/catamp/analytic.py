@@ -10,10 +10,11 @@ and a centered variance of one positive residue-class series
 coherent state does, so its closed forms are the d = 1 cat ones.  On weights
 proportional to x^m, d(mean)/dx = Var/x, so the slope's derivative in g is a
 difference of class variances on the same weights.  Past
-x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the class moments are plain
-Poisson ones, exact there to e^-45: mean x and variance x on x^m / m!, and
-with the rise m + 1 mean x (x + 2) / (x + 1) and variance
-x (x^2 + 2 x + 2) / (x + 1)^2.  So the series runs only below that bound, in a
+x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the class moments are those of
+the full sum, exact there to e^-45, for every word: the falling factorials of
+``amplify.falling`` make its weights a mixture of Poisson laws shifted by q,
+weighted c_q x^q, so the mean is x + E[q], the variance x + Var(q) and the log
+sum x - ln d + ln sum_q c_q x^q.  So the series runs only below that bound, in a
 small window.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope
 explicitly so no intermediate overflows even at large gain.
 """
@@ -84,9 +85,7 @@ def hes_gain(alpha: float, s) -> float:
 
 def hes_qfi(alpha: float, s=None) -> float:
     """Phase-estimation Fisher information of a (possibly amplified) hybrid qudit:
-    the d = 1 cat one, and exactly 4 alpha^2 unamplified."""
-    if s is None and alpha >= 0:
-        return 4.0 * alpha * alpha
+    the d = 1 cat one, so exactly 4 alpha^2 unamplified."""
     return scs_qfi(alpha, 1, 0, s)
 
 
@@ -156,39 +155,36 @@ def _moments(w, e, var: bool):
     return mean, (w * (e - mean[..., None]) ** 2).sum(axis=-1) / total
 
 
-def _series_moments(j: int, x, d: int, rises: tuple[int, ...], var: bool):
-    """``_moments`` of the ``_class_series``; with ``var`` the triple (mean,
-    variance, ln of the class sum)."""
-    w, e, peak = _class_series(j, x, d, rises)
-    if not var:
-        return _moments(w, e, False)
-    return *_moments(w, e, True), peak + np.log(w.sum(axis=-1))
-
-
 def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = False):
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
     on m = j (mod d); with ``var`` the triple (mean, variance, ln of their sum).
 
     A class sum is (1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0
-    terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (with the rise
-    m + 1 too: |1 + x w^n| <= 1 + x).  So for rises () and (0,), from that
-    exponent _SKIP = 45 on, the moments are the Poisson ones of the module
-    docstring, far below an ulp, and the log sums x - ln d and
-    x + ln(1 + x) - ln d; below it, and for other rises, they are
-    ``_class_series`` ones.  At d = 1 the class is every m, so the Poisson
-    forms are exact at every x.
+    terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (|c_q (x w^n)^q|
+    <= c_q x^q).  So from that exponent _SKIP = 45 on, the moments are the full
+    sum's, far below an ulp: by ``amplify.falling`` the weights are a mixture
+    over q of m = q + Poisson(x), weighted c_q x^q, so the mean is x - j + E[q],
+    the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.  Below
+    it they are ``_class_series`` ones.  At d = 1 the class is every m, so the
+    mixture moments are exact at every x.
     """
     x = np.asarray(x, dtype=float)
     near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
-    if near.all() or rises not in ((), (0,)):
-        return _series_moments(j, x, d, rises, var)
-    rise = rises == (0,)
-    out = [x * (x + 2.0) / (x + 1.0) - j if rise else x - j]
+    if near.all():
+        w, e, peak = _class_series(j, x, d, rises)
+        if not var:
+            return _moments(w, e, False)
+        return *_moments(w, e, True), peak + np.log(w.sum(axis=-1))
+    # the mixture weights c_q x^q, lowest q first
+    t = [c * x ** q if q else c for q, c in enumerate(reversed(amplify.falling(rises)))]
+    total = sum(t[1:], t[0])
+    mean = sum(q * tq for q, tq in enumerate(t)) / total
+    out = [x - j + mean]
     if var:
-        out.append(x * (x * x + 2.0 * x + 2.0) / (x + 1.0) ** 2 if rise else x.copy())
-        out.append(x + np.log1p(x) - np.log(d) if rise else x - np.log(d))
+        out += [x + sum(tq * (q - mean) ** 2 for q, tq in enumerate(t)) / total,
+                x - np.log(d) + np.log(total)]
     if near.any():
-        inner = _series_moments(j, x[near], d, rises, var)
+        inner = _mean_excess(j, x[near], d, rises, var)
         for o, v in zip(out, inner if var else (inner,)):
             o[near] = v
     return tuple(out) if var else out[0]
@@ -246,8 +242,9 @@ def scs_log_norm(alpha: float, d: int, k: int, s) -> float:
     """ln of sum f(m)^2 alpha^(2m) / m! over m = k (mod d), f(m)^2 the product
     over the word's offsets, for alpha > 0: the gain-free part of ln F, which is
     ``scs_slope_newton``'s third value less this.  The weights are
-    ``scs_qfi``'s; the named schemes' offsets, (0, 0) and (0, 1), have no
-    far-field form, so they always take the series."""
+    ``scs_qfi``'s.  Where alpha^2 (1 - cos 2 pi / d) >= 45, and at d = 1 for
+    every alpha, this is the closed form x - ln d + ln sum_q c_q x^q of
+    ``_mean_excess`` at x = alpha^2, for every word."""
     states._check_dims(alpha, d, k)
     if alpha == 0.0:
         raise ValueError("alpha must be > 0")
@@ -262,7 +259,7 @@ def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
     # weights f(m)^2 x^m / m! on m = k (mod d), f(m)^2 the product over the word's
     # offsets; its shift of every m by l leaves Var(n) as it is
     rises = () if s is None else amplify.rises(scheme_word(s))[1]
-    return 4.0 * float(_series_moments(k, alpha * alpha, d, rises, True)[1])
+    return 4.0 * float(_mean_excess(k, alpha * alpha, d, rises, True)[1])
 
 
 def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float:

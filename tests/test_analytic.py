@@ -98,6 +98,13 @@ def test_hes_closed_forms_reject_negative_alpha():
             analytic.hes_qfi(-1.0, s)
 
 
+def test_hes_qfi_rejects_infinite_alpha():
+    # as every other closed form does, the unamplified one included
+    for s in (None, *Scheme):
+        with pytest.raises(ValueError):
+            analytic.hes_qfi(math.inf, s)
+
+
 def test_hes_qfi_matches_bruteforce():
     for alpha in (0.4, 1.0, 2.1):
         for s in Scheme:
@@ -487,32 +494,14 @@ def test_mod_exp_sum_matches_direct_complex_sum():
                     1e-13 * direct[j, i].real), (d, j, x[i])
 
 
-def test_mean_excess_matches_high_precision_class_means():
-    # on both sides of x (1 - cos 2 pi / d) = 45: beyond it the Poisson mean x - j
-    # (x (x + 2) / (x + 1) - j with the rise) is exact, inside it the series
-    for d in range(2, 13):
-        edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d))
-        for x in (0.5 * edge, 0.999 * edge, 1.001 * edge, 3.0 * edge):
-            tol = 1e-15 if x > edge else 1e-14
-            with mp.workdps(50):
-                xm, t, terms = mp.mpf(float(x)), mp.mpf(1), []
-                for m in range(int(x + 40 * math.sqrt(x)) + 200):
-                    terms.append(t)
-                    t *= xm / (m + 1)
-                for rise in (False, True):
-                    for j in range(d):
-                        w = [(1 + rise * m) * terms[m] for m in range(j, len(terms), d)]
-                        want = float(mp.fsum(wi * i * d for i, wi in enumerate(w)) / mp.fsum(w))
-                        got = analytic._mean_excess(j, x, d, (0,) if rise else ())
-                        assert abs(got - want) <= tol * want, (d, j, x, rise)
-
-
 def test_class_moments_match_high_precision_class_sums():
-    # mean and variance of m - j, on both sides of x (1 - cos 2 pi / d) = 45 (d = 1:
-    # the Poisson moments at every x), against 50-digit sums over the class.  Near
-    # side, the series weights carry the rounding of their exponent m ln x - ln m!
-    # (each term about x ln x at the peak), which the mean feels only by about
-    # 1/sqrt(x) of it and the variance in full
+    # mean and variance of m - j and the log class sum, on the weights
+    # prod_i (m + 1 + i) x^m / m! of the plain rise set, the a a-dagger overlap's (0,) and the named schemes' norm
+    # weights (0, 0) and (0, 1), on both sides of x (1 - cos 2 pi / d) = 45 (d = 1: the
+    # mixture moments at every x), against 50-digit sums over the class.  Near side, the
+    # series weights carry the rounding of their exponent m ln x - ln m! (each term
+    # about x ln x at the peak), which the mean feels only by about 1/sqrt(x) of it and
+    # the variance and the log sum in full
     eps = np.finfo(float).eps
     for d in range(1, 13):
         edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)) if d > 1 else 0.0
@@ -526,28 +515,54 @@ def test_class_moments_match_high_precision_class_sums():
                 for m in range(int(x + 40 * math.sqrt(x)) + 200):
                     terms.append(t)
                     t *= xm / (m + 1)
-                for rise in (False, True):
-                    for j in range(d):
-                        w = [(1 + rise * m) * terms[m] for m in range(j, len(terms), d)]
-                        total = mp.fsum(w)
-                        mean = mp.fsum(wi * i * d for i, wi in enumerate(w)) / total
-                        var = float(mp.fsum(wi * (i * d - mean) ** 2 for i, wi in enumerate(w))
-                                    / total)
-                        got = analytic._mean_excess(j, x, d, (0,) if rise else (), var=True)
-                        assert got[0] == analytic._mean_excess(j, x, d, (0,) if rise else ())
-                        assert abs(got[0] - float(mean)) <= tol * float(mean), (d, j, x, rise)
-                        assert abs(got[1] - var) <= vtol * var, (d, j, x, rise)
+                for j in range(d):
+                    # power sums of e = m - j over the class: sum e^p x^m / m!, p <= 4
+                    power = [mp.fsum(terms[m] * (m - j) ** p for m in range(j, len(terms), d))
+                             for p in range(5)]
+                    for rises in ((), (0,), (0, 0), (0, 1)):
+                        poly = [1]  # prod_i (e + j + 1 + i), lowest power of e first
+                        for i in rises:
+                            poly = [(j + 1 + i) * a + b for a, b in zip(poly + [0], [0] + poly)]
+                        total, first, second = (
+                            mp.fsum(a * power[r + p] for r, a in enumerate(poly)) for p in range(3))
+                        mean = first / total
+                        var = float(second / total - mean * mean)
+                        log_sum = float(mp.log(total))
+                        got = analytic._mean_excess(j, x, d, rises, var=True)
+                        assert got[0] == analytic._mean_excess(j, x, d, rises)
+                        assert abs(got[0] - float(mean)) <= tol * float(mean), (d, j, x, rises)
+                        assert abs(got[1] - var) <= vtol * var, (d, j, x, rises)
+                        assert abs(got[2] - log_sum) <= vtol * max(1.0, abs(log_sum)), (
+                            d, j, x, rises)
 
 
-@pytest.mark.parametrize("s", list(Scheme))
-def test_slope_in_the_far_field_makes_no_series_call(monkeypatch, s):
-    # alpha = 5, d = 3: y = 25 g and z = 25 g^2 pass x (1 - cos 2 pi / 3) >= 45 from g = 2
+@pytest.fixture
+def series_calls(monkeypatch):
+    """The arguments of every ``_class_series`` call the test makes."""
     calls = []
     series = analytic._class_series
     monkeypatch.setattr(analytic, "_class_series", lambda *a: calls.append(a) or series(*a))
+    return calls
+
+
+# ("subtract", "add", "add") has the overlap rise set (1,), which no named scheme has
+@pytest.mark.parametrize("s", [*Scheme, ("add",) * 3, ("subtract", "add", "add")])
+def test_slope_in_the_far_field_makes_no_series_call(series_calls, s):
+    # alpha = 5, d = 3: y = 25 g and z = 25 g^2 pass x (1 - cos 2 pi / 3) >= 45 from g = 2
     val = analytic.scs_slope(5.0, np.linspace(2.0, 20.0, 64), 3, 1, s)
-    assert np.all(np.isfinite(val)) and calls == []
+    assert np.all(np.isfinite(val)) and series_calls == []
     analytic.scs_slope(0.5, np.linspace(1e-3, 20.0, 64), 1, 0, s)  # d = 1: every x
-    assert calls == []
+    assert series_calls == []
     analytic.scs_slope(5.0, 1.1, 3, 1, s)  # y = 27.5 is inside the bound, z = 30.25 beyond it
-    assert len(calls) == 1
+    assert len(series_calls) == 1
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_norm_moments_in_the_far_field_make_no_series_call(series_calls, s):
+    # d = 1 at every alpha, and x = 100 at d = 3, past x (1 - cos 2 pi / 3) = 45
+    for alpha, d in ((1e-3, 1), (0.5, 1), (7.0, 1), (10.0, 3)):
+        for k in range(d):
+            assert analytic.scs_qfi(alpha, d, k, s) > 0.0
+            assert np.isfinite(analytic.scs_log_norm(alpha, d, k, s))
+    assert analytic.hes_qfi(0.5, s) > 0.0
+    assert series_calls == []
