@@ -2,26 +2,30 @@
 
 Every closed form takes a named ``Scheme`` (or its name) or a scheme word with
 no negative offset (``scheme_word``), and comes from the word's offsets
-(``amplify.rises``); m-fold photon addition, for one, is the word
-("add",) * m.  The cat-state fidelity reduces to root-of-unity sums S_j(x) via
+(``amplify.rises``); m-fold photon addition, for one, is the word ("add",) * m.
+The cat-state fidelity reduces to root-of-unity sums S_j(x) via
 ``amplify.class_poly``; the gain slope and the Fisher information are a mean
-and a centered variance of one positive residue-class series
-(``_class_series``), which cancel nothing.  A hybrid qudit amplifies as a
-coherent state does, so its closed forms are the d = 1 cat ones.  On weights
-proportional to x^m, d(mean)/dx = Var/x, so the slope's derivative in g is a
-difference of class variances on the same weights.  Past
-x (1 - cos 2 pi / d) = 45 (at d = 1 everywhere) the class moments are those of
-the full sum, exact there to e^-45, for every word: the falling factorials of
-``amplify.falling`` make its weights a mixture of Poisson laws shifted by q,
-weighted c_q x^q, so the mean is x + E[q], the variance x + Var(q) and the log
-sum x - ln d + ln sum_q c_q x^q.  So the series runs only below that bound, in a
-small window.  Fidelities carry their exp[-alpha^2 (g-1)^2] envelope
-explicitly so no intermediate overflows even at large gain.
+and a centered variance of one positive residue-class series, which cancel
+nothing.  A hybrid qudit amplifies as a coherent state does, so its closed
+forms are the d = 1 cat ones.  On weights proportional to x^m,
+d(mean)/dx = Var/x, so the slope's derivative in g is a difference of class
+variances on the same weights.  Past x (1 - cos 2 pi / d) = 45 (at d = 1
+everywhere) the class moments are those of the full sum, exact there to e^-45,
+for every word: the falling factorials of ``amplify.falling`` make its weights
+a mixture of Poisson laws shifted by q, weighted c_q x^q, so the mean is
+x + E[q], the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.
+So a class is summed only below that bound: at a scalar x (every Newton step,
+QFI and log norm) in Python floats by ``_class_walk``, a ratio walk out from
+the class member nearest x, and on an array (the gain scan) by
+``_class_series``, a window from log space.  Fidelities carry their
+exp[-alpha^2 (g-1)^2] envelope explicitly so no intermediate overflows even at
+large gain.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -89,11 +93,15 @@ def hes_qfi(alpha: float, s=None) -> float:
     return scs_qfi(alpha, 1, 0, s)
 
 
-def _gain_array(alpha: float, g, d: int, k: int) -> np.ndarray:
+def _gain_array(alpha: float, g, d: int, k: int):
+    """g as a float or a float array of 1+ dimensions, each closed form's result kind."""
     states._check_dims(alpha, d, k)
-    g = np.asarray(g, dtype=float)
-    if np.any(g <= 0):
-        raise ValueError("gain must be positive")
+    if not isinstance(g, float):
+        g = np.asarray(g, dtype=float)
+        g = g if g.ndim else float(g)
+    ok = (g > 0 and math.isfinite(g)) if isinstance(g, float) else np.all(np.isfinite(g) & (g > 0))
+    if not ok:
+        raise ValueError("gain must be finite and positive")
     return g
 
 
@@ -112,7 +120,7 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     if alpha == 0.0:
         # both states collapse onto number states, |k + l> and |(k + l) mod d>
         val = np.full_like(g, 1.0 if k + l < d else 0.0)
-        return float(val) if val.ndim == 0 else val
+        return val if isinstance(g, np.ndarray) else float(val)
     a2 = alpha * alpha
     y = g * a2
     z = g * g * a2
@@ -125,17 +133,19 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     lost = (num < _TINY) | (den < _TINY)
     if np.any(lost):
         raise ArithmeticError(
-            f"fidelity sums underflow at alpha {alpha:g}, gain {g[lost].flat[0]:g}")
+            f"fidelity sums underflow at alpha {alpha:g}, gain {np.extract(lost, g)[0]:g}")
     val = env * num / den
-    return float(val) if val.ndim == 0 else val
+    return val if isinstance(g, np.ndarray) else float(val)
 
 
 def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
     """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
-    0 <= j < d, x > 0, scaled to a peak of 1 within +-10 sigma of it from log
-    space, their excesses e = m - j, and the log of that scale, so the class
-    sum is e^peak sum w: moments over them stay accurate where tiny (S_j
-    ratios, and second moment minus mean squared, cancel there)."""
+    0 <= j < d, on an array of x > 0 (a window of +-10 sigma about the peak per
+    point, from log space, scaled to a peak of 1), their excesses e = m - j, and
+    the log of that scale, so the class sum is e^peak sum w: moments over them
+    stay accurate where tiny (S_j ratios, and second moment minus mean squared,
+    cancel there).  Each weight carries the rounding of its exponent
+    m ln x - ln m!, about eps x ln x; ``_class_walk`` is the scalar kernel."""
     x = np.asarray(x, dtype=float)[..., None]
     span = 10.0 * np.sqrt(x) + 30.0
     m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
@@ -155,6 +165,43 @@ def _moments(w, e, var: bool):
     return mean, (w * (e - mean[..., None]) ** 2).sum(axis=-1) / total
 
 
+def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...], var: bool):
+    """``_mean_excess`` at one x >= 0 and d > 1, in Python floats.  From the class
+    member c nearest x, at weight 1, the weights walk up by
+    w(m + d) / w(m) = prod_{t=1..d} x / (m + t) prod_i (m + d + 1 + i) / (m + 1 + i)
+    and down by its inverse, until one falls below e^-_SKIP or m reaches j.  A
+    weight near the peak is then a few rounded products away from 1, not off by
+    a log-space exponent's eps x ln x, and only the log sum
+    c ln x - ln c! + sum_i ln(c + 1 + i) + ln sum w takes logs."""
+    c = j + d * max(0, round((x - j) / d))
+    tail = math.exp(-_SKIP)
+    up, w, m = [1.0], 1.0, c
+    while w >= tail:
+        for t in range(1, d + 1):
+            w *= x / (m + t)
+        for i in rises:
+            w *= (m + d + 1 + i) / (m + 1 + i)
+        m += d
+        up.append(w)
+    down, w, m = [], 1.0, c
+    while w >= tail and m > j:
+        m -= d
+        for t in range(1, d + 1):
+            w *= (m + t) / x
+        for i in rises:
+            w *= (m + 1 + i) / (m + d + 1 + i)
+        down.append(w)
+    ws, lo = down[::-1] + up, c - j - d * len(down)  # lo: the excess of ws[0]
+    total = sum(ws)
+    mean = lo + d * sum(n * wn for n, wn in enumerate(ws)) / total
+    if not var:
+        return mean
+    spread = sum(wn * (lo + d * n - mean) ** 2 for n, wn in enumerate(ws)) / total
+    # c ln x, where x = 0 (alpha^2 underflowed) leaves c = j: 0 at j = 0, -inf above
+    log_c = (c * math.log(x) if x else (-math.inf if c else 0.0)) - math.lgamma(c + 1.0)
+    return mean, spread, log_c + sum(math.log(c + 1 + i) for i in rises) + math.log(total)
+
+
 def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = False):
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
     on m = j (mod d); with ``var`` the triple (mean, variance, ln of their sum).
@@ -164,17 +211,23 @@ def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = Fal
     <= c_q x^q).  So from that exponent _SKIP = 45 on, the moments are the full
     sum's, far below an ulp: by ``amplify.falling`` the weights are a mixture
     over q of m = q + Poisson(x), weighted c_q x^q, so the mean is x - j + E[q],
-    the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.  Below
-    it they are ``_class_series`` ones.  At d = 1 the class is every m, so the
-    mixture moments are exact at every x.
+    the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.  At d = 1
+    the class is every m, so the mixture moments are exact at every x.  Below
+    that bound a scalar x (a Python float throughout) takes ``_class_walk`` and
+    an array ``_class_series``, on the points below it only.
     """
-    x = np.asarray(x, dtype=float)
-    near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
-    if near.all():
-        w, e, peak = _class_series(j, x, d, rises)
-        if not var:
-            return _moments(w, e, False)
-        return *_moments(w, e, True), peak + np.log(w.sum(axis=-1))
+    if isinstance(x, np.ndarray):
+        near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
+        if near.all():
+            w, e, peak = _class_series(j, x, d, rises)
+            if not var:
+                return _moments(w, e, False)
+            return *_moments(w, e, True), peak + np.log(w.sum(axis=-1))
+        log = np.log
+    else:
+        x, near, log = float(x), None, math.log
+        if d > 1 and x * (1.0 - math.cos(2.0 * math.pi / d)) < _SKIP:
+            return _class_walk(j, x, d, rises, var)
     # the mixture weights c_q x^q, lowest q first
     t = [c * x ** q if q else c for q, c in enumerate(reversed(amplify.falling(rises)))]
     total = sum(t[1:], t[0])
@@ -182,8 +235,8 @@ def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = Fal
     out = [x - j + mean]
     if var:
         out += [x + sum(tq * (q - mean) ** 2 for q, tq in enumerate(t)) / total,
-                x - np.log(d) + np.log(total)]
-    if near.any():
+                x - log(d) + log(total)]
+    if near is not None and near.any():
         inner = _mean_excess(j, x[near], d, rises, var)
         for o, v in zip(out, inner if var else (inner,)):
             o[near] = v
@@ -205,7 +258,7 @@ def _gap(alpha: float, g, d: int, k: int, word: amplify.SchemeWord, var: bool = 
     z = _mean_excess(j, g * g * a2, d, (), var)
     if not var:
         return l + k - j + y - z
-    log_f = 2.0 * y[2] - z[2] + (l * np.log(g * g * a2) if l else 0.0)
+    log_f = 2.0 * y[2] - z[2] + (l * math.log(g * g * a2) if l else 0.0)
     return l + k - j + y[0] - z[0], (y[1] - 2.0 * z[1]) / g, log_f
 
 
@@ -223,17 +276,20 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
         val = np.zeros_like(g)  # the fidelity does not depend on g
     else:
         val = 2.0 / g * _gap(alpha, g, d, k, word)
-    return float(val) if val.ndim == 0 else val
+    return val if isinstance(g, np.ndarray) else float(val)
 
 
 def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float, float]:
     """(D, dD/dg, ln F + ``scs_log_norm``) at one gain, where ``scs_slope`` = 2 D / g:
     a Newton step on D refines the slope's root without a second evaluation for
-    the derivative, and the class sums it takes give the fidelity there too."""
+    the derivative, and the class sums it takes give the fidelity there too.  Where
+    g^2 alpha^2 underflows to 0, as ``scs_fidelity`` does, it raises ``ArithmeticError``."""
     word = scheme_word(s)
     g = _gain_array(alpha, g, d, k)
     if alpha == 0.0:
         return 0.0, 0.0, 0.0
+    if g * g * (alpha * alpha) == 0.0:
+        raise ArithmeticError(f"log class sums underflow at alpha {alpha:g}, gain {g:g}")
     gap, dgap, log_f = _gap(alpha, g, d, k, word, var=True)
     return float(gap), float(dgap), float(log_f)
 
@@ -244,11 +300,15 @@ def scs_log_norm(alpha: float, d: int, k: int, s) -> float:
     ``scs_slope_newton``'s third value less this.  The weights are
     ``scs_qfi``'s.  Where alpha^2 (1 - cos 2 pi / d) >= 45, and at d = 1 for
     every alpha, this is the closed form x - ln d + ln sum_q c_q x^q of
-    ``_mean_excess`` at x = alpha^2, for every word."""
+    ``_mean_excess`` at x = alpha^2, for every word.  Where alpha^2 underflows to
+    0 it is ln f(0)^2 at k = 0, and -inf above, where it raises ``ArithmeticError``."""
     states._check_dims(alpha, d, k)
     if alpha == 0.0:
         raise ValueError("alpha must be > 0")
-    return float(_mean_excess(k, alpha * alpha, d, amplify.rises(scheme_word(s))[1], True)[2])
+    val = _mean_excess(k, alpha * alpha, d, amplify.rises(scheme_word(s))[1], True)[2]
+    if val == -math.inf:
+        raise ArithmeticError(f"log norm underflows at alpha {alpha:g}")
+    return float(val)
 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:

@@ -63,7 +63,7 @@ def omega(d: int) -> complex:
 
 
 def _check_dims(alpha: float, d: int, k: int) -> None:
-    if not np.isfinite(alpha) or alpha < 0:
+    if not (alpha >= 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
     # d = 1 is admitted as the plain coherent-state reduction
     if d < 1:

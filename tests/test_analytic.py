@@ -187,6 +187,35 @@ def test_scs_fidelity_raises_where_its_sums_underflow(g, s):
         analytic.scs_fidelity(0.5, np.array([1.0, g]), 5, 2, s)
 
 
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_gain_closed_forms_reject_non_finite_or_non_positive_gains(g):
+    # the slope and its Newton step returned nan there, at inf with a RuntimeWarning
+    for gains in (g, np.array([1.0, g])):
+        for f in (analytic.scs_fidelity, analytic.scs_slope):
+            with pytest.raises(ValueError, match="gain must be finite and positive"):
+                f(1.0, gains, 3, 1, "aadag")
+    with pytest.raises(ValueError, match="gain must be finite and positive"):
+        analytic.scs_slope_newton(1.0, g, 3, 1, "aadag")
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_qfi_and_log_norm_where_alpha_squared_underflows(s):
+    # alpha = 1e-200 makes alpha^2 = 0: both were nan at d >= 2, and so was the Newton
+    # step's ln F.  The QFI takes its number-state limit; the log norm is ln f(0)^2 at
+    # k = 0 and -inf above, and the Newton step raises as the fidelity does
+    log_f0 = sum(math.log(1 + i) for i in amplify.rises(analytic.scheme_word(s))[1])
+    for d in (1, 2, 3, 5):
+        for k in range(d):
+            assert analytic.scs_qfi(1e-200, d, k, s) == 0.0
+            assert analytic.scs_qfi(1e-200, d, k) == 0.0
+            with pytest.raises(ArithmeticError, match="alpha 1e-200, gain 1"):
+                analytic.scs_slope_newton(1e-200, 1.0, d, k, s)
+        assert abs(analytic.scs_log_norm(1e-200, d, 0, s) - log_f0) <= 1e-15
+        for k in range(1, d):
+            with pytest.raises(ArithmeticError, match="alpha 1e-200"):
+                analytic.scs_log_norm(1e-200, d, k, s)
+
+
 def test_scs_qfi_reduces_to_coherent_at_d1():
     for alpha in (0.01, 0.5, 1.2, 2.4):
         assert abs(analytic.scs_qfi(alpha, 1, 0) - 4 * alpha * alpha) <= 1e-13 * 4 * alpha * alpha
@@ -498,10 +527,12 @@ def test_class_moments_match_high_precision_class_sums():
     # mean and variance of m - j and the log class sum, on the weights
     # prod_i (m + 1 + i) x^m / m! of the plain rise set, the a a-dagger overlap's (0,) and the named schemes' norm
     # weights (0, 0) and (0, 1), on both sides of x (1 - cos 2 pi / d) = 45 (d = 1: the
-    # mixture moments at every x), against 50-digit sums over the class.  Near side, the
-    # series weights carry the rounding of their exponent m ln x - ln m! (each term
-    # about x ln x at the peak), which the mean feels only by about 1/sqrt(x) of it and
-    # the variance and the log sum in full
+    # mixture moments at every x), against 50-digit sums over the class, for a scalar x
+    # and for x as a 1-element array.  Near side, the scalar walk's weights are products
+    # of ratios, good to a few ulps; the array series weights carry the rounding of
+    # their exponent m ln x - ln m! (each term about x ln x at the peak), which the mean
+    # feels only by about 1/sqrt(x) of it and the variance in full.  Both log sums
+    # carry that rounding, the walk's in c ln x - ln c!
     eps = np.finfo(float).eps
     for d in range(1, 13):
         edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)) if d > 1 else 0.0
@@ -510,6 +541,7 @@ def test_class_moments_match_high_precision_class_sums():
         for x in xs:
             tol = 1e-15 if x > edge else 1e-14
             vtol = tol if x > edge else max(tol, 4.0 * eps * x * math.log(x))
+            walk_tol = 1e-15 if x > edge else 2e-15
             with mp.workdps(50):
                 xm, t, terms = mp.mpf(float(x)), mp.mpf(1), []
                 for m in range(int(x + 40 * math.sqrt(x)) + 200):
@@ -527,42 +559,53 @@ def test_class_moments_match_high_precision_class_sums():
                             mp.fsum(a * power[r + p] for r, a in enumerate(poly)) for p in range(3))
                         mean = first / total
                         var = float(second / total - mean * mean)
+                        mean = float(mean)
                         log_sum = float(mp.log(total))
+                        where = (d, j, x, rises)
                         got = analytic._mean_excess(j, x, d, rises, var=True)
                         assert got[0] == analytic._mean_excess(j, x, d, rises)
-                        assert abs(got[0] - float(mean)) <= tol * float(mean), (d, j, x, rises)
-                        assert abs(got[1] - var) <= vtol * var, (d, j, x, rises)
-                        assert abs(got[2] - log_sum) <= vtol * max(1.0, abs(log_sum)), (
-                            d, j, x, rises)
+                        assert abs(got[0] - mean) <= walk_tol * mean, where
+                        assert abs(got[1] - var) <= walk_tol * var, where
+                        assert abs(got[2] - log_sum) <= vtol * max(1.0, abs(log_sum)), where
+                        got = analytic._mean_excess(j, np.array([x]), d, rises, var=True)
+                        assert abs(got[0][0] - mean) <= tol * mean, where
+                        assert abs(got[1][0] - var) <= vtol * var, where
+                        assert abs(got[2][0] - log_sum) <= vtol * max(1.0, abs(log_sum)), where
 
 
 @pytest.fixture
-def series_calls(monkeypatch):
-    """The arguments of every ``_class_series`` call the test makes."""
-    calls = []
-    series = analytic._class_series
-    monkeypatch.setattr(analytic, "_class_series", lambda *a: calls.append(a) or series(*a))
+def kernel_calls(monkeypatch):
+    """The arguments of every ``_class_series`` and ``_class_walk`` call the test makes."""
+    calls = {"series": [], "walk": []}
+    for name in calls:
+        kernel = getattr(analytic, f"_class_{name}")
+        monkeypatch.setattr(analytic, f"_class_{name}",
+                            lambda *a, log=calls[name], f=kernel: log.append(a) or f(*a))
     return calls
 
 
 # ("subtract", "add", "add") has the overlap rise set (1,), which no named scheme has
 @pytest.mark.parametrize("s", [*Scheme, ("add",) * 3, ("subtract", "add", "add")])
-def test_slope_in_the_far_field_makes_no_series_call(series_calls, s):
+def test_slope_in_the_far_field_makes_no_series_call(kernel_calls, s):
     # alpha = 5, d = 3: y = 25 g and z = 25 g^2 pass x (1 - cos 2 pi / 3) >= 45 from g = 2
     val = analytic.scs_slope(5.0, np.linspace(2.0, 20.0, 64), 3, 1, s)
-    assert np.all(np.isfinite(val)) and series_calls == []
+    assert np.all(np.isfinite(val))
     analytic.scs_slope(0.5, np.linspace(1e-3, 20.0, 64), 1, 0, s)  # d = 1: every x
-    assert series_calls == []
-    analytic.scs_slope(5.0, 1.1, 3, 1, s)  # y = 27.5 is inside the bound, z = 30.25 beyond it
-    assert len(series_calls) == 1
+    analytic.scs_slope(5.0, 2.0, 3, 1, s)
+    assert kernel_calls == {"series": [], "walk": []}
+    # y = 27.5 is inside the bound, z = 30.25 beyond it: a scalar walks, an array sums a series
+    analytic.scs_slope(5.0, 1.1, 3, 1, s)
+    assert len(kernel_calls["walk"]) == 1 and kernel_calls["series"] == []
+    analytic.scs_slope(5.0, np.array([1.1]), 3, 1, s)
+    assert len(kernel_calls["walk"]) == 1 and len(kernel_calls["series"]) == 1
 
 
 @pytest.mark.parametrize("s", list(Scheme))
-def test_norm_moments_in_the_far_field_make_no_series_call(series_calls, s):
+def test_norm_moments_in_the_far_field_make_no_series_call(kernel_calls, s):
     # d = 1 at every alpha, and x = 100 at d = 3, past x (1 - cos 2 pi / 3) = 45
     for alpha, d in ((1e-3, 1), (0.5, 1), (7.0, 1), (10.0, 3)):
         for k in range(d):
             assert analytic.scs_qfi(alpha, d, k, s) > 0.0
             assert np.isfinite(analytic.scs_log_norm(alpha, d, k, s))
     assert analytic.hes_qfi(0.5, s) > 0.0
-    assert series_calls == []
+    assert kernel_calls == {"series": [], "walk": []}
