@@ -1,14 +1,13 @@
 """Truncated Fock-space laboratory for probabilistic amplification of
 cat-state qudits and hybrid entangled states."""
 
-from .amplify import AADAG, ADAG2, apply_word, hes_amplified, scs_amplified
+from .amplify import AADAG, ADAG2, apply_word, scs_amplified
 from .analytic import (
     Scheme,
     hes_fidelity,
     hes_gain,
     hes_qfi,
     qfi_ratio,
-    qfi_spectral,
     scs_fidelity,
     scs_qfi,
 )
@@ -20,7 +19,7 @@ from .errors import (
     OptimizationError,
     TruncationError,
 )
-from .fock import DensityMatrix, FockVector, coherent, inner, min_trunc, normalize
+from .fock import FockVector, coherent, inner, min_trunc, normalize
 from .optimize import OptResult, find_crossing, scs_gain
 from .states import HesSpec, ScsSpec, hes_state, scs_state
 
@@ -32,7 +31,6 @@ __all__ = [
     "BeamSplitter",
     "CatampError",
     "DegenerateStateError",
-    "DensityMatrix",
     "DivergentGainError",
     "FockVector",
     "HesSpec",
@@ -46,7 +44,6 @@ __all__ = [
     "compare_sim_vs_kraus",
     "find_crossing",
     "heralded_op",
-    "hes_amplified",
     "hes_fidelity",
     "hes_gain",
     "hes_qfi",
@@ -56,7 +53,6 @@ __all__ = [
     "min_trunc",
     "normalize",
     "qfi_ratio",
-    "qfi_spectral",
     "scs_amplified",
     "scs_fidelity",
     "scs_gain",

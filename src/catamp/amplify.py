@@ -124,30 +124,9 @@ def apply_poly(v: FockVector, poly: LadderPoly) -> FockVector:
     return FockVector(acc)
 
 
-def hes_amplified(spec: HesSpec, word: SchemeWord, trunc: int) -> tuple[FockVector, float]:
-    """Amplified hybrid qudit and the pre-normalization norm of the raw image."""
-    return apply_word(states.hes_state(spec, trunc), word)
-
-
 def scs_amplified(spec: ScsSpec, word: SchemeWord, trunc: int) -> tuple[FockVector, float]:
     """Amplified cat-state qudit and the pre-normalization norm of the raw image."""
     return apply_word(states.scs_state(spec, trunc), word)
-
-
-def scs_norm_factor_amplified(spec: ScsSpec, word: SchemeWord) -> float:
-    """Normalization factor of a word applied to the bare cat-state superposition.
-
-    1/sqrt(d class_poly(offsets, alpha^2, k, d)), with the word's offsets from
-    ``rises``: the empty word gives the bare superposition's 1/sqrt(d S_k(alpha^2)),
-    and d = 1 the coherent state's, which is also a hybrid qudit's for every d, k.
-    """
-    a, d, k = spec.alpha, spec.d, spec.k
-    val = d * class_poly(rises(word)[1], a * a, k, d)
-    if not val >= 1e-300:
-        raise DegenerateStateError(
-            f"word {word} annihilates the superposition at alpha={a}, d={d}, k={k}"
-        )
-    return 1.0 / np.sqrt(val)
 
 
 def _validate_poly(poly: LadderPoly) -> LadderPoly:

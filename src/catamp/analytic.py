@@ -31,7 +31,6 @@ import numpy as np
 
 from . import amplify, fock, states
 from .errors import DivergentGainError
-from .fock import DensityMatrix
 from .states import _SKIP, mod_exp_sum
 
 #: smallest normal double: a sum below it has lost digits to underflow
@@ -145,14 +144,22 @@ def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
     the log of that scale, so the class sum is e^peak sum w: moments over them
     stay accurate where tiny (S_j ratios, and second moment minus mean squared,
     cancel there).  Each weight carries the rounding of its exponent
-    m ln x - ln m!, about eps x ln x; ``_class_walk`` is the scalar kernel."""
+    m ln x - ln m!, about eps x ln x; ``_class_walk`` is the scalar kernel.
+    Where x = 0 (alpha^2 underflowed) only m = j is left, as in ``_class_walk``:
+    weight 1, and c ln x is 0 at c = 0 and -inf above."""
     x = np.asarray(x, dtype=float)[..., None]
+    zero = None if x.all() else x[..., 0] == 0.0
     span = 10.0 * np.sqrt(x) + 30.0
     m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
                  + np.arange(np.ceil(2.0 * span.max() / d) + 1.0))
-    logw = sum(np.log1p(m + i) for i in rises) + m * np.log(x) - fock.log_factorial(m)
+    log_x = np.log(x) if zero is None else np.log(np.where(x == 0.0, 1.0, x))
+    logw = sum(np.log1p(m + i) for i in rises) + m * log_x - fock.log_factorial(m)
     peak = logw.max(axis=-1, keepdims=True)
-    return np.exp(logw - peak), m - j, peak[..., 0]
+    w = np.exp(logw - peak)
+    if zero is not None:
+        w[zero] = np.arange(w.shape[-1]) == 0  # the window there starts at m = j
+        peak[zero] = sum(math.log(1 + i) for i in rises) if j == 0 else -math.inf
+    return w, m - j, peak[..., 0]
 
 
 def _moments(w, e, var: bool):
@@ -335,25 +342,6 @@ def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float
     elif k is None:
         raise ValueError("k is required together with d")
     return scs_qfi(alpha, d, k, Scheme.AADAG) / scs_qfi(alpha, d, k, Scheme.ADAG2)
-
-
-def qfi_spectral(rho: DensityMatrix, eig_cutoff: float = 1e-12) -> float:
-    """Fisher information 2 sum_{k,l} (l_k - l_l)^2 / (l_k + l_l) |<k|n|l>|^2.
-
-    The generator is the photon-number operator; eigenpairs with combined
-    weight below ``eig_cutoff`` are skipped.  For pure states this reduces to
-    4 Var(n).
-    """
-    lam, vec = np.linalg.eigh(rho.entries)
-    n = np.arange(rho.dim)
-    h = vec.conj().T @ (n[:, None] * vec)  # <k| n |l>
-    total = 0.0
-    for a in range(rho.dim):
-        for b in range(rho.dim):
-            w = lam[a] + lam[b]
-            if w > eig_cutoff:
-                total += (lam[a] - lam[b]) ** 2 / w * abs(h[a, b]) ** 2
-    return 2.0 * total
 
 
 _IDENTITIES = {

@@ -24,9 +24,8 @@ A heralded stage starts from |v> (x) |anc_in> and keeps ancilla |anc_out>, so
 each sector holds one input amplitude and contributes one output amplitude:
 the stage needs one element <n_out, anc_out| U |n_in, anc_in> per sector, not
 the sector's full unitary.  The weights of those elements in the eigenbasis
-form a gamma-free table, cached once per grid.  `bs_apply` applies the whole
-unitary to a two-mode state; the stage does not use it, and the tests keep it
-as the oracle for the stage.
+form a gamma-free table, cached once per grid.  The tests check the stage
+against the whole two-mode unitary, built from eigensystems of their own.
 """
 
 from __future__ import annotations
@@ -60,70 +59,17 @@ class BeamSplitter:
         return float(np.arcsin(np.sqrt(self.gamma)))
 
 
-@dataclass(frozen=True, eq=False)
-class TwoModeFock:
-    """Amplitudes over |n_system, n_ancilla> on the last two axes.
-
-    Shape (n_s, n_a), or (rows, n_s, n_a) for the row stack of a hybrid state.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.amps, dtype=complex)
-        if m.ndim not in (2, 3):
-            raise ValueError("two-mode amplitudes must form a matrix or a stack of matrices")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("amplitudes must be finite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "amps", m)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.amps.shape[-2:]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-def two_mode_product(v: FockVector, ancilla_n: int, dim_a: int) -> TwoModeFock:
-    """|v> (x) |ancilla_n> on a (v.trunc, dim_a) grid, one per row of a row stack."""
-    if not 0 <= ancilla_n < dim_a:
-        raise ValueError("ancilla occupation outside its truncation")
-    m = np.zeros(v.amps.shape + (dim_a,), dtype=complex)
-    m[..., ancilla_n] = v.amps
-    return TwoModeFock(m)
-
-
 @functools.cache
-def _sector_eig(total: int, ns_lo: int, ns_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem (lam, vec) of a-dagger b + a b-dagger on |ns, total - ns>, ns = ns_hi..ns_lo.
+def _sector_eig(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem (lam, vec) of a-dagger b + a b-dagger on |ns, total - ns>, ns = total..0.
 
     The generator is real, symmetric and tridiagonal there; the arrays are shared, hence read-only.
     """
-    ns = np.arange(ns_hi, ns_lo, -1, dtype=float)
+    ns = np.arange(total, 0, -1, dtype=float)
     off = np.sqrt(ns * (total - ns + 1.0))
     lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     lam.flags.writeable = vec.flags.writeable = False
     return lam, vec
-
-
-def bs_apply(state: TwoModeFock, bs: BeamSplitter) -> TwoModeFock:
-    """Apply the beam splitter exactly on every nonzero photon-number sector of every row."""
-    ns_dim, na_dim = state.dims
-    out = np.zeros_like(state.amps)
-    theta = bs.theta
-    nz = np.nonzero(state.amps)
-    for total in np.unique(nz[-2] + nz[-1]).tolist():  # sectors holding a nonzero amplitude
-        ns_hi = min(total, ns_dim - 1)
-        ns_lo = max(0, total - na_dim + 1)
-        rows = np.arange(ns_hi, ns_lo - 1, -1)
-        cols = total - rows
-        lam, vec = _sector_eig(total, ns_lo, ns_hi)
-        block = state.amps[..., rows, cols]
-        out[..., rows, cols] = ((block @ vec) * np.exp(1j * theta * lam)) @ vec.T
-    return TwoModeFock(out)
 
 
 @functools.cache
@@ -133,14 +79,14 @@ def _herald_table(dim: int, anc_in: int, anc_out: int) -> tuple[np.ndarray, ...]
     Sector `total` holds n_in = total - anc_in and n_out = total - anc_out, both
     below dim; its element is sum_i w_i exp(i theta lam_i) over the segment of
     (lam, w) that begins at its start.  A stage heralds from or onto an empty
-    ancilla, so total < dim: every sector is complete, its eigensystem is the
-    one `bs_apply` uses, and in it the row of |n, total - n> is total - n.
+    ancilla, so total < dim: every sector is complete, and in its eigensystem
+    the row of |n, total - n> is total - n.
     Returns read-only (lam, w, starts, n_in, n_out).
     """
     totals = np.arange(max(anc_in, anc_out), dim + min(anc_in, anc_out))
     lams, ws = [], []
     for total in totals.tolist():
-        lam, vec = _sector_eig(total, 0, total)
+        lam, vec = _sector_eig(total)
         lams.append(lam)
         ws.append(vec[anc_out] * vec[anc_in])
     starts = np.concatenate(([0], np.cumsum([lam.size for lam in lams[:-1]])))

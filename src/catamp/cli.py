@@ -141,31 +141,6 @@ def emit_csv(records: list[SweepRecord], path: str) -> None:
         fh.write(format_csv(records))
 
 
-def parse_csv(path: str) -> list[SweepRecord]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-
-    def opt_float(s: str) -> float | None:
-        return None if s == "" else float(s)
-
-    out = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        f = ln.split(",")
-        out.append(
-            SweepRecord(
-                alpha=float(f[0]), d=int(f[1]), k=int(f[2]), scheme=f[3],
-                F_opt=opt_float(f[4]), G=opt_float(f[5]), qfi_in=opt_float(f[6]),
-                qfi_out=opt_float(f[7]), qfi_ratio=opt_float(f[8]),
-                p_success=opt_float(f[9]), trunc_used=int(f[10]), status=f[11],
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # self-check suites
 

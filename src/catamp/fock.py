@@ -16,7 +16,7 @@ accumulated in the ``leaked`` diagnostic so truncation error stays observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class FockVector:
 
     amps: np.ndarray
     leaked: float = 0.0
-    tags: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         arr = np.asarray(self.amps, dtype=complex)
@@ -90,7 +89,7 @@ class FockVector:
             return self
         out = np.zeros(self.amps.shape[:-1] + (trunc,), dtype=complex)
         out[..., : self.trunc] = self.amps
-        return FockVector(out, leaked=self.leaked, tags=self.tags)
+        return FockVector(out, leaked=self.leaked)
 
 
 def basis(n: int, trunc: int) -> FockVector:
@@ -167,12 +166,12 @@ def ladder(v: FockVector, kind: str) -> FockVector:
     out = np.zeros_like(a)
     if kind == SUBTRACT:
         out[..., : n - 1] = np.sqrt(np.arange(1.0, n)) * a[..., 1:]
-        return FockVector(out, leaked=v.leaked, tags=v.tags)
+        return FockVector(out, leaked=v.leaked)
     if kind == ADD:
         out[..., 1:] = np.sqrt(np.arange(1.0, n)) * a[..., : n - 1]
         # |sqrt(n) amp[n-1]|^2 pushed past the boundary, summed over rows
         lost = n * np.sum(np.abs(a[..., n - 1]) ** 2)
-        return FockVector(out, leaked=v.leaked + lost, tags=v.tags)
+        return FockVector(out, leaked=v.leaked + lost)
     raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
 
 
@@ -192,7 +191,7 @@ def normalize(v: FockVector) -> tuple[FockVector, float]:
     nrm = v.norm()
     if nrm <= 0.0 or not np.isfinite(nrm):
         raise DegenerateStateError("cannot normalize a zero (or non-finite) vector")
-    return FockVector(v.amps / nrm, leaked=v.leaked, tags=v.tags), nrm
+    return FockVector(v.amps / nrm, leaked=v.leaked), nrm
 
 
 def _require_normalized(v: FockVector, what: str) -> None:
@@ -260,36 +259,3 @@ def check_leak(v: FockVector, epsilon: float = TAIL_EPS) -> FockVector:
         )
     return v
 
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on the truncated space."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("density matrix must be Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-            raise ValueError("density matrix must have unit trace to 1e-12")
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite (eig >= -1e-10)")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_pure(cls, v: FockVector) -> "DensityMatrix":
-        _require_normalized(v, "DensityMatrix.from_pure")
-        if v.amps.size != v.trunc:
-            # np.outer would flatten the rows into one long vector
-            raise ValueError("DensityMatrix.from_pure needs a single-row state")
-        return cls(np.outer(v.amps, v.amps.conj()))

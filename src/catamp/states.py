@@ -160,24 +160,22 @@ def mod_exp_sum(j, x, d: int):
 def scs_state(spec: ScsSpec, trunc: int) -> FockVector:
     """Unit-norm cat-state qudit on the truncated space.
 
-    Components at photon numbers m != k (mod d) are exactly zero.  The state is
-    tagged ``fock-limit`` when it holds a single nonzero amplitude: at alpha = 0,
-    where it is |k>, or when every other log-weight underflows.
+    Components at photon numbers m != k (mod d) are exactly zero.  At alpha = 0
+    the state is |k>.
     """
     a, d, k = spec.alpha, spec.d, spec.k
     _gate_trunc(a, trunc)
     if trunc <= k:
         raise TruncationError(f"trunc={trunc} cannot hold support starting at m={k}")
     if a == 0.0:
-        return FockVector(fock.basis(k, trunc).amps, tags=frozenset({"fock-limit"}))
+        return fock.basis(k, trunc)
     m = np.arange(k, trunc, d)
     logs = m * np.log(a) - 0.5 * fock.log_factorial(m)
     rel = np.exp(logs - logs.max())
     rel /= np.linalg.norm(rel)
     amps = np.zeros(trunc, dtype=complex)
     amps[m] = rel
-    tags = frozenset({"fock-limit"}) if np.count_nonzero(rel) == 1 else frozenset()
-    return FockVector(amps, tags=tags)
+    return FockVector(amps)
 
 
 def hes_state(spec: HesSpec, trunc: int) -> FockVector:

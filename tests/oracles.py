@@ -1,0 +1,48 @@
+"""Test oracles and helpers that the library does not ship.
+
+``bs_apply`` is the whole two-mode beam-splitter unitary, the oracle the tests
+hold ``channel.heralded_op`` to.  Its sector eigensystems are its own, so it
+shares no cache with the stage it checks; the dense-``expm`` tests pin it.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from catamp import amplify
+
+
+@functools.cache
+def _sector_eig(total: int, ns_lo: int, ns_hi: int):
+    """Read-only eigensystem of a-dagger b + a b-dagger on |ns, total - ns>, ns = ns_hi..ns_lo."""
+    ns = np.arange(ns_hi, ns_lo, -1, dtype=float)
+    off = np.sqrt(ns * (total - ns + 1.0))
+    lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    lam.flags.writeable = vec.flags.writeable = False
+    return lam, vec
+
+
+def bs_apply(amps, gamma: float) -> np.ndarray:
+    """exp[i theta (a-dagger b + a b-dagger)], theta = arcsin sqrt(gamma), applied to
+    amplitudes over |n_system, n_ancilla> on the last two axes (a matrix, or a stack
+    of them), exactly on every photon-number sector of the grid that holds one."""
+    amps = np.asarray(amps, dtype=complex)
+    ns_dim, na_dim = amps.shape[-2:]
+    theta = math.asin(math.sqrt(gamma))
+    out = np.zeros_like(amps)
+    nz = np.nonzero(amps)
+    for total in np.unique(nz[-2] + nz[-1]).tolist():
+        ns_hi, ns_lo = min(total, ns_dim - 1), max(0, total - na_dim + 1)
+        rows = np.arange(ns_hi, ns_lo - 1, -1)
+        lam, vec = _sector_eig(total, ns_lo, ns_hi)
+        block = amps[..., rows, total - rows]
+        out[..., rows, total - rows] = ((block @ vec) * np.exp(1j * theta * lam)) @ vec.T
+    return out
+
+
+def norm_factor(spec, word) -> float:
+    """1/sqrt(d class_poly(offsets, alpha^2, k, d)): the norm factor of ``word`` applied to
+    the bare superposition sum_n w^{-kn} |alpha w^n>; at d = 1 the coherent state's."""
+    a, d, k = spec.alpha, spec.d, spec.k
+    return 1.0 / math.sqrt(d * amplify.class_poly(amplify.rises(word)[1], a * a, k, d))

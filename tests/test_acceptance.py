@@ -18,6 +18,8 @@ from catamp.cli import brute_scs_gain as brute_gain
 from catamp.cli import brute_scs_qfi as brute_qfi
 from catamp.states import HesSpec, ScsSpec
 
+from oracles import norm_factor
+
 ALPHA_GRID = tuple(round(0.3 * i, 10) for i in range(1, 11))  # 0.3 .. 3.0
 GAIN_GRID = tuple(round(0.8 + 0.2 * i, 10) for i in range(7))  # 0.8 .. 2.0
 DIMS = (1, 2, 3, 4, 5)
@@ -242,7 +244,7 @@ def test_criterion_9_addition_overlap():
                     for _ in range(m):
                         added = added @ create(n).T
                     word = ("add",) * m
-                    norm = 1.0 / amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), word)
+                    norm = 1.0 / norm_factor(ScsSpec(alpha, 1, 0), word)
                     brute = np.vdot(bra, added) / norm
                     got = math.sqrt(analytic.hes_fidelity(alpha, beta / alpha, word))
                     assert abs(got - brute) <= 1e-8, (alpha, beta, d, m)

@@ -117,7 +117,7 @@ def test_hes_qfi_bruteforce_on_hybrid_state():
     # the hybrid two-mode state gives the same photon variance as the coherent one
     alpha, d, k = 1.0, 3, 1
     trunc = fock.auto_trunc(alpha, additions=2)
-    amped, _ = amplify.hes_amplified(HesSpec(alpha, d, k), amplify.AADAG, trunc)
+    amped, _ = amplify.apply_word(states.hes_state(HesSpec(alpha, d, k), trunc), amplify.AADAG)
     _, var = fock.moments(amped)
     assert abs(analytic.hes_qfi(alpha, Scheme.AADAG) - 4 * var) < 1e-8
 
@@ -216,6 +216,25 @@ def test_qfi_and_log_norm_where_alpha_squared_underflows(s):
                 analytic.scs_log_norm(1e-200, d, k, s)
 
 
+@pytest.mark.parametrize("s", [*Scheme, ("add",), ("subtract", "add", "add")])
+def test_array_slope_where_alpha_squared_underflows_is_the_scalar_limit(s):
+    # alpha^2 = 0 leaves each class its lowest member: the gain scan formed 0 ln 0 = nan
+    # there on every point, where the scalar walk has its limit (mean and variance 0)
+    grid = np.linspace(optimize.GAIN_LO, optimize.GAIN_HI, optimize.SLOPE_GRID)
+    rises = amplify.rises(analytic.scheme_word(s))[1]
+    for d in (2, 3, 5, 8):
+        for k in range(d):
+            scan = analytic.scs_slope(1e-200, grid, d, k, s)
+            want = [analytic.scs_slope(1e-200, g, d, k, s) for g in grid.tolist()]
+            assert np.array_equal(scan, want), (d, k)
+        for j in range(d):
+            got = analytic._mean_excess(j, np.zeros(4), d, rises, var=True)
+            want = analytic._mean_excess(j, 0.0, d, rises, var=True)
+            assert want[:2] == (0.0, 0.0)
+            assert all(np.array_equal(a, np.full(4, b)) for a, b in zip(got, want)), (d, j)
+    assert analytic.scs_slope(1e-200, 1.0, 3, 1, "adag2") == 6.0
+
+
 def test_scs_qfi_reduces_to_coherent_at_d1():
     for alpha in (0.01, 0.5, 1.2, 2.4):
         assert abs(analytic.scs_qfi(alpha, 1, 0) - 4 * alpha * alpha) <= 1e-13 * 4 * alpha * alpha
@@ -267,6 +286,21 @@ def test_scs_fidelity_matches_positive_series(alpha, d, data):
     assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big]), (got, want)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 3.0), g=st.floats(0.05, 5.0), d=st.integers(1, 8),
+       s=st.sampled_from([*Scheme, ("add",), ("add",) * 3, ("subtract", "add", "add")]),
+       data=st.data())
+def test_closed_forms_match_the_fock_oracles_on_random_cells(alpha, g, d, s, data):
+    k = data.draw(st.integers(0, d - 1))
+    closed = analytic.scs_fidelity(alpha, g, d, k, s)
+    if closed >= 1e-3:
+        brute = cli.brute_scs_fidelity(alpha, g, d, k, s)
+        assert abs(closed - brute) <= 1e-12 * closed, (closed, brute)
+    closed = analytic.scs_qfi(alpha, d, k, s)
+    brute = cli.brute_scs_qfi(alpha, d, k, s)
+    assert abs(closed - brute) <= 1e-10 * closed, (closed, brute)
+
+
 def test_scs_qfi_last_qudit_index_at_d8():
     # the root-of-unity form returned 1.36e-7 here: 4 (second + mean) - 4 mean^2
     # cancelled at mean ~ 7 on S_j sums 7e-10 off
@@ -282,29 +316,6 @@ def test_qfi_ratio_small_amplitude_limit(k):
     d = 8
     want = (k + d + 1) * (k + 2) / ((k + 1) * (k + d + 2))
     assert abs(analytic.qfi_ratio(0.05, d, k) - want) <= 1e-10
-
-
-def test_qfi_spectral_number_state():
-    rho = fock.DensityMatrix.from_pure(fock.basis(3, 10))
-    assert analytic.qfi_spectral(rho) < 1e-12
-
-
-def test_qfi_spectral_pure_coherent():
-    rho = fock.DensityMatrix.from_pure(fock.coherent(1.0, 40))
-    assert abs(analytic.qfi_spectral(rho) - 4.0) < 1e-6
-
-
-def test_qfi_spectral_maximally_mixed_qubit():
-    m = np.zeros((6, 6), dtype=complex)
-    m[0, 0] = m[1, 1] = 0.5
-    assert analytic.qfi_spectral(fock.DensityMatrix(m)) < 1e-12
-
-
-def test_qfi_spectral_matches_variance_for_pure_states():
-    v = states.scs_state(ScsSpec(1.0, 3, 1), 40)
-    rho = fock.DensityMatrix.from_pure(v)
-    _, var = fock.moments(v)
-    assert abs(analytic.qfi_spectral(rho) - 4 * var) < 1e-6
 
 
 def test_qfi_ratio_hes_landmarks():

@@ -277,18 +277,6 @@ def test_min_trunc_validates_epsilon():
         fock.min_trunc(1.0, 1.5)
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        fock.DensityMatrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        fock.DensityMatrix(np.eye(3))  # trace 3
-    rho = fock.DensityMatrix.from_pure(fock.coherent(1.0, 30))
-    assert rho.dim == 30
-    stack = fock.FockVector(np.eye(2) / math.sqrt(2.0))
-    with pytest.raises(ValueError):  # a two-row state is not one mode's pure state
-        fock.DensityMatrix.from_pure(stack)
-
-
 def test_fockvector_rejects_nonfinite():
     with pytest.raises(ValueError):
         fock.FockVector(np.array([1.0, np.inf]))
@@ -298,6 +286,3 @@ def test_state_amplitudes_are_immutable():
     v = fock.coherent(1.0, 40)
     with pytest.raises(ValueError):
         v.amps[0] = 0.0
-    rho = fock.DensityMatrix.from_pure(v)
-    with pytest.raises(ValueError):
-        rho.entries[0, 0] = 0.0

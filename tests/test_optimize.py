@@ -22,6 +22,16 @@ def test_boundary_hit_flag():
     assert not optimize.scs_gain(ScsSpec(0.3, 3, 2), Scheme.ADAG2).boundary_hit
 
 
+def test_gain_where_alpha_squared_underflows_is_an_explicit_error():
+    # the scan was nan there, and the gain ended in "slope non-finite"
+    for s in Scheme:
+        for d in (2, 3, 5):
+            for k in range(d):
+                with pytest.raises((ArithmeticError, OptimizationError), match="alpha.1e-200") as e:
+                    optimize.scs_gain(ScsSpec(1e-200, d, k), s)
+                assert "non-finite" not in str(e.value)
+
+
 def test_nonfinite_objective_raises(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(analytic, "scs_slope", lambda *args: np.full(np.shape(args[1]), np.nan))

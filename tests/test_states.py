@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from catamp import amplify, analytic, fock, optimize, states
-from catamp.errors import DegenerateStateError, TruncationError
+from catamp import analytic, fock, optimize, states
+from catamp.errors import TruncationError
 from catamp.states import HesSpec, ScsSpec
 
 from conftest import cat_column, coherent_column, create, hybrid_matrix, poisson_tail
+from oracles import norm_factor
 
 ADD = ("add",)
 
 
 def bare_norm_factor(spec):
     """1/sqrt(d S_k(alpha^2)): the norm factor of the empty word."""
-    return amplify.scs_norm_factor_amplified(spec, ())
+    return norm_factor(spec, ())
 
 
 def added_norm(alpha, m):
     """Norm sqrt(m! L_m(-alpha^2)) of a-dagger^m |alpha>: the inverse d = 1 norm factor."""
-    return 1.0 / amplify.scs_norm_factor_amplified(ScsSpec(alpha, 1, 0), ADD * m)
+    return 1.0 / norm_factor(ScsSpec(alpha, 1, 0), ADD * m)
 
 
 def test_norm_factor_even_cat():
@@ -48,7 +49,7 @@ def test_norm_factor_matches_bare_superposition_norm():
 
 
 def test_norm_factor_degenerate_raises():
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(ZeroDivisionError):  # S_1(0) is exactly 0
         bare_norm_factor(ScsSpec(0.0, 3, 1))
 
 
@@ -57,16 +58,17 @@ def test_scs_small_amplitude_reduces_to_number_state():
     assert abs(abs(v.amps[1]) - 1.0) < 1e-6
 
 
-def test_scs_fock_limit_tag_marks_a_single_amplitude():
+def test_scs_tiny_amplitude_keeps_one_nonzero_amplitude():
     # the second support amplitude is ~4e-28 of the first at alpha = 1e-9 and underflows at 1e-200
     for k in range(3):
-        assert "fock-limit" not in states.scs_state(ScsSpec(1e-9, 3, k), 20).tags
-        assert "fock-limit" in states.scs_state(ScsSpec(1e-200, 3, k), 20).tags
+        assert np.count_nonzero(states.scs_state(ScsSpec(1e-9, 3, k), 20).amps) > 1
+        v = states.scs_state(ScsSpec(1e-200, 3, k), 20)
+        assert np.count_nonzero(v.amps) == 1 and v.amps[k] == 1.0
 
 
-def test_scs_zero_amplitude_is_tagged_fock_limit():
+def test_scs_zero_amplitude_is_a_number_state():
     v = states.scs_state(ScsSpec(0.0, 3, 1), 20)
-    assert "fock-limit" in v.tags
+    assert np.count_nonzero(v.amps) == 1
     assert v.amps[1] == 1.0
 
 
