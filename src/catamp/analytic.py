@@ -3,10 +3,12 @@
 Every closed form takes a named ``Scheme`` (or its name) or a scheme word with
 no negative offset (``scheme_word``), and comes from the word's offsets
 (``amplify.rises``); m-fold photon addition, for one, is the word ("add",) * m.
-The cat-state fidelity reduces to root-of-unity sums S_j(x) via
-``amplify.class_poly``; the gain slope and the Fisher information are a mean
-and a centered variance of one positive residue-class series, which cancel
-nothing.  A hybrid qudit amplifies as a coherent state does, so its closed
+The gain slope, the Fisher information and a scalar fidelity are a mean, a
+centered variance and the log sums of one positive residue-class series, which
+cancel nothing (ln F = 2 L_y + l ln z - L_z - L_a2); on a gain array the fidelity
+takes root-of-unity sums S_j(x) via ``amplify.class_poly``, with its
+exp[-alpha^2 (g-1)^2] envelope explicit so no intermediate overflows even at
+large gain.  A hybrid qudit amplifies as a coherent state does, so its closed
 forms are the d = 1 cat ones.  On weights proportional to x^m,
 d(mean)/dx = Var/x, so the slope's derivative in g is a difference of class
 variances on the same weights.  Past x (1 - cos 2 pi / d) = 45 (at d = 1
@@ -15,11 +17,9 @@ for every word: the falling factorials of ``amplify.falling`` make its weights
 a mixture of Poisson laws shifted by q, weighted c_q x^q, so the mean is
 x + E[q], the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.
 So a class is summed only below that bound: at a scalar x (every Newton step,
-QFI and log norm) in Python floats by ``_class_walk``, a ratio walk out from
-the class member nearest x, and on an array (the gain scan) by
-``_class_series``, a window from log space.  Fidelities carry their
-exp[-alpha^2 (g-1)^2] envelope explicitly so no intermediate overflows even at
-large gain.
+scalar fidelity, QFI and log norm) in Python floats by ``_class_walk``, a ratio
+walk out from the class member nearest x, and on an array (the gain scan) by
+``_class_series``, a window from log space.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import numpy as np
 
 from . import amplify, fock, states
 from .errors import DivergentGainError
-from .states import _SKIP, mod_exp_sum
+from .states import _SKIP
 
-#: smallest normal double: a sum below it has lost digits to underflow
+#: smallest normal double: a sum or a class-sum argument below it has lost digits
 _TINY = np.finfo(float).tiny
 
 
@@ -107,11 +107,11 @@ def _gain_array(alpha: float, g, d: int, k: int):
 def scs_fidelity(alpha: float, g, d: int, k: int, s):
     """Fidelity of the amplified cat-state qudit against the gain-g target qudit.
 
-    The target carries index k + l (mod d), l the word's net photon change; the
-    overlap and the norms are ``amplify.class_poly`` sums.  ``g`` may be an array
-    (used by the dense-scan oracles).  Where a tiny g alpha takes its numerator
-    or norms below the normal doubles, it raises ``ArithmeticError`` rather than
-    return F without its digits.
+    The target carries index k + l (mod d), l the word's net photon change.  At a
+    scalar g, ln F is ``scs_slope_newton``'s third value less ``scs_log_norm``,
+    and raises where they do.  An array g (the dense-scan oracles) takes the
+    ``amplify.class_poly`` sums S_j, many times faster there, and raises
+    ``ArithmeticError`` where a tiny g alpha takes them below the normal doubles.
     """
     word = scheme_word(s)
     l, offsets = amplify.rises(word)
@@ -120,6 +120,8 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
         # both states collapse onto number states, |k + l> and |(k + l) mod d>
         val = np.full_like(g, 1.0 if k + l < d else 0.0)
         return val if isinstance(g, np.ndarray) else float(val)
+    if not isinstance(g, np.ndarray):
+        return math.exp(scs_slope_newton(alpha, g, d, k, word)[2] - scs_log_norm(alpha, d, k, word))
     a2 = alpha * alpha
     y = g * a2
     z = g * g * a2
@@ -127,14 +129,13 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     num = amplify.class_poly(amplify.overlap_rises(word), y, k, d) ** 2
     if l:
         num = z ** l * num
-    den = amplify.class_poly(offsets, a2, k, d) * mod_exp_sum((k + l) % d, z, d)
+    den = amplify.class_poly(offsets, a2, k, d) * states.mod_exp_sum((k + l) % d, z, d)
     # at tiny y and z the sums fall below the normal doubles, to 0 or to a few digits
     lost = (num < _TINY) | (den < _TINY)
     if np.any(lost):
         raise ArithmeticError(
             f"fidelity sums underflow at alpha {alpha:g}, gain {np.extract(lost, g)[0]:g}")
-    val = env * num / den
-    return val if isinstance(g, np.ndarray) else float(val)
+    return env * num / den
 
 
 def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
@@ -289,13 +290,16 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
 def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float, float]:
     """(D, dD/dg, ln F + ``scs_log_norm``) at one gain, where ``scs_slope`` = 2 D / g:
     a Newton step on D refines the slope's root without a second evaluation for
-    the derivative, and the class sums it takes give the fidelity there too.  Where
-    g^2 alpha^2 underflows to 0, as ``scs_fidelity`` does, it raises ``ArithmeticError``."""
+    the derivative, and the class sums it takes give the fidelity there too.  It
+    raises ``ArithmeticError`` where g^2 alpha^2 is 0, or where alpha^2, g alpha^2 or
+    g^2 alpha^2 is subnormal and so is c ln x, c > 0 the lowest member of its class."""
     word = scheme_word(s)
     g = _gain_array(alpha, g, d, k)
     if alpha == 0.0:
         return 0.0, 0.0, 0.0
-    if g * g * (alpha * alpha) == 0.0:
+    a2 = alpha * alpha
+    z = g * g * a2
+    if z == 0.0 or (min(a2, g * a2) < _TINY and k) or (z < _TINY and target_index(k, d, word)):
         raise ArithmeticError(f"log class sums underflow at alpha {alpha:g}, gain {g:g}")
     gap, dgap, log_f = _gap(alpha, g, d, k, word, var=True)
     return float(gap), float(dgap), float(log_f)
@@ -307,15 +311,14 @@ def scs_log_norm(alpha: float, d: int, k: int, s) -> float:
     ``scs_slope_newton``'s third value less this.  The weights are
     ``scs_qfi``'s.  Where alpha^2 (1 - cos 2 pi / d) >= 45, and at d = 1 for
     every alpha, this is the closed form x - ln d + ln sum_q c_q x^q of
-    ``_mean_excess`` at x = alpha^2, for every word.  Where alpha^2 underflows to
-    0 it is ln f(0)^2 at k = 0, and -inf above, where it raises ``ArithmeticError``."""
+    ``_mean_excess`` at x = alpha^2, for every word.  Where alpha^2 is subnormal
+    it is ln f(0)^2 at k = 0, and raises ``ArithmeticError`` above (k ln x lost)."""
     states._check_dims(alpha, d, k)
     if alpha == 0.0:
         raise ValueError("alpha must be > 0")
-    val = _mean_excess(k, alpha * alpha, d, amplify.rises(scheme_word(s))[1], True)[2]
-    if val == -math.inf:
+    if (a2 := alpha * alpha) < _TINY and k:
         raise ArithmeticError(f"log norm underflows at alpha {alpha:g}")
-    return float(val)
+    return float(_mean_excess(k, a2, d, amplify.rises(scheme_word(s))[1], True)[2])
 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:

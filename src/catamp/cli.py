@@ -98,7 +98,9 @@ def _run_cell(cfg: SweepConfig, alpha: float, k: int) -> SweepRecord:
             opt = optimize.scs_gain(ScsSpec(alpha, d, kk), scheme)
             rec.G, rec.F_opt = opt.argmax, opt.value
             if opt.boundary_hit:  # the slope certifies a maximum at the edge
-                rec.status = "ok;gain-at-edge"
+                rec.status += ";gain-at-edge"
+            if not opt.converged:  # a refinement ran out of its evaluations
+                rec.status += ";gain-not-converged"
         rec.qfi_in = analytic.scs_qfi(alpha, d, kk)
         qfi = {s: analytic.scs_qfi(alpha, d, kk, s) for s in Scheme}
         rec.qfi_out = qfi[scheme]
@@ -279,9 +281,12 @@ def _check_scs_fidelity_equivalence(g):
             for alpha in g["alphas"]:
                 for scheme in Scheme:
                     closed = analytic.scs_fidelity(alpha, gains, d, k, scheme)
+                    scalar = np.array([analytic.scs_fidelity(alpha, float(gain), d, k, scheme)
+                                       for gain in gains])
                     brute = np.array([brute_scs_fidelity(alpha, gain, d, k, scheme)
                                       for gain in gains])
-                    ok = np.abs(closed - brute) <= 1e-12 * closed
+                    ok = (np.abs(closed - brute) <= 1e-12 * closed) & (
+                        np.abs(scalar - brute) <= 1e-12 * scalar)
                     assert ok.all(), (
                         f"scs fidelity equivalence a={alpha} g={gains[~ok]} d={d} k={k} {scheme}"
                     )

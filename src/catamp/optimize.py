@@ -30,13 +30,13 @@ ROOT_MAX_CALLS = 100
 
 @dataclass(frozen=True)
 class OptResult:
-    """A maximum: ``value`` is the fidelity at ``argmax`` (from the log class
-    sums of the refinement, not an ``analytic.scs_fidelity`` call, except at
-    alpha = 0), ``iterations`` counts the (D, dD/dg) evaluations of the root
-    refinement (about three per root; the one that values GAIN_HI is not
-    counted), ``converged`` holds when every refinement converged, and
-    ``boundary_hit`` when the argmax is the top of the search range.
-    ``argmax`` is None where the value does not depend on the gain."""
+    """A maximum: ``value`` is the fidelity at ``argmax`` from the log class sums
+    of the refinement's last step (a scalar ``analytic.scs_fidelity``'s route;
+    a call at alpha = 0), ``iterations`` counts the (D, dD/dg) evaluations of the
+    root refinement (about three per root; the one that values GAIN_HI is not
+    counted), ``converged`` holds when every refinement converged (a sweep row
+    is flagged otherwise), and ``boundary_hit`` when the argmax is the top of
+    the search range.  ``argmax`` is None where the value does not depend on the gain."""
 
     argmax: float | None
     value: float

@@ -91,6 +91,31 @@ def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndar
     return np.exp(log_f)
 
 
+def mp_scs_fidelity(alpha: float, g: float, d: int, k: int, scheme: str) -> float:
+    """``series_scs_fidelity`` at one gain from 50-digit class sums, where no
+    x^m / m! underflows or rounds at any x > 0, however tiny g is."""
+    with mp.workdps(50):
+        a2 = mp.mpf(alpha) ** 2
+        y, z = mp.mpf(g) * a2, mp.mpf(g) ** 2 * a2
+
+        def class_sum(j, x, weight):
+            total, m = mp.mpf(0), j % d
+            while True:
+                term = weight(m) * x**m / mp.factorial(m)
+                total += term
+                if m > x and term < mp.mpf(10) ** -60 * total:
+                    return total
+                m += d
+
+        if scheme == "aadag":
+            f = class_sum(k, y, lambda m: m + 1) ** 2 / (
+                class_sum(k, a2, lambda m: (m + 1) ** 2) * class_sum(k, z, lambda m: 1))
+        else:
+            f = z**2 * class_sum(k, y, lambda m: 1) ** 2 / (
+                class_sum(k, a2, lambda m: (m + 1) * (m + 2)) * class_sum(k + 2, z, lambda m: 1))
+        return float(f)
+
+
 def coherent_fidelity(alpha: float, g: float, scheme: str) -> float:
     """Amplified coherent-state (hybrid) fidelity, the hand-expanded polynomials:
     a a-dagger gives (g^2 a^4 + 2 g a^2 + 1) / (a^4 + 3 a^2 + 1) and a-dagger^2

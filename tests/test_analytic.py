@@ -13,7 +13,7 @@ from catamp.errors import DivergentGainError
 from catamp.states import HesSpec, ScsSpec
 
 from conftest import (cat_column, coherent_fidelity, coherent_qfi, create, destroy,
-                      series_scs_fidelity, series_scs_qfi, var4)
+                      mp_scs_fidelity, series_scs_fidelity, series_scs_qfi, var4)
 
 
 def brute_fidelity(alpha, g, d, k, scheme):
@@ -180,11 +180,66 @@ def test_scs_fidelity_stable_at_extreme_gain():
 @pytest.mark.parametrize("s", list(Scheme))
 def test_scs_fidelity_raises_where_its_sums_underflow(g, s):
     # g^2 alpha^2 = 2.5e-161, 2.5e-201 or 0: S_2 and S_4 of it are subnormal or 0,
-    # and F was 1.0058 (a a-dagger at 1e-80) or 0/0
-    with pytest.raises(ArithmeticError, match=f"gain {g:g}"):
-        analytic.scs_fidelity(0.5, g, 5, 2, s)
+    # and F was 1.0058 (a a-dagger at 1e-80) or 0/0.  A scalar gain takes log class
+    # sums, which are finite until g^2 alpha^2 itself underflows
+    if g > 1e-200:
+        want = mp_scs_fidelity(0.5, g, 5, 2, s.value)
+        assert abs(analytic.scs_fidelity(0.5, g, 5, 2, s) - want) <= 1e-12 * want
+    else:
+        with pytest.raises(ArithmeticError, match=f"gain {g:g}"):
+            analytic.scs_fidelity(0.5, g, 5, 2, s)
     with pytest.raises(ArithmeticError, match=f"gain {g:g}"):
         analytic.scs_fidelity(0.5, np.array([1.0, g]), 5, 2, s)
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_scalar_fidelity_at_tiny_gain_matches_50_digit_class_sums(s):
+    # the root-of-unity route raised on 121 of these 216 cells, where a class sum
+    # left the normal doubles (54 of 72 at g = 1e-80 and at 1e-150, 13 at 1e-20)
+    for d in (1, 2, 5, 8, 12):
+        for k in sorted({0, d // 2, d - 1}):
+            for alpha in (0.05, 0.5, 2.0):
+                for g in (1e-20, 1e-80, 1e-150):
+                    got = analytic.scs_fidelity(alpha, g, d, k, s)
+                    want = mp_scs_fidelity(alpha, g, d, k, s.value)
+                    # relative where F >= 1e-3 (worst seen 6.5e-13), absolute below
+                    assert abs(got - want) <= 1e-12 * max(want, 1e-3), (d, k, alpha, g, got, want)
+    # g alpha = 1e-100: F ~ (g alpha)^4 underflows to 0 under double addition
+    assert analytic.hes_fidelity(1e-100, 1.0, s) == (0.0 if s is Scheme.ADAG2 else 1.0)
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_log_class_sums_raise_where_an_argument_is_subnormal(s):
+    # g^2 alpha^2 = 2.5e-321 or 2.5e-323 (class k + l mod 5 = 2 or 4, lowest member > 0)
+    # has lost digits, and so has its c ln z: a a-dagger F read 1.0000195 and 1.024,
+    # where the 50-digit value is 0.99999724
+    for g in (1e-160, 1e-161):
+        for f in (analytic.scs_slope_newton, analytic.scs_fidelity):
+            with pytest.raises(ArithmeticError, match=f"alpha 0.5, gain {g:g}"):
+                f(0.5, g, 5, 2, s)
+    # alpha^2 = 1e-320 in class k = 2, with g alpha^2 and g^2 alpha^2 normal
+    for f in (analytic.scs_slope_newton, analytic.scs_fidelity):
+        with pytest.raises(ArithmeticError, match="alpha 1e-160, gain 1e"):
+            f(1e-160, 1e100, 5, 2, s)
+    with pytest.raises(ArithmeticError, match="alpha 1e-160"):
+        analytic.scs_log_norm(1e-160, 5, 2, s)
+    # lowest member 0 (k = 0, or d = 1): no c ln x arises, and the values stay
+    log_f0 = sum(math.log(1 + i) for i in amplify.rises(analytic.scheme_word(s))[1])
+    assert analytic.scs_log_norm(1e-160, 5, 0, s) == log_f0
+    assert math.isfinite(analytic.scs_slope_newton(0.5, 1e-161, 1, 0, s)[2])
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_scalar_fidelity_takes_no_root_of_unity_sum(monkeypatch, s):
+    def raiser(*args):
+        raise AssertionError("root-of-unity sum on a scalar gain")
+
+    monkeypatch.setattr(states, "mod_exp_sum", raiser)
+    monkeypatch.setattr(amplify, "class_poly", raiser)
+    for d in range(1, 9):
+        for k in range(d):
+            assert 0.0 < analytic.scs_fidelity(1.1, 1.3, d, k, s) <= 1.0
+    assert 0.0 < analytic.hes_fidelity(1.1, 1.3, s) <= 1.0
 
 
 @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -299,6 +354,19 @@ def test_closed_forms_match_the_fock_oracles_on_random_cells(alpha, g, d, s, dat
     closed = analytic.scs_qfi(alpha, d, k, s)
     brute = cli.brute_scs_qfi(alpha, d, k, s)
     assert abs(closed - brute) <= 1e-10 * closed, (closed, brute)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 3.0), g=st.floats(0.05, 5.0), d=st.integers(1, 12),
+       s=st.sampled_from([*Scheme, ("add",), ("add",) * 3, ("subtract", "add", "add")]),
+       data=st.data())
+def test_scalar_fidelity_matches_the_array_route(alpha, g, d, s, data):
+    # two closed forms of F: log class sums at a scalar gain, S_j sums on an array
+    k = data.draw(st.integers(0, d - 1))
+    scalar = analytic.scs_fidelity(alpha, g, d, k, s)
+    array = analytic.scs_fidelity(alpha, np.array([g]), d, k, s)[0]
+    if array >= 1e-3:
+        assert abs(scalar - array) <= 1e-12 * array, (scalar, array)
 
 
 def test_scs_qfi_last_qudit_index_at_d8():

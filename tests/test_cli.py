@@ -191,6 +191,15 @@ def test_edge_optimum_gets_its_own_status():
     assert inner.status == "ok" and inner.G < optimize.GAIN_HI
 
 
+def test_unconverged_gain_gets_its_own_status(monkeypatch):
+    # D > 0 and dD/dg = -1e10 everywhere: every refinement runs out of evaluations,
+    # and the row read "ok"
+    monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: (1.0, -1e10, 0.0))
+    cfg = SweepConfig(family="scs", d=5, k_list=(2,), scheme="aadag",
+                      alpha_min=1.0, alpha_max=1.5, steps=2)
+    assert [r.status for r in cli.run_sweep(cfg)] == ["ok;gain-not-converged"] * 2
+
+
 def test_zero_amplitude_scs_row_keeps_its_fidelity():
     cfg = SweepConfig(family="scs", d=3, k_list=(0,), scheme="aadag",
                       alpha_min=0.0, alpha_max=0.5, steps=2)
