@@ -25,6 +25,7 @@ walk out from the class member nearest x, and on an array (the gain scan) by
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -50,6 +51,7 @@ def as_scheme(s) -> Scheme:
     return Scheme(str(s).lower())
 
 
+@functools.cache
 def scheme_word(s) -> amplify.SchemeWord:
     """The word of a named scheme, or ``s`` itself if it is a word none of whose
     offsets is negative: such a word never takes a photon below the input's

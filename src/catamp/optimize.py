@@ -1,21 +1,22 @@
 """Optimized cat-state gain and root bracketing.
 
 The optimized gain is a root of the closed-form slope ``analytic.scs_slope``:
-every stationary point in the search range is bracketed on a fixed grid and
-refined by Newton steps on D = g/2 times the slope, a difference of class
-means, whose derivative is closed form too (``analytic.scs_slope_newton``).
-Where a Newton step would leave the current sign bracket, the bracket's
-false-position point is taken instead.  The same steps give each candidate's
-fidelity from their log class sums, and the candidate of largest fidelity wins.
+every stationary point in the search range is bracketed on a fixed grid, scanned
+only up to a proven bound on where the slope can be positive, and refined by
+Newton steps on D = g/2 times the slope, a difference of class means, whose
+derivative is closed form too (``analytic.scs_slope_newton``).  A Newton step
+that would leave its sign bracket gives way to the bracket's false-position
+point.  The same steps' log class sums value each candidate; the largest wins.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
+from . import amplify, analytic
 from .errors import OptimizationError
 from .states import ScsSpec
 
@@ -82,7 +83,7 @@ def _newton(step, a: float, b: float, fa: float, fb: float, tol: float):
     for calls in range(1, ROOT_MAX_CALLS + 1):
         last = x, step(x)
         fx, dfx = last[1][:2]
-        if not (np.isfinite(fx) and np.isfinite(dfx)):
+        if not (math.isfinite(fx) and math.isfinite(dfx)):
             raise OptimizationError(f"objective or its derivative non-finite at {x}")
         if fx == 0.0:
             return x, calls, True, last
@@ -106,24 +107,38 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     """Gain maximizing the cat-state fidelity on [GAIN_LO, GAIN_HI], for a named
     scheme or a word (``analytic.scheme_word``).
 
-    Candidates are the roots of the slope at each + to - sign change of a
-    SLOPE_GRID-point scan, refined by ``_newton`` to ROOT_XTOL, and GAIN_HI
-    when the slope is still positive there (the last qudit indices under double
-    addition at small amplitude).  ``iterations`` counts the (D, dD/dg)
-    evaluations of every refinement.  Each candidate's fidelity comes from the
-    log class sums of its last ``analytic.scs_slope_newton`` call (one more
-    call values GAIN_HI), carried to the root by the second-order Taylor step
-    of ln F, whose derivative is 2 D / g; no ``analytic.scs_fidelity`` call
-    is made.  The candidate of largest fidelity wins.  At alpha = 0 the qudit
-    is a number state, F does not depend on the gain, and no gain is returned.
+    Candidates are the roots of the slope at each + to - sign change of a scan of
+    the SLOPE_GRID-point grid through its first point at or past g_max, refined by
+    ``_newton`` to ROOT_XTOL, and GAIN_HI when the slope is still positive there
+    (the last qudit indices under double addition at small amplitude).  No slope is
+    positive past g_max = 1/2 + sqrt(1/4 + C / alpha^2), C = l + 2d + Q, l the word's
+    net photon change and Q its count of overlap offsets: D = l + M_y - M_z, class
+    means of m over P(m) y^m / m! (y = g alpha^2) and z^m / m! (z = g^2 alpha^2),
+    weights whose ratio w(m + 1) / w(m) falls in m.  Cut m >= 0 into runs of d, each
+    topped by a class member: the top's share falls from run to run, so the class's
+    mean run index is at most the full sum's (Chebyshev's sum inequality), and
+    M <= (full mean) + d - 1; runs headed by a member give M >= (full mean) - d + 1,
+    at every x.  The full means are y + E[q] <= y + Q (``amplify.falling``) and z,
+    so D <= l + Q + 2d - 2 - alpha^2 g (g - 1) <= -2 from g_max on; a scan positive
+    there (by rounding) is redone on the whole grid.  ``iterations`` counts the
+    (D, dD/dg) evaluations of every refinement.  Each candidate's fidelity comes
+    from the log class sums of its last ``analytic.scs_slope_newton`` call (one
+    more call values GAIN_HI), carried to the root by the second-order Taylor step
+    of ln F, whose derivative is 2 D / g; no ``analytic.scs_fidelity`` call is
+    made.  The candidate of largest fidelity wins.  At alpha = 0 the qudit is a
+    number state, F does not depend on the gain, and no gain is returned.
     """
     word = analytic.scheme_word(s)
     alpha, d, k = spec.alpha, spec.d, spec.k
     if alpha == 0.0:
         return OptResult(None, analytic.scs_fidelity(0.0, 1.0, d, k, word), 0, True, False)
 
-    grid = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
+    full = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
+    c = amplify.rises(word)[0] + 2 * d + len(amplify.overlap_rises(word))
+    grid = full[:np.searchsorted(full, 0.5 + math.sqrt(0.25 + c / alpha / alpha)) + 1]
     scan = analytic.scs_slope(alpha, grid, d, k, word)
+    if scan[-1] > 0 and grid.size < full.size:  # past g_max only by rounding
+        grid, scan = full, analytic.scs_slope(alpha, full, d, k, word)
     if not np.all(np.isfinite(scan)):
         raise OptimizationError(f"fidelity slope non-finite on the gain scan of {spec}")
     gap = scan * grid / 2.0  # D, the slope's class-mean difference

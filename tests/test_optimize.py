@@ -45,14 +45,55 @@ def test_nonfinite_objective_raises(monkeypatch):
 
 
 def test_slope_scan_is_one_call(monkeypatch):
-    # the scan is the only slope call; each counted iteration is one (D, dD/dg) call
+    # the scan is the only slope call, on the grid's prefix through the first point
+    # past g_max = 1/2 + sqrt(1/4 + C / alpha^2) = 2.767, C = l + 2d + Q = 0 + 10 + 1;
+    # each counted iteration is one (D, dD/dg) call
     sizes, steps = [], []
     slope, step = analytic.scs_slope, analytic.scs_slope_newton
     monkeypatch.setattr(analytic, "scs_slope", lambda *a: sizes.append(np.size(a[1])) or slope(*a))
     monkeypatch.setattr(analytic, "scs_slope_newton", lambda *a: steps.append(a[1]) or step(*a))
     res = optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
-    assert sizes == [optimize.SLOPE_GRID]
+    assert sizes == [37]
     assert len(steps) == res.iterations > 0
+
+
+WINDOW_WORDS = (Scheme.AADAG, Scheme.ADAG2, ("add",), ("add",) * 3, ("subtract", "add", "add"))
+
+
+def _brackets(scan):
+    """Left ends of the scan's + to - sign changes, and whether it ends positive."""
+    return np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)).tolist(), bool(scan[-1] > 0)
+
+
+def test_windowed_scan_keeps_the_full_scans_brackets_and_result(monkeypatch):
+    # no positive slope lies past g_max, so the window is scanned once, and its
+    # brackets and GAIN_HI candidate are the full scan's; so is the whole result,
+    # which the reference takes from the full 256-point scan's values
+    rng = np.random.default_rng(14)
+    full = np.linspace(optimize.GAIN_LO, optimize.GAIN_HI, optimize.SLOPE_GRID)
+    slope, scans = analytic.scs_slope, []
+    monkeypatch.setattr(analytic, "scs_slope", lambda *a: scans.append(slope(*a)) or scans[-1])
+    for _ in range(1000):
+        d = int(rng.integers(1, 13))
+        alpha, k = float(rng.uniform(0.05, 3.0)), int(rng.integers(0, d))
+        s = WINDOW_WORDS[int(rng.integers(0, len(WINDOW_WORDS)))]
+        scans.clear()
+        got = optimize.scs_gain(ScsSpec(alpha, d, k), s)
+        ref = slope(alpha, full, d, k, s)
+        assert len(scans) == 1 and _brackets(scans[0]) == _brackets(ref), (alpha, d, k, s)
+        with monkeypatch.context() as m:
+            m.setattr(analytic, "scs_slope", lambda a, g, *r: ref[:np.size(g)])
+            assert got == optimize.scs_gain(ScsSpec(alpha, d, k), s), (alpha, d, k, s)
+
+
+def test_positive_slope_at_the_window_end_rescans_the_whole_grid(monkeypatch):
+    # a slope still positive past g_max (which only rounding could make) is not
+    # trusted to the window: the whole grid is scanned, and here ends positive
+    sizes = []
+    monkeypatch.setattr(analytic, "scs_slope", lambda *a: sizes.append(np.size(a[1])) or np.ones(np.shape(a[1])))
+    res = optimize.scs_gain(ScsSpec(1.5, 5, 2), Scheme.AADAG)
+    assert sizes == [37, optimize.SLOPE_GRID]
+    assert res.argmax == optimize.GAIN_HI and res.boundary_hit
 
 
 ROBUST_CELLS = ((1.5, 5, 2, Scheme.AADAG), (1.3, 3, 1, Scheme.ADAG2), (0.2, 5, 4, Scheme.AADAG),
