@@ -19,8 +19,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 
-import numpy as np
-
 from . import fock, states
 from .errors import DegenerateStateError
 from .fock import ADD, SUBTRACT, FockVector
@@ -30,9 +28,6 @@ SchemeWord = tuple[str, ...]
 
 AADAG: SchemeWord = (SUBTRACT, ADD)
 ADAG2: SchemeWord = (ADD, ADD)
-
-#: polynomial in ladder operators: sequence of (coefficient, word) terms
-LadderPoly = tuple[tuple[complex, SchemeWord], ...]
 
 
 @functools.cache
@@ -91,15 +86,8 @@ def class_poly(offsets: tuple[int, ...], x, k: int, d: int):
     return sum(terms[1:], terms[0])
 
 
-def word_counts(word: SchemeWord) -> tuple[int, int]:
-    adds = sum(1 for op in word if op == ADD)
-    subs = len(word) - adds
-    return adds, subs
-
-
 def _apply_word_raw(v: FockVector, word: SchemeWord) -> FockVector:
-    adds, _ = word_counts(word)
-    out = v.padded(v.trunc + adds)  # headroom so creation never leaks
+    out = v.padded(v.trunc + word.count(ADD))  # headroom so creation never leaks
     for op in reversed(word):
         out = fock.ladder(out, op)
     return fock.check_leak(out)
@@ -114,69 +102,22 @@ def apply_word(v: FockVector, word: SchemeWord) -> tuple[FockVector, float]:
         raise DegenerateStateError(f"word {word} annihilated the state") from exc
 
 
-def apply_poly(v: FockVector, poly: LadderPoly) -> FockVector:
-    """Apply a ladder polynomial (unnormalized linear combination of words)."""
-    width = v.trunc + max((word_counts(w)[0] for _, w in poly), default=0)
-    acc = np.zeros(v.amps.shape[:-1] + (width,), dtype=complex)
-    for coef, word in poly:
-        term = _apply_word_raw(v, word).padded(width)
-        acc += complex(coef) * term.amps
-    return FockVector(acc)
-
-
 def scs_amplified(spec: ScsSpec, word: SchemeWord, trunc: int) -> tuple[FockVector, float]:
     """Amplified cat-state qudit and the pre-normalization norm of the raw image."""
     return apply_word(states.scs_state(spec, trunc), word)
 
 
-def _validate_poly(poly: LadderPoly) -> LadderPoly:
-    poly = tuple((complex(c), tuple(w)) for c, w in poly)
-    if not poly:
-        raise ValueError("polynomial needs at least one term")
-    for _, word in poly:
-        rises(word)  # rejects an unknown ladder op
-    return poly
-
-
-def prop1_pair(spec: HesSpec, poly: LadderPoly) -> tuple[complex, complex]:
-    """Expectation of a balanced ladder polynomial on a hybrid qudit vs |alpha>.
-
-    Every term must contain equally many additions and subtractions; the two
-    returned values agree (the hybrid qudit is locally coherent-like).
-    """
-    poly = _validate_poly(poly)
-    for _, word in poly:
-        if rises(word)[0] != 0:
-            raise ValueError(f"term {word} is not balanced")
-    max_adds = max(word_counts(w)[0] for _, w in poly)
-    trunc = fock.auto_trunc(spec.alpha, additions=max_adds)
-    hes = states.hes_state(spec, trunc)
-    x_hes = fock.inner(hes, apply_poly(hes, poly))
-    coh = fock.coherent(spec.alpha, trunc)
-    x_coh = fock.inner(coh, apply_poly(coh, poly))
-    return x_hes, x_coh
-
-
-def prop2_pair(
-    alpha: float, beta: float, d: int, k: int, poly: LadderPoly
+def coherent_pair(
+    alpha: float, beta: float, d: int, k: int, word: SchemeWord
 ) -> tuple[complex, complex]:
-    """Cross matrix element of a fixed-imbalance ladder polynomial.
-
-    Every term must share the same net photon change l; the bra is the hybrid
-    qudit with index k + l (mod d) and amplitude beta.  Returns
-    (<H^{k+l}_beta| Q |H^k_alpha>, <beta| Q |alpha>), which agree.
-    """
-    poly = _validate_poly(poly)
-    changes = {rises(word)[0] for _, word in poly}
-    if len(changes) != 1:
-        raise ValueError(f"terms have mixed net photon change: {sorted(changes)}")
-    l = changes.pop()
-    max_adds = max(word_counts(w)[0] for _, w in poly)
-    trunc = fock.auto_trunc(max(alpha, beta), additions=max_adds)
+    """(<H^{k+l}_beta| W |H^k_alpha>, <beta| W |alpha>) for a word W of net photon
+    change l, which agree (Prop. 2); at beta = alpha a balanced word gives the
+    expectation on the hybrid qudit and on |alpha> (Prop. 1)."""
+    l = rises(word)[0]  # rejects an unknown ladder op
+    trunc = fock.auto_trunc(max(alpha, beta), additions=word.count(ADD))
     ket = states.hes_state(HesSpec(alpha, d, k), trunc)
     bra = states.hes_state(HesSpec(beta, d, (k + l) % d), trunc)
-    x_hes = fock.inner(bra, apply_poly(ket, poly))
-    coh_a = fock.coherent(alpha, trunc)
-    coh_b = fock.coherent(beta, trunc)
-    x_coh = fock.inner(coh_b, apply_poly(coh_a, poly))
+    x_hes = fock.inner(bra, _apply_word_raw(ket, word))
+    coh_a, coh_b = fock.coherent(alpha, trunc), fock.coherent(beta, trunc)
+    x_coh = fock.inner(coh_b, _apply_word_raw(coh_a, word))
     return x_hes, x_coh

@@ -349,17 +349,17 @@ def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float
     return scs_qfi(alpha, d, k, Scheme.AADAG) / scs_qfi(alpha, d, k, Scheme.ADAG2)
 
 
-_IDENTITIES = {
-    # word (rightmost acts first) -> coefficients of adag^j a^j, index j
-    "sub_add3_sub3_add": (("subtract", "add", "add", "add", "subtract", "subtract", "subtract", "add"), {4: 1.0, 3: 7.0, 2: 9.0}),
-    "sub_add2_sub2_add": (("subtract", "add", "add", "subtract", "subtract", "add"), {3: 1.0, 2: 5.0, 1: 4.0}),
-    "sub2_add2_sub2_add2": (("subtract", "subtract", "add", "add", "subtract", "subtract", "add", "add"), {4: 1.0, 3: 12.0, 2: 38.0, 1: 32.0, 0: 4.0}),
-    "sub2_add_sub_add2": (("subtract", "subtract", "add", "subtract", "add", "add"), {3: 1.0, 2: 8.0, 1: 14.0, 0: 4.0}),
+_IDENTITIES = {  # balanced words, rightmost acts first
+    "sub_add3_sub3_add": ("subtract", "add", "add", "add", "subtract", "subtract", "subtract", "add"),
+    "sub_add2_sub2_add": ("subtract", "add", "add", "subtract", "subtract", "add"),
+    "sub2_add2_sub2_add2": ("subtract", "subtract", "add", "add", "subtract", "subtract", "add", "add"),
+    "sub2_add_sub_add2": ("subtract", "subtract", "add", "subtract", "add", "add"),
 }
 
 
 def verify_normal_ordering_identities(trunc: int) -> dict[str, float]:
-    """Max interior deviation between ladder words and their normally ordered forms.
+    """Max interior deviation between ladder words and their normally ordered forms
+    sum_j c_j adag^j a^j, c = ``amplify.falling(amplify.overlap_rises(word))``.
 
     Returns one entry per identity; deviations are measured on matrix entries
     with both indices <= trunc - 6 so boundary truncation cannot contribute.
@@ -371,12 +371,13 @@ def verify_normal_ordering_identities(trunc: int) -> dict[str, float]:
     ops = {"add": ad, "subtract": a}
     report = {}
     cut = trunc - 5  # entries with index <= trunc - 6
-    for name, (word, coeffs) in _IDENTITIES.items():
+    for name, word in _IDENTITIES.items():
         left = np.eye(trunc)
         for op in word:  # leftmost factor applied last = leftmost in the product
             left = left @ ops[op]
+        c = amplify.falling(amplify.overlap_rises(word))  # highest j first
         right = np.zeros((trunc, trunc))
-        for j, c in coeffs.items():
-            right += c * np.linalg.matrix_power(ad, j) @ np.linalg.matrix_power(a, j)
+        for j, cj in zip(range(len(c) - 1, -1, -1), c):
+            right += cj * np.linalg.matrix_power(ad, j) @ np.linalg.matrix_power(a, j)
         report[name] = float(np.max(np.abs((left - right)[:cut, :cut])))
     return report

@@ -52,6 +52,8 @@ class SweepConfig:
             raise ValueError("alpha_min must satisfy 0 <= alpha_min < alpha_max")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if any(not 0 <= k < self.d for k in self.k_list):
             raise ValueError("every k must satisfy 0 <= k < d")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
@@ -328,11 +330,11 @@ def _check_proposition_oracles(g):
         for k in range(d):
             alpha = float(rng.uniform(0.3, 1.8))
             word = tuple(rng.permutation(["add", "subtract"] * 2))
-            x_h, x_c = amplify.prop1_pair(HesSpec(alpha, d, k), ((1.0, word),))
+            x_h, x_c = amplify.coherent_pair(alpha, alpha, d, k, word)
             assert abs(x_h - x_c) < 1e-10, f"balanced-word oracle d={d} k={k}"
             beta = float(rng.uniform(0.3, 1.8))
             imb = tuple(["add"] * 2 + ["subtract"])
-            x_h, x_c = amplify.prop2_pair(alpha, beta, d, k, ((1.0, imb),))
+            x_h, x_c = amplify.coherent_pair(alpha, beta, d, k, imb)
             assert abs(x_h - x_c) < 1e-10, f"imbalanced-word oracle d={d} k={k}"
 
 

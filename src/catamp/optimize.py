@@ -170,7 +170,9 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
 
 
 def find_crossing(f, target: float, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Abscissa where f crosses target on [lo, hi], to within tol."""
+    """Abscissa where f crosses target on [lo, hi], lo < hi, to within tol."""
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     flo = f(lo) - target
     fhi = f(hi) - target
     if not np.isfinite(flo) or not np.isfinite(fhi):

@@ -107,17 +107,21 @@ def test_criterion_4_proposition_suites(rng):
         word = list("a" * m + "s" * m)
         rng.shuffle(word)
         word = tuple("add" if c == "a" else "subtract" for c in word)
-        x_h, x_c = amplify.prop1_pair(HesSpec(alpha, d, k), ((1.0, word),))
+        x_h, x_c = amplify.coherent_pair(alpha, alpha, d, k, word)
         assert abs(x_h - x_c) <= 1e-10, ("balanced", d, k, alpha, word)
         adds = int(rng.integers(0, 5))
         subs = int(rng.integers(0, 5))
         word = list("a" * adds + "s" * subs)
         rng.shuffle(word)
         word = tuple("add" if c == "a" else "subtract" for c in word)
-        x_h, x_c = amplify.prop2_pair(alpha, beta, d, k, ((1.0, word),))
+        x_h, x_c = amplify.coherent_pair(alpha, beta, d, k, word)
         assert abs(x_h - x_c) <= 1e-10, ("imbalanced", d, k, alpha, beta, word)
         n_checks += 2
-    _pass("criterion-4", f"coherent-equivalence oracles on {n_checks} random words")
+    for word in analytic._IDENTITIES.values():  # the normal-ordering check's balanced words
+        x_h, x_c = amplify.coherent_pair(1.1, 1.1, 3, 1, word)
+        assert abs(x_h - x_c) <= 1e-10, ("balanced", word)
+        n_checks += 1
+    _pass("criterion-4", f"coherent-equivalence oracles on {n_checks} words")
 
 
 def test_criterion_5_structural_invariants():

@@ -409,6 +409,21 @@ def test_normal_ordering_identities_hold():
         assert dev <= 1e-9, name
 
 
+def test_normal_ordering_check_reads_the_library_falling_factorials(monkeypatch):
+    # the right sides come from amplify.falling: one perturbed c_0 adds the identity
+    falling = amplify.falling
+
+    def perturbed(offsets):
+        c = falling(offsets)
+        return c[:-1] + (c[-1] + 1.0,)
+
+    monkeypatch.setattr(amplify, "falling", perturbed)
+    report = analytic.verify_normal_ordering_identities(24)
+    assert len(report) == 4
+    for name, dev in report.items():
+        assert dev > 0.5, name
+
+
 def test_normal_ordering_identity_value_on_one():
     # a^2 adag a adag^2 |1> = 18 |1>: falling factorials give 0 + 0 + 14*1 + 4
     n = 12

@@ -73,6 +73,16 @@ def test_non_finite_alpha_max_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_dimension_below_one_is_a_usage_error(tmp_path, capsys):
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            hes_cfg(d=bad, k_list=())
+        out = tmp_path / "rows.csv"
+        assert cli.main(["scs-sweep", "--d", str(bad), "--out", str(out)]) == 2
+        assert "d must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_gamma_outside_the_open_unit_interval_is_a_usage_error(capsys):
     for bad in (0.0, 1.0, 1.5, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="gamma"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catamp import analytic, optimize
+from catamp import analytic, cli, optimize
 from catamp.analytic import Scheme
 from catamp.errors import OptimizationError
 from catamp.states import ScsSpec
@@ -275,6 +275,15 @@ def test_find_crossing_square():
 def test_find_crossing_requires_bracket():
     with pytest.raises(ValueError):
         optimize.find_crossing(lambda x: x * x, 100.0, 1.0, 3.0)
+
+
+def test_find_crossing_rejects_a_reversed_bracket(capsys):
+    with pytest.raises(ValueError, match="lo < hi"):
+        optimize.find_crossing(lambda x: x * x, 4.0, 3.0, 1.0)
+    assert cli.main(["crossing", "--lo", "1.2", "--hi", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert "lo < hi" in captured.err
+    assert captured.out == ""
 
 
 def test_hes_ratio_unit_crossing():
