@@ -16,10 +16,12 @@ everywhere) the class moments are those of the full sum, exact there to e^-45,
 for every word: the falling factorials of ``amplify.falling`` make its weights
 a mixture of Poisson laws shifted by q, weighted c_q x^q, so the mean is
 x + E[q], the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.
-So a class is summed only below that bound: at a scalar x (every Newton step,
-scalar fidelity, QFI and log norm) in Python floats by ``_class_walk``, a ratio
-walk out from the class member nearest x, and on an array (the gain scan) by
-``_class_series``, a window from log space.
+So a class is summed only below that bound, by one of two kernels.  On an
+array (the gain scan) ``_class_mean`` gives the class mean alone, from
+``_class_series``, a window from log space.  At a float (every Newton step,
+scalar fidelity, QFI and log norm) ``_class_moments`` gives the mean, variance
+and log sum, from ``_class_walk``, a ratio walk in Python floats out from the
+class member nearest x.
 """
 
 from __future__ import annotations
@@ -140,43 +142,29 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     return env * num / den
 
 
-def _class_series(j: int, x, d: int, rises: tuple[int, ...] = ()):
+def _class_series(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()):
     """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
-    0 <= j < d, on an array of x > 0 (a window of +-10 sigma about the peak per
-    point, from log space, scaled to a peak of 1), their excesses e = m - j, and
-    the log of that scale, so the class sum is e^peak sum w: moments over them
-    stay accurate where tiny (S_j ratios, and second moment minus mean squared,
-    cancel there).  Each weight carries the rounding of its exponent
-    m ln x - ln m!, about eps x ln x; ``_class_walk`` is the scalar kernel.
-    Where x = 0 (alpha^2 underflowed) only m = j is left, as in ``_class_walk``:
-    weight 1, and c ln x is 0 at c = 0 and -inf above."""
-    x = np.asarray(x, dtype=float)[..., None]
+    0 <= j < d, on an array of x >= 0 (a window of +-10 sigma about the peak per
+    point, from log space, scaled to a peak of 1), and their excesses e = m - j:
+    a mean over them stays accurate where S_j ratios cancel.  Each weight carries
+    the rounding of its exponent m ln x - ln m!, about eps x ln x; ``_class_walk``
+    is the scalar kernel.  Where x = 0 (alpha^2 underflowed) only m = j is left,
+    as in ``_class_walk``."""
+    x = x[..., None]
     zero = None if x.all() else x[..., 0] == 0.0
     span = 10.0 * np.sqrt(x) + 30.0
     m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
                  + np.arange(np.ceil(2.0 * span.max() / d) + 1.0))
     log_x = np.log(x) if zero is None else np.log(np.where(x == 0.0, 1.0, x))
     logw = sum(np.log1p(m + i) for i in rises) + m * log_x - fock.log_factorial(m)
-    peak = logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw - peak)
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
     if zero is not None:
         w[zero] = np.arange(w.shape[-1]) == 0  # the window there starts at m = j
-        peak[zero] = sum(math.log(1 + i) for i in rises) if j == 0 else -math.inf
-    return w, m - j, peak[..., 0]
+    return w, m - j
 
 
-def _moments(w, e, var: bool):
-    """Mean of e over the weights w along the last axis, and with ``var`` also
-    the centered variance (no cancellation)."""
-    total = w.sum(axis=-1)
-    mean = (w * e).sum(axis=-1) / total
-    if not var:
-        return mean
-    return mean, (w * (e - mean[..., None]) ** 2).sum(axis=-1) / total
-
-
-def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...], var: bool):
-    """``_mean_excess`` at one x >= 0 and d > 1, in Python floats.  From the class
+def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...]):
+    """``_class_moments`` at one x >= 0 and d > 1, in Python floats.  From the class
     member c nearest x, at weight 1, the weights walk up by
     w(m + d) / w(m) = prod_{t=1..d} x / (m + t) prod_i (m + d + 1 + i) / (m + 1 + i)
     and down by its inverse, until one falls below e^-_SKIP or m reaches j.  A
@@ -204,17 +192,38 @@ def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...], var: bool):
     ws, lo = down[::-1] + up, c - j - d * len(down)  # lo: the excess of ws[0]
     total = sum(ws)
     mean = lo + d * sum(n * wn for n, wn in enumerate(ws)) / total
-    if not var:
-        return mean
     spread = sum(wn * (lo + d * n - mean) ** 2 for n, wn in enumerate(ws)) / total
     # c ln x, where x = 0 (alpha^2 underflowed) leaves c = j: 0 at j = 0, -inf above
     log_c = (c * math.log(x) if x else (-math.inf if c else 0.0)) - math.lgamma(c + 1.0)
     return mean, spread, log_c + sum(math.log(c + 1 + i) for i in rises) + math.log(total)
 
 
-def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = False):
+def _mixture(x, rises: tuple[int, ...]):
+    """The far field's mixture weights c_q x^q of ``amplify.falling``, lowest q
+    first, their sum and the mean of q over them."""
+    t = [c * x ** q if q else c for q, c in enumerate(reversed(amplify.falling(rises)))]
+    total = sum(t[1:], t[0])
+    return t, total, sum(q * tq for q, tq in enumerate(t)) / total
+
+
+def _class_mean(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()) -> np.ndarray:
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
-    on m = j (mod d); with ``var`` the triple (mean, variance, ln of their sum).
+    on m = j (mod d), at every point of an array x >= 0 (the gain scan): the
+    mixture mean x - j + E[q] (see ``_class_moments``) past the bound, and a
+    ``_class_series`` window on the points below it, in one call."""
+    near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
+    if near.all():
+        w, e = _class_series(j, x, d, rises)
+        return (w * e).sum(axis=-1) / w.sum(axis=-1)
+    mean = x - j + _mixture(x, rises)[2]
+    if near.any():
+        mean[near] = _class_mean(j, x[near], d, rises)
+    return mean
+
+
+def _class_moments(j: int, x: float, d: int, rises: tuple[int, ...] = ()):
+    """(mean, variance, ln sum) of m - j over the weights of ``_class_mean`` at one
+    x >= 0, in Python floats (every Newton step, QFI and log norm).
 
     A class sum is (1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0
     terms are below e^-(x (1 - cos 2 pi / d)) of the n = 0 one (|c_q (x w^n)^q|
@@ -223,53 +232,14 @@ def _mean_excess(j: int, x, d: int, rises: tuple[int, ...] = (), var: bool = Fal
     over q of m = q + Poisson(x), weighted c_q x^q, so the mean is x - j + E[q],
     the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.  At d = 1
     the class is every m, so the mixture moments are exact at every x.  Below
-    that bound a scalar x (a Python float throughout) takes ``_class_walk`` and
-    an array ``_class_series``, on the points below it only.
+    that bound the class takes ``_class_walk``.
     """
-    if isinstance(x, np.ndarray):
-        near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
-        if near.all():
-            w, e, peak = _class_series(j, x, d, rises)
-            if not var:
-                return _moments(w, e, False)
-            return *_moments(w, e, True), peak + np.log(w.sum(axis=-1))
-        log = np.log
-    else:
-        x, near, log = float(x), None, math.log
-        if d > 1 and x * (1.0 - math.cos(2.0 * math.pi / d)) < _SKIP:
-            return _class_walk(j, x, d, rises, var)
-    # the mixture weights c_q x^q, lowest q first
-    t = [c * x ** q if q else c for q, c in enumerate(reversed(amplify.falling(rises)))]
-    total = sum(t[1:], t[0])
-    mean = sum(q * tq for q, tq in enumerate(t)) / total
-    out = [x - j + mean]
-    if var:
-        out += [x + sum(tq * (q - mean) ** 2 for q, tq in enumerate(t)) / total,
-                x - log(d) + log(total)]
-    if near is not None and near.any():
-        inner = _mean_excess(j, x[near], d, rises, var)
-        for o, v in zip(out, inner if var else (inner,)):
-            o[near] = v
-    return tuple(out) if var else out[0]
-
-
-def _gap(alpha: float, g, d: int, k: int, word: amplify.SchemeWord, var: bool = False):
-    """g/2 times the slope: the overlap class mean at y = g alpha^2 minus the
-    target's at z = g^2 alpha^2, each relative to its class's lowest photon
-    number; with ``var`` also its derivative in g, (Var_y - 2 Var_z) / g, as
-    dy/dg = y/g and dz/dg = 2 z/g, and ln F + L, L the g-free log sum of
-    ``scs_log_norm``: 2 L_y + l ln z - L_z from the log class sums L_y, L_z of
-    the same weights (the envelope and the e^-x of every S_j cancel)."""
-    a2 = alpha * alpha
-    l = amplify.rises(word)[0]
-    j = (k + l) % d
-    # overlap weights P(m) y^m / m! at m = k, target z^m / m! at m = k + l (mod d)
-    y = _mean_excess(k, g * a2, d, amplify.overlap_rises(word), var)
-    z = _mean_excess(j, g * g * a2, d, (), var)
-    if not var:
-        return l + k - j + y - z
-    log_f = 2.0 * y[2] - z[2] + (l * math.log(g * g * a2) if l else 0.0)
-    return l + k - j + y[0] - z[0], (y[1] - 2.0 * z[1]) / g, log_f
+    x = float(x)
+    if d > 1 and x * (1.0 - math.cos(2.0 * math.pi / d)) < _SKIP:
+        return _class_walk(j, x, d, rises)
+    t, total, mean = _mixture(x, rises)
+    spread = sum(tq * (q - mean) ** 2 for q, tq in enumerate(t)) / total
+    return x - j + mean, x + spread, x - math.log(d) + math.log(total)
 
 
 def scs_slope(alpha: float, g, d: int, k: int, s):
@@ -278,15 +248,25 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     With S_j'(x) = S_{j-1}(x) - S_j(x) the envelope cancels, leaving 2/g times a
     difference of residue-class mean photon numbers: of the overlap weights at
     y = g alpha^2 and of the target at z = g^2 alpha^2.  Each is taken relative
-    to its class's lowest photon number, so no digits cancel where F is flat.
+    to its class's lowest photon number, so no digits cancel where F is flat.  A
+    gain array takes ``_class_mean``, a scalar gain ``_class_moments``.
     """
     word = scheme_word(s)
     g = _gain_array(alpha, g, d, k)
-    if alpha == 0.0:
-        val = np.zeros_like(g)  # the fidelity does not depend on g
+    scan = isinstance(g, np.ndarray)
+    if alpha == 0.0:  # the fidelity does not depend on g
+        return np.zeros_like(g) if scan else 0.0
+    a2 = alpha * alpha
+    l = amplify.rises(word)[0]
+    j = (k + l) % d
+    # overlap weights P(m) y^m / m! at m = k, target z^m / m! at m = k + l (mod d)
+    if scan:
+        y = _class_mean(k, g * a2, d, amplify.overlap_rises(word))
+        z = _class_mean(j, g * g * a2, d)
     else:
-        val = 2.0 / g * _gap(alpha, g, d, k, word)
-    return val if isinstance(g, np.ndarray) else float(val)
+        y = _class_moments(k, g * a2, d, amplify.overlap_rises(word))[0]
+        z = _class_moments(j, g * g * a2, d)[0]
+    return 2.0 / g * (l + k - j + y - z)
 
 
 def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, float, float]:
@@ -300,11 +280,18 @@ def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, 
     if alpha == 0.0:
         return 0.0, 0.0, 0.0
     a2 = alpha * alpha
+    l = amplify.rises(word)[0]
+    j = (k + l) % d
     z = g * g * a2
-    if z == 0.0 or (min(a2, g * a2) < _TINY and k) or (z < _TINY and target_index(k, d, word)):
+    if z == 0.0 or (min(a2, g * a2) < _TINY and k) or (z < _TINY and j):
         raise ArithmeticError(f"log class sums underflow at alpha {alpha:g}, gain {g:g}")
-    gap, dgap, log_f = _gap(alpha, g, d, k, word, var=True)
-    return float(gap), float(dgap), float(log_f)
+    # the class moments of ``scs_slope``'s means; as dy/dg = y/g and dz/dg = 2 z/g,
+    # dD/dg = (Var_y - 2 Var_z) / g, and ln F + L = 2 L_y + l ln z - L_z from their
+    # log sums (the envelope and the e^-x of every S_j cancel)
+    y = _class_moments(k, g * a2, d, amplify.overlap_rises(word))
+    t = _class_moments(j, z, d)
+    log_f = 2.0 * y[2] - t[2] + (l * math.log(z) if l else 0.0)
+    return l + k - j + y[0] - t[0], (y[1] - 2.0 * t[1]) / g, log_f
 
 
 def scs_log_norm(alpha: float, d: int, k: int, s) -> float:
@@ -313,14 +300,14 @@ def scs_log_norm(alpha: float, d: int, k: int, s) -> float:
     ``scs_slope_newton``'s third value less this.  The weights are
     ``scs_qfi``'s.  Where alpha^2 (1 - cos 2 pi / d) >= 45, and at d = 1 for
     every alpha, this is the closed form x - ln d + ln sum_q c_q x^q of
-    ``_mean_excess`` at x = alpha^2, for every word.  Where alpha^2 is subnormal
+    ``_class_moments`` at x = alpha^2, for every word.  Where alpha^2 is subnormal
     it is ln f(0)^2 at k = 0, and raises ``ArithmeticError`` above (k ln x lost)."""
     states._check_dims(alpha, d, k)
     if alpha == 0.0:
         raise ValueError("alpha must be > 0")
     if (a2 := alpha * alpha) < _TINY and k:
         raise ArithmeticError(f"log norm underflows at alpha {alpha:g}")
-    return float(_mean_excess(k, a2, d, amplify.rises(scheme_word(s))[1], True)[2])
+    return _class_moments(k, a2, d, amplify.rises(scheme_word(s))[1])[2]
 
 
 def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
@@ -331,7 +318,7 @@ def scs_qfi(alpha: float, d: int, k: int, s=None) -> float:
     # weights f(m)^2 x^m / m! on m = k (mod d), f(m)^2 the product over the word's
     # offsets; its shift of every m by l leaves Var(n) as it is
     rises = () if s is None else amplify.rises(scheme_word(s))[1]
-    return 4.0 * float(_mean_excess(k, alpha * alpha, d, rises, True)[1])
+    return 4.0 * _class_moments(k, alpha * alpha, d, rises)[1]
 
 
 def qfi_ratio(alpha: float, d: int | None = None, k: int | None = None) -> float:

@@ -56,6 +56,8 @@ class SweepConfig:
             raise ValueError("d must be >= 1")
         if any(not 0 <= k < self.d for k in self.k_list):
             raise ValueError("every k must satisfy 0 <= k < d")
+        if self.trunc is not None and self.trunc < 1:
+            raise ValueError("trunc must be >= 1")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be a finite number strictly between 0 and 1")
 
@@ -186,9 +188,13 @@ def brute_scs_slope(alpha, d, k, scheme, hi):
     psi = amped.amps.real[tk::d]
     e = d * np.arange(psi.size)
 
+    def moments(w):  # mean and centered variance of e over the weights w
+        mean = (w * e).sum() / w.sum()
+        return mean, (w * (e - mean) ** 2).sum() / w.sum()
+
     def step(g):
         t = states.scs_state(ScsSpec(g * alpha, d, tk), amped.trunc).amps.real[tk::d]
-        (mu, vu), (mt, vt) = (analytic._moments(w, e, var=True) for w in (t * psi, t * t))
+        (mu, vu), (mt, vt) = (moments(w) for w in (t * psi, t * t))
         return mu - mt, (vu - 2.0 * vt) / g
 
     return step

@@ -75,10 +75,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def row(self, n: int) -> "FockVector":
-        """Bosonic amplitudes of discrete index n of a row stack."""
-        return FockVector(self.amps[n])
-
     def probs(self) -> np.ndarray:
         """Photon-number probabilities, summed over rows (not normalized here)."""
         return (np.abs(self.amps) ** 2).reshape(-1, self.trunc).sum(axis=0)

@@ -297,8 +297,8 @@ def test_cv_words_preserve_block_structure():
     out, _ = amplify.apply_word(states.hes_state(spec, 30), ADAG2)
     for n in range(3):
         # each block is the word applied to that block alone, up to one global scale
-        raw = amplify._apply_word_raw(base.row(n), ADAG2)
-        ratio = out.row(n).amps[np.abs(raw.amps) > 1e-12] / raw.amps[np.abs(raw.amps) > 1e-12]
+        raw = amplify._apply_word_raw(fock.FockVector(base.amps[n]), ADAG2)
+        ratio = out.amps[n][np.abs(raw.amps) > 1e-12] / raw.amps[np.abs(raw.amps) > 1e-12]
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
 

@@ -283,10 +283,10 @@ def test_array_slope_where_alpha_squared_underflows_is_the_scalar_limit(s):
             want = [analytic.scs_slope(1e-200, g, d, k, s) for g in grid.tolist()]
             assert np.array_equal(scan, want), (d, k)
         for j in range(d):
-            got = analytic._mean_excess(j, np.zeros(4), d, rises, var=True)
-            want = analytic._mean_excess(j, 0.0, d, rises, var=True)
+            want = analytic._class_moments(j, 0.0, d, rises)
             assert want[:2] == (0.0, 0.0)
-            assert all(np.array_equal(a, np.full(4, b)) for a, b in zip(got, want)), (d, j)
+            got = analytic._class_mean(j, np.zeros(4), d, rises)
+            assert np.array_equal(got, np.full(4, want[0])), (d, j)
     assert analytic.scs_slope(1e-200, 1.0, 3, 1, "adag2") == 6.0
 
 
@@ -621,12 +621,13 @@ def test_class_moments_match_high_precision_class_sums():
     # mean and variance of m - j and the log class sum, on the weights
     # prod_i (m + 1 + i) x^m / m! of the plain rise set, the a a-dagger overlap's (0,) and the named schemes' norm
     # weights (0, 0) and (0, 1), on both sides of x (1 - cos 2 pi / d) = 45 (d = 1: the
-    # mixture moments at every x), against 50-digit sums over the class, for a scalar x
-    # and for x as a 1-element array.  Near side, the scalar walk's weights are products
+    # mixture moments at every x), against 50-digit sums over the class: all three of
+    # ``_class_moments`` at a scalar x, and the ``_class_mean`` of x as a 1-element
+    # array.  Near side, the scalar walk's weights are products
     # of ratios, good to a few ulps; the array series weights carry the rounding of
     # their exponent m ln x - ln m! (each term about x ln x at the peak), which the mean
-    # feels only by about 1/sqrt(x) of it and the variance in full.  Both log sums
-    # carry that rounding, the walk's in c ln x - ln c!
+    # feels only by about 1/sqrt(x) of it.  The log sum carries that rounding in
+    # c ln x - ln c!
     eps = np.finfo(float).eps
     for d in range(1, 13):
         edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)) if d > 1 else 0.0
@@ -656,15 +657,12 @@ def test_class_moments_match_high_precision_class_sums():
                         mean = float(mean)
                         log_sum = float(mp.log(total))
                         where = (d, j, x, rises)
-                        got = analytic._mean_excess(j, x, d, rises, var=True)
-                        assert got[0] == analytic._mean_excess(j, x, d, rises)
+                        got = analytic._class_moments(j, x, d, rises)
                         assert abs(got[0] - mean) <= walk_tol * mean, where
                         assert abs(got[1] - var) <= walk_tol * var, where
                         assert abs(got[2] - log_sum) <= vtol * max(1.0, abs(log_sum)), where
-                        got = analytic._mean_excess(j, np.array([x]), d, rises, var=True)
-                        assert abs(got[0][0] - mean) <= tol * mean, where
-                        assert abs(got[1][0] - var) <= vtol * var, where
-                        assert abs(got[2][0] - log_sum) <= vtol * max(1.0, abs(log_sum)), where
+                        got = analytic._class_mean(j, np.array([x]), d, rises)
+                        assert abs(got[0] - mean) <= tol * mean, where
 
 
 @pytest.fixture
@@ -692,6 +690,25 @@ def test_slope_in_the_far_field_makes_no_series_call(kernel_calls, s):
     assert len(kernel_calls["walk"]) == 1 and kernel_calls["series"] == []
     analytic.scs_slope(5.0, np.array([1.1]), 3, 1, s)
     assert len(kernel_calls["walk"]) == 1 and len(kernel_calls["series"]) == 1
+
+
+@pytest.mark.parametrize("rises", [(), (0,), (0, 0), (0, 1)])
+def test_class_mean_sums_one_series_on_the_near_points_only(kernel_calls, rises):
+    # alpha = 5, d = 3: x = 25 g over g in [1e-3, 20] straddles x (1 - cos 2 pi / 3) = 45,
+    # so one call takes the mixture mean on the far points and one series on the near
+    # ones; each point holds to the scalar mean within the 50-digit test's array bound
+    d = 3
+    x = 25.0 * np.linspace(1e-3, 20.0, 64)
+    near = x * (1.0 - np.cos(2.0 * np.pi / d)) < states._SKIP
+    assert 0 < near.sum() < x.size
+    for j in range(d):
+        got = analytic._class_mean(j, x, d, rises)
+        assert len(kernel_calls["series"]) == j + 1
+        args = kernel_calls["series"][j]
+        assert args[0] == j and np.array_equal(args[1], x[near]) and args[2:] == (d, rises)
+        for xi, gi, ni in zip(x.tolist(), got.tolist(), near.tolist()):
+            want = analytic._class_moments(j, xi, d, rises)[0]
+            assert abs(gi - want) <= (1e-14 if ni else 1e-15) * want, (j, xi)
 
 
 @pytest.mark.parametrize("s", list(Scheme))

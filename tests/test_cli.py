@@ -83,6 +83,20 @@ def test_dimension_below_one_is_a_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_truncation_below_one_is_a_usage_error(tmp_path, capsys):
+    # a fixed trunc below 1 once gave scs-sweep "ok" rows with trunc_used -5, and
+    # prob-sweep one error row per cell, both with exit 0
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="trunc must be >= 1"):
+            hes_cfg(trunc=bad)
+        for cmd in (["scs-sweep"], ["prob-sweep", "--gamma", "0.1"]):
+            out = tmp_path / "rows.csv"
+            assert cli.main([*cmd, "--d", "2", "--k", "0", "--alpha-min", "0.5", "--alpha-max", "1",
+                             "--steps", "2", "--trunc", str(bad), "--out", str(out)]) == 2
+            assert "trunc must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_gamma_outside_the_open_unit_interval_is_a_usage_error(capsys):
     for bad in (0.0, 1.0, 1.5, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="gamma"):

@@ -116,13 +116,13 @@ def test_row_stack_ladder_acts_row_by_row():
     stack = fock.FockVector(np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 2.0]]))
     for kind in ("add", "subtract"):
         out = fock.ladder(stack, kind)
-        per_row = [fock.ladder(stack.row(n), kind) for n in range(2)]
+        per_row = [fock.ladder(fock.FockVector(stack.amps[n]), kind) for n in range(2)]
         for n in range(2):
             assert np.array_equal(out.amps[n], per_row[n].amps)
         assert abs(out.leaked - sum(r.leaked for r in per_row)) < 1e-12
     assert abs(fock.ladder(stack, "add").leaked - 3.0 * (0.64 + 4.0)) < 1e-12
     with pytest.raises(ValueError):
-        fock.inner(stack, stack.row(0))  # row counts differ
+        fock.inner(stack, fock.FockVector(stack.amps[0]))  # row counts differ
 
 
 def test_normalize_returns_prior_norm():
