@@ -22,12 +22,15 @@ conjugates, so together they give
 
     2 exp[-x (1 - cos theta_n)] cos(x sin theta_n - theta_{jn mod d}),
 
-and the unpaired n = d/2 term is the same with factor 1.  So each n <= d/2 costs
-one real exponential, shared by every index, and one cosine per index; no
-imaginary part is ever formed.  Terms below e^-45 are skipped, and the points
-go through in cache-sized blocks.  Where that sum cancelled (small x, high j:
-S_j below sum_n |E_n| / 64, with E_n(x) = exp[-x (1 - w^n)]), the value comes
-from the positive series instead, on those points only.
+and the unpaired n = d/2 term is exp(-2x) times +1 at even j and -1 at odd j:
+it is live only for x < 22.5, where its phase x sin(pi) is below 3e-15, so the
+cosine of it is exactly +-1 and none is taken.  So each n < d/2 costs one real
+exponential, shared by every index, and one cosine per index; no imaginary
+part is ever formed.  Terms below e^-45 are skipped.  Where that sum cancelled
+(small x, high j: S_j below sum_n |E_n| / 64, with E_n(x) = exp[-x (1 - w^n)]),
+the value comes from the positive series instead, on those points only.  The
+kernel works on the whole array it is given; its one array caller,
+``analytic.scs_fidelity``, passes it cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ GATE_EPS = 1e-10
 #: a value of the root-of-unity sum is off by about eps sum_n |E_n| / S_j relative, so it is
 #: replaced by the positive series where 64 S_j < sum_n |E_n|; those kept are within ~64 eps
 _CANCEL = 64.0
-#: points per block: 2^14 points make 128 KiB per float temporary, so the
-#: accumulators and the few temporaries of one block stay inside a 2 MiB L2
-#: cache, and peak memory does not grow with the array
-_BLOCK = 1 << 14
 #: term n is skipped where x (1 - cos 2 pi n / d) >= 45: it is below e^-45 < 2^-64,
 #: under half an ulp of S_j, which is near 1 at such x (x >= 22.5), and under
 #: 2^-11 of the d 2^-53 that rounding the d terms already costs
@@ -131,26 +130,32 @@ def mod_exp_sum(j, x, d: int):
         raise ValueError("x must be finite and >= 0")
     flat = x.reshape(-1)
     out = np.ones((len(js), flat.size))  # the n = 0 terms
+    mags = np.ones(flat.size)
     theta = 2.0 * np.pi * np.arange(d) / d
     cos, sin = np.cos(theta), np.sin(theta)
-    for lo in range(0, flat.size, _BLOCK):
-        xk, acc = flat[lo:lo + _BLOCK], out[:, lo:lo + _BLOCK]
-        mags = np.ones(xk.size)
-        for n in range(1, d // 2 + 1):
-            live = xk * (1.0 - cos[n]) < _SKIP
-            if not live.any():
-                break  # 1 - cos(2 pi n / d) grows with n up to d/2
-            at = slice(None) if live.all() else np.flatnonzero(live)
-            xl = xk[at]
-            mag = (1.0 if 2 * n == d else 2.0) * np.exp(-xl * (1.0 - cos[n]))
+    for n in range(1, d // 2 + 1):
+        live = flat * (1.0 - cos[n]) < _SKIP
+        if not live.any():
+            break  # 1 - cos(2 pi n / d) grows with n up to d/2
+        at = slice(None) if live.all() else np.flatnonzero(live)
+        xl = flat[at]
+        if 2 * n == d:  # unpaired: cos(x sin(pi) - pi j) is exactly (-1)^j at x < 22.5
+            mag = np.exp(-xl * (1.0 - cos[n]))
+            for i, ji in enumerate(js):
+                if ji % 2:
+                    out[i, at] -= mag
+                else:
+                    out[i, at] += mag
+        else:
+            mag = 2.0 * np.exp(-xl * (1.0 - cos[n]))
             phase = xl * sin[n]
             for i, ji in enumerate(js):
-                acc[i, at] += mag * np.cos(phase - theta[ji * n % d])
-            mags[at] += mag
-        for i, ji in enumerate(js):
-            cut = np.flatnonzero(_CANCEL * acc[i] < mags)
-            if cut.size:
-                acc[i, cut] = _class_mass(ji, xk[cut], d)
+                out[i, at] += mag * np.cos(phase - theta[ji * n % d])
+        mags[at] += mag
+    for i, ji in enumerate(js):
+        cut = np.flatnonzero(_CANCEL * out[i] < mags)
+        if cut.size:
+            out[i, cut] = _class_mass(ji, flat[cut], d)
     out = out.reshape((len(js),) + x.shape)
     if isinstance(j, tuple):
         return out

@@ -193,6 +193,66 @@ def test_scs_fidelity_raises_where_its_sums_underflow(g, s):
 
 
 @pytest.mark.parametrize("s", list(Scheme))
+def test_array_fidelity_is_zero_at_huge_gain(s):
+    # num overflowed to inf at g = 1e80 (0 inf = nan, with a RuntimeWarning), and from
+    # g alpha > 1.34e154 on S_j raised on its own argument, g^2 alpha^2 = inf
+    one = analytic.scs_fidelity(1.0, np.array([1.0]), 3, 0, s)
+    for g in (1e80, 1e155, 1e300):
+        got = analytic.scs_fidelity(1.0, np.array([1.0, g]), 3, 0, s)
+        assert got[0] == one[0] and got[1] == 0.0
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_log_class_sums_raise_where_g2_alpha2_overflows(s):
+    # g^2 alpha^2 = inf made the log sums and the class mean inf, so ln F was inf - inf:
+    # a scalar F read nan
+    for f in (analytic.scs_slope_newton, analytic.scs_fidelity):
+        with pytest.raises(ArithmeticError, match=r"overflow at alpha 1, gain 1e\+155"):
+            f(1.0, 1e155, 3, 0, s)
+    assert analytic.scs_fidelity(1.0, 1e150, 3, 0, s) == 0.0  # z = 1e300: F underflows
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_array_fidelity_blocks_give_each_gain_its_own_value(s):
+    # unsorted gains over three full blocks and 7 points, each block holding gains kept
+    # and gains past the envelope cut |g - 1| >= sqrt(746) / alpha (9.1 at alpha 3), and
+    # small ones whose S_j take the series: every value is bit for bit the value of its
+    # gain alone, in a 2-D array too; an empty array gives an empty result
+    n = 3 * analytic._BLOCK + 7
+    g = np.random.default_rng(5).permutation(np.geomspace(1e-3, 40.0, n))
+    pick = np.r_[0:n:64, n - 7:n]
+    for d in (4, 7):
+        got = analytic.scs_fidelity(3.0, g, d, d - 1, s)
+        assert got.shape == g.shape and (got[pick] == 0.0).any() and (got[pick] > 0.0).any()
+        want = [analytic.scs_fidelity(3.0, g[i:i + 1], d, d - 1, s)[0] for i in pick]
+        assert np.array_equal(got[pick], want), d
+        grid = analytic.scs_fidelity(3.0, g[-12:].reshape(3, 4), d, d - 1, s)
+        assert np.array_equal(grid, got[-12:].reshape(3, 4)), d
+        assert analytic.scs_fidelity(3.0, np.empty((0, 2)), d, d - 1, s).shape == (0, 2)
+
+
+def test_array_fidelity_names_the_first_lost_gain_in_flat_order():
+    # the first lost gain sits in the second block, a later one in the third
+    g = np.ones((3, analytic._BLOCK))
+    g[1, 5], g[2, 0] = 1e-80, 1e-100
+    with pytest.raises(ArithmeticError, match=r"alpha 0.5, gain 1e-80$"):
+        analytic.scs_fidelity(0.5, g, 5, 2, "adag2")
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_array_fidelity_where_alpha_squared_underflows(s):
+    # alpha = 1e-170 makes alpha^2 = 0, so no gain is past the envelope cut: only the
+    # a a-dagger F at k = 0 has sums that stay normal (F = 1), every other one is lost
+    g = np.array([0.5, 1.0, 2.0])
+    for k in range(3):
+        if k == 0 and s is Scheme.AADAG:
+            assert np.array_equal(analytic.scs_fidelity(1e-170, g, 3, k, s), np.ones(3))
+        else:
+            with pytest.raises(ArithmeticError, match="alpha 1e-170, gain 0.5"):
+                analytic.scs_fidelity(1e-170, g, 3, k, s)
+
+
+@pytest.mark.parametrize("s", list(Scheme))
 def test_scalar_fidelity_at_tiny_gain_matches_50_digit_class_sums(s):
     # the root-of-unity route raised on 121 of these 216 cells, where a class sum
     # left the normal doubles (54 of 72 at g = 1e-80 and at 1e-150, 13 at 1e-20)
@@ -567,17 +627,27 @@ def test_mod_exp_sum_index_tuple_stacks_single_calls(d):
 
 
 @pytest.mark.parametrize("d", [4, 7])
-def test_mod_exp_sum_blocks_agree_with_scalar_calls(d):
-    # unsorted; three full blocks and 7 points, past every skip threshold, with
-    # the values that take the series (small x, high j) scattered over the blocks;
-    # the bound is absolute because the term magnitudes sum to at most d
+def test_fidelity_blocks_agree_with_single_gain_calls(d):
+    # unsorted; three full blocks and 7 points, past every skip threshold of S_j at
+    # z = g^2 alpha^2 and past the envelope cut (g > 274), with the sums that take
+    # the series (small g alpha^2 and z, high j) scattered over the blocks
     big = np.geomspace(0.5, 400.0, 3 * 2**14 + 7)
-    x = np.random.default_rng(d).permutation(np.concatenate([big, np.geomspace(0.01, 0.49, 50)]))
-    js = tuple(range(d))
-    got = states.mod_exp_sum(js, x, d)
-    pick = np.r_[0:x.size:16, x.size - 7:x.size]
-    want = np.stack([states.mod_exp_sum(js, x[i], d) for i in pick], axis=1)
-    assert np.max(np.abs(got[:, pick] - want)) <= 1e-15 * d
+    g = np.random.default_rng(d).permutation(np.concatenate([big, np.geomspace(0.01, 0.49, 50)]))
+    got = analytic.scs_fidelity(0.1, g, d, d - 1, "aadag")
+    pick = np.r_[0:g.size:16, g.size - 7:g.size]
+    want = np.array([analytic.scs_fidelity(0.1, g[i:i + 1], d, d - 1, "aadag")[0] for i in pick])
+    assert np.max(np.abs(got[pick] - want)) <= 1e-15 * d
+
+
+def test_unpaired_term_cosine_is_exactly_plus_or_minus_one():
+    # mod_exp_sum adds the n = d/2 term (even d) at even j and subtracts it at odd j,
+    # with no cosine: where it is live, x < 22.5, its phase x sin(pi) is below 3e-15,
+    # so the cosine of its phase less theta_q, q = j d/2 mod d, rounds to exactly +-1
+    x = np.linspace(0.0, 22.5, 200_001)
+    for d in range(2, 65, 2):
+        theta = 2.0 * np.pi * np.arange(d) / d
+        for q, sign in ((0, 1.0), (d // 2, -1.0)):
+            assert np.all(np.cos(x * np.sin(theta[d // 2]) - theta[q]) == sign), (d, q)
 
 
 def test_mod_exp_sum_matches_high_precision_series():
