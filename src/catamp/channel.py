@@ -39,7 +39,6 @@ from . import fock, states
 from .analytic import scheme_word
 from .errors import DegenerateStateError
 from .fock import ADD, SUBTRACT, FockVector
-from .states import HesSpec, ScsSpec
 
 HERALD_FLOOR = 1e-300
 
@@ -170,12 +169,7 @@ def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, floa
     Accepts a cat-state or hybrid spec; for hybrid states the circuit acts on
     the bosonic mode of every discrete block with global heralding.
     """
-    if isinstance(spec, ScsSpec):
-        v = states.scs_state(spec, trunc)
-    elif isinstance(spec, HesSpec):
-        v = states.hes_state(spec, trunc)
-    else:
-        raise TypeError(f"spec must be ScsSpec or HesSpec, got {type(spec).__name__}")
+    v = states.build(spec, trunc)
     sim_state, p_sim = _circuit_scheme(v, s, gamma)
     kr = _kraus_scheme(v, s, gamma)
     p_kraus = float(np.linalg.norm(kr.amps) ** 2)

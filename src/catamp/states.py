@@ -198,6 +198,13 @@ def hes_state(spec: HesSpec, trunc: int) -> FockVector:
     return FockVector(rows)
 
 
+def build(spec, trunc: int) -> FockVector:
+    """The state of an ``ScsSpec`` or a ``HesSpec`` on the truncated space."""
+    if not isinstance(spec, (ScsSpec, HesSpec)):
+        raise TypeError(f"spec must be ScsSpec or HesSpec, got {type(spec).__name__}")
+    return (scs_state if isinstance(spec, ScsSpec) else hes_state)(spec, trunc)
+
+
 def photon_distribution(state: FockVector) -> np.ndarray:
     """Photon-number probabilities; the discrete index of a hybrid state is traced out."""
     if abs(state.norm() ** 2 - 1.0) > 1e-8:

@@ -11,11 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre, gammaln
 
-from catamp import amplify, analytic, channel, fock, optimize, states
+from catamp import amplify, analytic, channel, check, fock, optimize, states
 from catamp.analytic import Scheme
-from catamp.cli import brute_scs_fidelity as brute_fidelity
-from catamp.cli import brute_scs_gain as brute_gain
-from catamp.cli import brute_scs_qfi as brute_qfi
 from catamp.states import HesSpec, ScsSpec
 
 from oracles import norm_factor
@@ -68,12 +65,12 @@ def test_criterion_2_spot_values():
     for got, want in spots:
         assert abs(got - want) < 1e-10
     # brute-force route for the same six numbers; the gains are Fock-side slope roots
-    assert abs(brute_fidelity(1.0, 1.0, 1, 0, Scheme.AADAG) - 0.8) < 1e-12
-    assert abs(brute_gain(1.0, 1, 0, Scheme.AADAG, 1.0, 2.0) - math.sqrt(2.0)) < 1e-12
-    assert abs(brute_gain(1.0, 1, 0, Scheme.ADAG2, 1.5, 2.5) - 2.0) < 1e-12
-    assert abs(brute_qfi(1.0, 1, 0, None) - 4.0) < 1e-12
-    assert abs(brute_qfi(1.0, 1, 0, Scheme.AADAG) - 5.6) < 1e-12
-    assert abs(brute_qfi(1.0, 1, 0, Scheme.ADAG2) - 276.0 / 49.0) < 1e-12
+    assert abs(check.fidelity(ScsSpec(1.0, 1, 0), 1.0, Scheme.AADAG) - 0.8) < 1e-12
+    assert abs(check.gain(ScsSpec(1.0, 1, 0), Scheme.AADAG, 1.0, 2.0) - math.sqrt(2.0)) < 1e-12
+    assert abs(check.gain(ScsSpec(1.0, 1, 0), Scheme.ADAG2, 1.5, 2.5) - 2.0) < 1e-12
+    assert abs(check.qfi(ScsSpec(1.0, 1, 0), ()) - 4.0) < 1e-12
+    assert abs(check.qfi(ScsSpec(1.0, 1, 0), Scheme.AADAG) - 5.6) < 1e-12
+    assert abs(check.qfi(ScsSpec(1.0, 1, 0), Scheme.ADAG2) - 276.0 / 49.0) < 1e-12
     _pass("criterion-2", "six closed-form spot values, both routes")
 
 
@@ -85,12 +82,12 @@ def test_criterion_3_analytic_numeric_equivalence():
                 for s in Scheme:
                     for g in GAIN_GRID:
                         closed = analytic.scs_fidelity(alpha, g, d, k, s)
-                        brute = brute_fidelity(alpha, g, d, k, s)
+                        brute = check.fidelity(ScsSpec(alpha, d, k), g, s)
                         assert abs(closed - brute) <= 1e-8, (d, k, alpha, g, s)
                         checked += 1
-                for s in (None, Scheme.AADAG, Scheme.ADAG2):
+                for s in ((), Scheme.AADAG, Scheme.ADAG2):
                     closed = analytic.scs_qfi(alpha, d, k, s)
-                    brute = brute_qfi(alpha, d, k, s)
+                    brute = check.qfi(ScsSpec(alpha, d, k), s)
                     assert abs(closed - brute) <= 1e-8 * max(1.0, abs(closed)), (d, k, alpha, s)
                     checked += 1
     _pass("criterion-3", f"closed forms vs truncated-Fock brute force ({checked} cells)")
@@ -193,7 +190,7 @@ def test_criterion_7b_fidelity_below_half():
     assert 0.0 <= g_small.value - f_inf <= alpha**4, (g_small.value, f_inf)
     g_mid = optimize.scs_gain(ScsSpec(1.0, 4, 3), Scheme.ADAG2)
     assert g_small.value < g_mid.value
-    brute = brute_fidelity(alpha, g_small.argmax, 4, 3, Scheme.ADAG2)
+    brute = check.fidelity(ScsSpec(alpha, 4, 3), g_small.argmax, Scheme.ADAG2)
     assert abs(brute - g_small.value) <= 1e-8
     _pass("criterion-7b-fidelity", f"last-index double addition at amplitude {alpha}: "
           f"F = {g_small.value:.6f} at gain {g_small.argmax:.2f}, "
@@ -284,7 +281,7 @@ def test_criterion_10_normal_ordering_and_qfi_forms():
             for alpha in (0.5, 1.0, 2.0, 2.8):
                 for s in Scheme:
                     closed = analytic.scs_qfi(alpha, d, k, s)
-                    brute = brute_qfi(alpha, d, k, s)
+                    brute = check.qfi(ScsSpec(alpha, d, k), s)
                     assert abs(closed - brute) <= 1e-8 * max(1.0, abs(closed))
     _pass("criterion-10", "operator identities to 1e-9, Fisher forms vs variance route")
 

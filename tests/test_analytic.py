@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catamp import amplify, analytic, cli, fock, optimize, states
+from catamp import amplify, analytic, check, fock, optimize, states
 from catamp.analytic import Scheme
 from catamp.errors import DivergentGainError
 from catamp.states import HesSpec, ScsSpec
@@ -402,17 +402,17 @@ def test_scs_fidelity_matches_positive_series(alpha, d, data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(alpha=st.floats(0.05, 3.0), g=st.floats(0.05, 5.0), d=st.integers(1, 8),
+@given(alpha=st.floats(0.05, 3.0), g=st.floats(0.05, 5.0), d=st.integers(1, 12),
        s=st.sampled_from([*Scheme, ("add",), ("add",) * 3, ("subtract", "add", "add")]),
        data=st.data())
 def test_closed_forms_match_the_fock_oracles_on_random_cells(alpha, g, d, s, data):
     k = data.draw(st.integers(0, d - 1))
     closed = analytic.scs_fidelity(alpha, g, d, k, s)
     if closed >= 1e-3:
-        brute = cli.brute_scs_fidelity(alpha, g, d, k, s)
+        brute = check.fidelity(ScsSpec(alpha, d, k), g, s)
         assert abs(closed - brute) <= 1e-12 * closed, (closed, brute)
     closed = analytic.scs_qfi(alpha, d, k, s)
-    brute = cli.brute_scs_qfi(alpha, d, k, s)
+    brute = check.qfi(ScsSpec(alpha, d, k), s)
     assert abs(closed - brute) <= 1e-10 * closed, (closed, brute)
 
 
@@ -548,13 +548,13 @@ def test_word_closed_forms_match_the_fock_oracles(word):
             for k in range(d):
                 for g in (0.8, 1.3):
                     closed = analytic.scs_fidelity(alpha, g, d, k, word)
-                    brute = cli.brute_scs_fidelity(alpha, g, d, k, word)
+                    brute = check.fidelity(ScsSpec(alpha, d, k), g, word)
                     assert abs(closed - brute) <= 1e-12 * closed, (d, alpha, k, g)
                 opt = optimize.scs_gain(ScsSpec(alpha, d, k), word)
                 scan = analytic.scs_fidelity(alpha, grid, d, k, word)
                 assert opt.value >= scan.max() - 1e-9, (d, alpha, k)
                 closed = analytic.scs_qfi(alpha, d, k, word)
-                brute = cli.brute_scs_qfi(alpha, d, k, word)
+                brute = check.qfi(ScsSpec(alpha, d, k), word)
                 assert abs(closed - brute) <= 1e-10 * closed, (d, alpha, k)
 
 

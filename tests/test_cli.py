@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catamp import analytic, cli, optimize
+from catamp import analytic, check, cli, optimize
 from catamp.cli import SweepConfig
 from catamp.errors import TruncationError
 from catamp.states import ScsSpec
@@ -252,7 +252,7 @@ def test_scs_row_takes_each_fisher_information_once(monkeypatch, family):
 
 
 def test_check_quick_passes(capsys):
-    assert cli.check_suite("quick") == 0
+    assert check.check_suite("quick") == 0
     out = capsys.readouterr().out
     assert "PASS analytic.hes_fidelity_equivalence" in out
     assert "FAIL" not in out
@@ -269,7 +269,7 @@ def test_check_names_broken_closed_form(monkeypatch, capsys):
         return g**4 * a2 * a2 / (a2 * a2 + 4 * a2 + 2.0) * env
 
     monkeypatch.setattr(analytic, "hes_fidelity", broken)
-    assert cli.check_suite("quick") == 1
+    assert check.check_suite("quick") == 1
     out = capsys.readouterr().out
     assert "FAIL analytic.hes_fidelity_equivalence" in out
 
@@ -280,7 +280,7 @@ def test_check_names_one_bad_fidelity_gain(monkeypatch, capsys):
     closed = analytic.scs_fidelity
     monkeypatch.setattr(analytic, "scs_fidelity", lambda alpha, g, *a: closed(alpha, g, *a)
                         * np.where(np.equal(g, 1.4), 1.0 + 1e-11, 1.0))
-    assert cli.check_suite("quick") == 1
+    assert check.check_suite("quick") == 1
     out = capsys.readouterr().out
     assert "FAIL analytic.scs_fidelity_equivalence" in out and "g=[1.4]" in out
 
@@ -289,9 +289,9 @@ def test_check_names_one_bad_fidelity_gain(monkeypatch, capsys):
 def test_brute_qfi_keeps_the_residue_class(alpha, d, k):
     # a truncation counted from 0 kept one member of the class at (0.3, 7, 6)
     # (QFI 0.0) and two at (0.71, 8, 7), where p n^2 - mean^2 also cancelled
-    for s in (None, *analytic.Scheme):
-        got = cli.brute_scs_qfi(alpha, d, k, s)
-        want = series_scs_qfi(alpha, d, k, None if s is None else s.value)
+    for s in ((), *analytic.Scheme):
+        got = check.qfi(ScsSpec(alpha, d, k), s)
+        want = series_scs_qfi(alpha, d, k, s.value if s else None)
         assert abs(got - want) <= 1e-10 * want, (s, got, want)
 
 
@@ -307,7 +307,7 @@ def test_brute_gain_matches_the_closed_form_gain_on_interior_cells():
                     if res.boundary_hit:
                         continue
                     g = res.argmax
-                    got = cli.brute_scs_gain(alpha, d, k, s, g * (1 - 1e-3), g * (1 + 1e-3))
+                    got = check.gain(ScsSpec(alpha, d, k), s, g * (1 - 1e-3), g * (1 + 1e-3))
                     assert abs(got - g) <= 1e-12 * g, (alpha, d, k, s, got, g)
                     checked.add((alpha, d, k))
     assert {(0.3, 8, 5), (0.3, 8, 6), (0.3, 8, 7)} <= checked
@@ -316,20 +316,31 @@ def test_brute_gain_matches_the_closed_form_gain_on_interior_cells():
 
 def test_brute_gain_needs_a_falling_slope_in_its_bracket():
     with pytest.raises(ValueError):
-        cli.brute_scs_gain(1.0, 1, 0, analytic.Scheme.AADAG, 1.5, 2.0)
+        check.gain(ScsSpec(1.0, 1, 0), analytic.Scheme.AADAG, 1.5, 2.0)
 
 
 def test_gain_fock_oracle_covers_edge_cells(monkeypatch):
     # the check grids hold no edge cell; at alpha = 0.1 two of these do, where
     # the check asks the Fock slope to rise at GAIN_HI instead of a root
     assert optimize.scs_gain(ScsSpec(0.1, 3, 2), analytic.Scheme.ADAG2).boundary_hit
-    cli._check_optimizer_fock_oracle(dict(dims=(3, 4), alphas=(0.1,)))
+    gain_check = dict(check.CHECKS)["optimize.gain_fock_oracle"]
+    gain_check(dict(dims=(3, 4), alphas=(0.1,)))
     # and it sees an F_opt off by 1e-11
     gain = optimize.scs_gain
     monkeypatch.setattr(optimize, "scs_gain", lambda *a: (
         lambda res: dataclasses.replace(res, value=res.value * (1 + 1e-11)))(gain(*a)))
     with pytest.raises(AssertionError, match="F_opt"):
-        cli._check_optimizer_fock_oracle(dict(dims=(3,), alphas=(0.1,)))
+        gain_check(dict(dims=(3,), alphas=(0.1,)))
+
+
+def test_gain_fock_oracle_needs_a_rising_slope_at_an_edge_gain(monkeypatch):
+    # a Fock slope that falls at GAIN_HI and nowhere else fails exactly the edge cell's G
+    slope = check.slope
+    monkeypatch.setattr(check, "slope", lambda spec, word, hi: lambda g: (
+        (-1.0, 0.0) if g == optimize.GAIN_HI else slope(spec, word, hi)(g)))
+    edge = r"d=3 k=2 Scheme.ADAG2 G: closed \[20.\] vs Fock \[nan\]"
+    with pytest.raises(AssertionError, match=edge):
+        dict(check.CHECKS)["optimize.gain_fock_oracle"](dict(dims=(3,), alphas=(0.1,)))
 
 
 def test_check_runs_where_scipy_cannot_be_imported():
@@ -343,15 +354,57 @@ def test_check_runs_where_scipy_cannot_be_imported():
     assert "FAIL" not in done.stdout
 
 
+#: the checks in the order ``check`` runs and prints them
+CHECK_NAMES = [
+    "fock.ladder_algebra", "states.gram_identities", "states.pseudo_number_support",
+    "states.quadrature_zero", "amplify.proposition_oracles",
+    "analytic.hes_fidelity_equivalence", "analytic.scs_fidelity_equivalence",
+    "analytic.qfi_equivalence", "analytic.scheme_ordering",
+    "analytic.normal_ordering_identities", "optimize.gain_closed_forms",
+    "optimize.gain_fock_oracle", "channel.sim_vs_kraus", "channel.hes_success_uniformity",
+]
+
+
 def test_check_full_passes(capsys):
-    assert cli.check_suite("full") == 0
+    assert check.check_suite("full") == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == len(cli.CHECKS)
+    assert out.splitlines() == [f"PASS {name}" for name in CHECK_NAMES]
+
+
+PAIRED = [name for name, fn in check.CHECKS if isinstance(fn, check.Pair)]
+
+
+def test_the_paired_checks_are_the_four_fock_comparisons():
+    assert PAIRED == ["analytic.hes_fidelity_equivalence", "analytic.scs_fidelity_equivalence",
+                      "analytic.qfi_equivalence", "optimize.gain_fock_oracle"]
+
+
+@pytest.mark.parametrize("name", PAIRED)
+def test_check_fails_a_closed_form_off_by_ten_tolerances(monkeypatch, capsys, name):
+    i = [n for n, _ in check.CHECKS].index(name)
+    row = check.CHECKS[i][1]
+    off = row._replace(closed=lambda *cell: np.multiply(row.closed(*cell), 1.0 + 10.0 * row.tol))
+    monkeypatch.setattr(check, "CHECKS", (*check.CHECKS[:i], (name, off), *check.CHECKS[i + 1:]))
+    assert check.check_suite("quick") == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {name}: " in out and out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("s", list(analytic.Scheme))
+def test_fidelity_oracle_truncation_counts_from_k(s):
+    # a truncation of auto_trunc(max(alpha, g alpha)) raised TruncationError at
+    # (0.1, 12, 11) and kept one class member at (0.3, 12, 11), where it read 1.0
+    for alpha in (0.05, 0.1, 0.3):
+        for d in (8, 10, 12):
+            for k in range(d):
+                closed = analytic.scs_fidelity(alpha, 1.0, d, k, s)
+                got = check.fidelity(ScsSpec(alpha, d, k), 1.0, s)
+                assert abs(got - closed) <= 1e-12 * closed, (alpha, d, k, got, closed)
 
 
 def test_check_rejects_unknown_level():
     with pytest.raises(ValueError):
-        cli.check_suite("bogus")
+        check.check_suite("bogus")
 
 
 def test_main_usage_errors_exit_2(capsys):

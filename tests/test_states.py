@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from catamp import analytic, fock, optimize, states
+from catamp import analytic, channel, fock, optimize, states
 from catamp.errors import TruncationError
 from catamp.states import HesSpec, ScsSpec
 
@@ -255,3 +255,14 @@ def test_spec_validation():
         ScsSpec(-1.0, 3, 0)
     with pytest.raises(ValueError):
         HesSpec(1.0, 0, 0)
+
+
+def test_build_takes_a_cat_or_hybrid_spec_and_nothing_else():
+    assert np.array_equal(states.build(ScsSpec(1.0, 3, 1), 20).amps,
+                          states.scs_state(ScsSpec(1.0, 3, 1), 20).amps)
+    assert np.array_equal(states.build(HesSpec(1.0, 3, 1), 20).amps,
+                          states.hes_state(HesSpec(1.0, 3, 1), 20).amps)
+    with pytest.raises(TypeError, match="ScsSpec or HesSpec, got tuple"):
+        states.build((1.0, 3, 1), 20)
+    with pytest.raises(TypeError, match="ScsSpec or HesSpec, got tuple"):
+        channel.compare_sim_vs_kraus((1.0, 3, 1), "aadag", 0.01, 20)
