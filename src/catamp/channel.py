@@ -24,7 +24,7 @@ A heralded stage starts from |v> (x) |anc_in> and keeps ancilla |anc_out>, so
 each sector holds one input amplitude and contributes one output amplitude:
 the stage needs one element <n_out, anc_out| U |n_in, anc_in> per sector, not
 the sector's full unitary.  The weights of those elements in the eigenbasis
-form a gamma-free table, cached once per grid.  The tests check the stage
+form a gamma-free table, cached once per input width.  The tests check the stage
 against the whole two-mode unitary, built from eigensystems of their own.
 """
 
@@ -72,24 +72,22 @@ def _sector_eig(total: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _herald_table(dim: int, anc_in: int, anc_out: int) -> tuple[np.ndarray, ...]:
-    """Flat gamma-free table of <n_out, anc_out| U |n_in, anc_in> on a dim x dim grid.
+def _herald_table(trunc: int, anc_in: int, anc_out: int) -> tuple[np.ndarray, ...]:
+    """Flat gamma-free table of <n_out, anc_out| U |n_in, anc_in> for inputs n_in < trunc.
 
-    Sector `total` holds n_in = total - anc_in and n_out = total - anc_out, both
-    below dim; its element is sum_i w_i exp(i theta lam_i) over the segment of
-    (lam, w) that begins at its start.  A stage heralds from or onto an empty
-    ancilla, so total < dim: every sector is complete, and in its eigensystem
-    the row of |n, total - n> is total - n.
+    Sector `total` holds n_in = total - anc_in and n_out = total - anc_out; its
+    element is sum_i w_i exp(i theta lam_i) over the segment of (lam, w) that
+    begins at its start.  A stage heralds from or onto an empty ancilla, so in
+    the eigensystem of a sector the row of |n, total - n> is total - n.  A
+    subtraction from a one-component input has no sector: the table is empty.
     Returns read-only (lam, w, starts, n_in, n_out).
     """
-    totals = np.arange(max(anc_in, anc_out), dim + min(anc_in, anc_out))
-    lams, ws = [], []
-    for total in totals.tolist():
-        lam, vec = _sector_eig(total)
-        lams.append(lam)
-        ws.append(vec[anc_out] * vec[anc_in])
-    starts = np.concatenate(([0], np.cumsum([lam.size for lam in lams[:-1]])))
-    table = (np.concatenate(lams), np.concatenate(ws), starts, totals - anc_in, totals - anc_out)
+    totals = np.arange(max(anc_in, anc_out), trunc + anc_in)
+    eigs = [_sector_eig(total) for total in totals.tolist()]
+    sizes = totals + 1  # sector `total` holds total + 1 states
+    table = (np.concatenate([np.empty(0)] + [lam for lam, _ in eigs]),
+             np.concatenate([np.empty(0)] + [vec[anc_out] * vec[anc_in] for _, vec in eigs]),
+             np.cumsum(sizes) - sizes, totals - anc_in, totals - anc_out)
     for a in table:
         a.flags.writeable = False
     return table
@@ -98,24 +96,23 @@ def _herald_table(dim: int, anc_in: int, anc_out: int) -> tuple[np.ndarray, ...]
 def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector, float]:
     """One heralded stage of the circuit; returns (normalized output, herald probability).
 
-    The two-mode grid is enlarged to dim = trunc + 2 so every populated
-    photon-number sector is complete, making the stage exact rather than
-    truncation-limited.  Each sector maps the one input amplitude v[n_in] to the
-    one heralded amplitude u * v[n_in], with u its unitary element from
-    `_herald_table`; every row of a row stack shares those elements.  The herald
-    is global, so the probability sums over rows.
+    Each sector maps the one input amplitude v[n_in] to the one heralded
+    amplitude u * v[n_in], with u its unitary element from `_herald_table`; every
+    row of a row stack shares those elements.  The sectors are complete, so the
+    stage is exact rather than truncation-limited; its output lies on
+    dim = trunc + 2 photon numbers.  The herald is global, so the probability
+    sums over rows.
     """
     if kind not in (ADD, SUBTRACT):
         raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
     if abs(v.norm() ** 2 - 1.0) > 1e-10:
         raise ValueError("heralded_op requires a normalized input")
-    dim = v.trunc + 2
     anc_in = 1 if kind == ADD else 0
     anc_out = 0 if kind == ADD else 1
-    lam, w, starts, n_in, n_out = _herald_table(dim, anc_in, anc_out)
+    lam, w, starts, n_in, n_out = _herald_table(v.trunc, anc_in, anc_out)
     u = np.add.reduceat(w * np.exp(1j * bs.theta * lam), starts)
-    branch = np.zeros(v.amps.shape[:-1] + (dim,), dtype=complex)
-    branch[..., n_out] = u * v.padded(dim).amps[..., n_in]
+    branch = np.zeros(v.amps.shape[:-1] + (v.trunc + 2,), dtype=complex)
+    branch[..., n_out] = u * v.amps[..., n_in]
     prob = float(np.linalg.norm(branch) ** 2)
     if prob < HERALD_FLOOR:
         raise DegenerateStateError(f"herald probability {prob} below {HERALD_FLOOR}")
@@ -125,21 +122,22 @@ def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector,
 def kraus_apply(v: FockVector, gamma: float, kind: str) -> FockVector:
     """Closed-form conditional operator for one heralded stage (unnormalized output).
 
-    The squared norm of the result equals the herald probability of the
-    corresponding circuit stage.
+    With c_m = sqrt(g) (1-g)^{m/2} sqrt(m+1), output m of a subtraction is
+    c_m v[m+1] and output m + 1 of an addition is c_m v[m], in one array pass.
+    An addition widens the vector by one, so it drops nothing and ``leaked``
+    stays the input's.  The squared norm of the
+    result equals the herald probability of the corresponding circuit stage.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly between 0 and 1")
-    if kind == SUBTRACT:
-        w = fock.ladder(v, SUBTRACT)
-        weight = (1.0 - gamma) ** (np.arange(w.trunc) / 2.0)
-        return FockVector(np.sqrt(gamma) * weight * w.amps, leaked=w.leaked)
-    if kind == ADD:
-        w = fock.ladder(v.padded(v.trunc + 1), ADD)
-        n = np.arange(w.trunc)
-        weight = (1.0 - gamma) ** (np.maximum(n - 1, 0) / 2.0)  # component at n=0 is zero
-        return FockVector(np.sqrt(gamma) * weight * w.amps, leaked=w.leaked)
-    raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
+    if kind not in (ADD, SUBTRACT):
+        raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
+    lo = int(kind == ADD)  # the output photon number of factor m is m + lo
+    src = v.amps[..., 1 - lo:]
+    m = np.arange(src.shape[-1])
+    out = np.zeros(v.amps.shape[:-1] + (v.trunc + lo,), dtype=complex)
+    out[..., lo:lo + m.size] = np.sqrt(gamma) * (1.0 - gamma) ** (m / 2.0) * (np.sqrt(m + 1.0) * src)
+    return FockVector(out, leaked=v.leaked)
 
 
 def _kraus_scheme(v: FockVector, s, gamma: float) -> FockVector:

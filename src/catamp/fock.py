@@ -59,12 +59,11 @@ class FockVector:
     leaked: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=complex)
+        arr = np.array(self.amps, dtype=complex)  # always a copy of its own
         if arr.ndim not in (1, 2) or arr.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D vector or 2-D row stack")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("amplitudes must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
 

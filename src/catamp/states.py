@@ -56,11 +56,6 @@ _CANCEL = 64.0
 _SKIP = 45.0
 
 
-def omega(d: int) -> complex:
-    """Primitive d-th root of unity exp(2 pi i / d)."""
-    return np.exp(2j * np.pi / d)
-
-
 def _check_dims(alpha: float, d: int, k: int) -> None:
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
@@ -191,11 +186,10 @@ def hes_state(spec: HesSpec, trunc: int) -> FockVector:
     """
     a, d, k = spec.alpha, spec.d, spec.k
     _gate_trunc(a, trunc)
-    w = omega(d)
-    rows = np.zeros((d, trunc), dtype=complex)
-    for n in range(d):
-        rows[n] = w ** (-k * n) * fock.coherent_amps(a * w**n, trunc) / np.sqrt(d)
-    return FockVector(rows)
+    # row n, component m: w^{-kn} <m|alpha w^n> = w^{n(m-k)} <m|alpha>, one root and one modulus
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    phase = np.arange(d)[:, None] * (np.arange(trunc) - k) % d
+    return FockVector(roots[phase] * (fock.coherent_amps(a, trunc).real / np.sqrt(d)))
 
 
 def build(spec, trunc: int) -> FockVector:

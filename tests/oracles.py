@@ -3,6 +3,8 @@
 ``bs_apply`` is the whole two-mode beam-splitter unitary, the oracle the tests
 hold ``channel.heralded_op`` to.  Its sector eigensystems are its own, so it
 shares no cache with the stage it checks; the dense-``expm`` tests pin it.
+``kraus_stage`` is a heralded stage composed from the ladder operators, the
+oracle that pins the bits of ``channel.kraus_apply``.
 """
 
 import functools
@@ -10,7 +12,7 @@ import math
 
 import numpy as np
 
-from catamp import amplify
+from catamp import amplify, fock
 
 
 @functools.cache
@@ -46,3 +48,13 @@ def norm_factor(spec, word) -> float:
     the bare superposition sum_n w^{-kn} |alpha w^n>; at d = 1 the coherent state's."""
     a, d, k = spec.alpha, spec.d, spec.k
     return 1.0 / math.sqrt(d * amplify.class_poly(amplify.rises(word)[1], a * a, k, d))
+
+
+def kraus_stage(v, gamma: float, kind: str) -> np.ndarray:
+    """sqrt(gamma) (1-gamma)^{n'/2} times a or a-dagger of ``v``, with n' the photon
+    number of the input component (0 for the empty output |0> of an addition); an
+    addition pads ``v`` by one first, so it drops nothing."""
+    lo = int(kind == fock.ADD)
+    w = fock.ladder(v.padded(v.trunc + lo), kind)
+    weight = (1.0 - gamma) ** (np.maximum(np.arange(w.trunc) - lo, 0) / 2.0)
+    return np.sqrt(gamma) * weight * w.amps

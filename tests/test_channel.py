@@ -12,7 +12,7 @@ from catamp.errors import DegenerateStateError
 from catamp.states import HesSpec, ScsSpec
 
 from conftest import coherent_column
-from oracles import bs_apply
+from oracles import bs_apply, kraus_stage
 
 #: |1, 0> on a 4 x 4 two-mode grid
 ONE_PHOTON = np.outer(np.eye(4)[1], np.eye(4)[0])
@@ -62,14 +62,19 @@ def test_bs_preserves_norm_and_photon_blocks(rng):
 
 
 def test_heralded_subtract_on_vacuum_is_degenerate():
-    with pytest.raises(DegenerateStateError):
-        channel.heralded_op(fock.basis(0, 6), BeamSplitter(0.01), "subtract")
+    # on one component a subtraction has no sector to herald from: an empty table
+    for trunc in (1, 6):
+        with pytest.raises(DegenerateStateError):
+            channel.heralded_op(fock.basis(0, trunc), BeamSplitter(0.01), "subtract")
 
 
 def test_heralded_add_on_vacuum():
-    out, prob = channel.heralded_op(fock.basis(0, 6), BeamSplitter(0.01), "add")
-    assert abs(prob - 0.01) < 1e-14
-    assert abs(abs(out.amps[1]) - 1.0) < 1e-12
+    for trunc in (1, 6):
+        for gamma in (1e-3, 0.01, 0.1, 0.6):
+            out, prob = channel.heralded_op(fock.basis(0, trunc), BeamSplitter(gamma), "add")
+            assert abs(prob - gamma) <= 1e-15
+            assert out.trunc == trunc + 2 and abs(abs(out.amps[1]) - 1.0) <= 1e-15
+            assert not np.delete(out.amps, 1).any()
 
 
 def test_heralded_subtract_on_coherent():
@@ -119,6 +124,16 @@ def test_kraus_apply_acts_row_by_row():
         for n in range(2):
             row = fock.FockVector(stack.amps[n])
             assert np.array_equal(out.amps[n], channel.kraus_apply(row, 0.1, kind).amps)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.1, 0.6])
+@pytest.mark.parametrize("kind", ["add", "subtract"])
+def test_kraus_apply_is_bit_identical_to_the_ladder_stage(rng, kind, gamma):
+    for shape in ((1,), (2,), (17,), (80,), (2, 1), (2, 30), (3, 7), (3, 81)):
+        v = fock.FockVector(rng.normal(size=shape) + 1j * rng.normal(size=shape), leaked=1e-16)
+        out = channel.kraus_apply(v, gamma, kind)
+        assert np.array_equal(out.amps, kraus_stage(v, gamma, kind)), shape
+        assert out.leaked == v.leaked
 
 
 def test_bs_apply_on_row_stack_matches_per_row(rng):

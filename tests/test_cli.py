@@ -285,6 +285,17 @@ def test_check_names_one_bad_fidelity_gain(monkeypatch, capsys):
     assert "FAIL analytic.scs_fidelity_equivalence" in out and "g=[1.4]" in out
 
 
+def test_check_reports_a_raising_oracle_as_its_failure(monkeypatch, capsys):
+    # a Fock slope that never falls makes the gain oracle raise: that is the
+    # check's own FAIL and exit 1, not an escaped error the CLI calls a usage error
+    monkeypatch.setattr(check, "slope", lambda spec, word, hi: lambda g: (-1.0, 0.0))
+    assert check.check_suite("quick") == 1
+    out = capsys.readouterr().out
+    assert "FAIL optimize.gain_fock_oracle: ValueError: the Fock slope does not fall" in out
+    assert "PASS channel.sim_vs_kraus" in out  # the checks after it still run
+    assert cli.main(["check", "quick"]) == 1
+
+
 @pytest.mark.parametrize("alpha,d,k", [(0.3, 7, 6), (0.71, 8, 7)])
 def test_brute_qfi_keeps_the_residue_class(alpha, d, k):
     # a truncation counted from 0 kept one member of the class at (0.3, 7, 6)

@@ -149,8 +149,11 @@ def test_hes_gram_identity():
 
 
 def test_hes_matches_matrix_oracle():
-    h = states.hes_state(HesSpec(0.9, 3, 2), 30)
-    assert np.max(np.abs(h.amps - hybrid_matrix(0.9, 3, 2, 30))) < 1e-13
+    for alpha in (0.0, 0.05, 1.0, 3.0, 5.0):
+        for d in (1, 2, 3, 4, 7):
+            for k in range(d):
+                h = states.hes_state(HesSpec(alpha, d, k), 80)
+                assert np.max(np.abs(h.amps - hybrid_matrix(alpha, d, k, 80))) < 1e-14, (alpha, d, k)
 
 
 def test_hes_marginal_is_poissonian():
