@@ -11,7 +11,7 @@ from .analytic import (
     scs_fidelity,
     scs_qfi,
 )
-from .channel import BeamSplitter, compare_sim_vs_kraus, heralded_op, kraus_apply
+from .channel import compare_sim_vs_kraus, heralded_op, kraus_apply
 from .errors import (
     CatampError,
     DegenerateStateError,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AADAG",
     "ADAG2",
-    "BeamSplitter",
     "CatampError",
     "DegenerateStateError",
     "DivergentGainError",

@@ -87,10 +87,9 @@ def class_poly(offsets: tuple[int, ...], x, k: int, d: int):
 
 
 def _apply_word_raw(v: FockVector, word: SchemeWord) -> FockVector:
-    out = v.padded(v.trunc + word.count(ADD))  # headroom so creation never leaks
     for op in reversed(word):
-        out = fock.ladder(out, op)
-    return fock.check_leak(out)
+        v = fock.ladder(v, op)
+    return v
 
 
 def apply_word(v: FockVector, word: SchemeWord) -> tuple[FockVector, float]:

@@ -31,31 +31,21 @@ against the whole two-mode unitary, built from eigensystems of their own.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock, states
 from .analytic import scheme_word
-from .errors import DegenerateStateError
 from .fock import ADD, SUBTRACT, FockVector
 
-HERALD_FLOOR = 1e-300
 
-
-@dataclass(frozen=True)
-class BeamSplitter:
-    """Two-mode coupler; gamma is the single-photon mode-hopping probability."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie strictly between 0 and 1")
-
-    @property
-    def theta(self) -> float:
-        return float(np.arcsin(np.sqrt(self.gamma)))
+def _stage_lo(gamma: float, kind: str) -> int:
+    """Validate one stage's (gamma, kind); 1 for an addition, which widens the vector by one."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie strictly between 0 and 1")
+    if kind not in (ADD, SUBTRACT):
+        raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
+    return int(kind == ADD)
 
 
 @functools.cache
@@ -93,30 +83,22 @@ def _herald_table(trunc: int, anc_in: int, anc_out: int) -> tuple[np.ndarray, ..
     return table
 
 
-def heralded_op(v: FockVector, bs: BeamSplitter, kind: str) -> tuple[FockVector, float]:
-    """One heralded stage of the circuit; returns (normalized output, herald probability).
+def heralded_op(v: FockVector, gamma: float, kind: str) -> FockVector:
+    """One heralded stage of the circuit; returns its raw (unnormalized) branch.
 
     Each sector maps the one input amplitude v[n_in] to the one heralded
     amplitude u * v[n_in], with u its unitary element from `_herald_table`; every
     row of a row stack shares those elements.  The sectors are complete, so the
-    stage is exact rather than truncation-limited; its output lies on
-    dim = trunc + 2 photon numbers.  The herald is global, so the probability
-    sums over rows.
+    stage is exact rather than truncation-limited; like ``kraus_apply``, an
+    addition widens the vector by one.  The herald is global, so its
+    probability is the squared norm of the branch, summed over rows.
     """
-    if kind not in (ADD, SUBTRACT):
-        raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
-    if abs(v.norm() ** 2 - 1.0) > 1e-10:
-        raise ValueError("heralded_op requires a normalized input")
-    anc_in = 1 if kind == ADD else 0
-    anc_out = 0 if kind == ADD else 1
-    lam, w, starts, n_in, n_out = _herald_table(v.trunc, anc_in, anc_out)
-    u = np.add.reduceat(w * np.exp(1j * bs.theta * lam), starts)
-    branch = np.zeros(v.amps.shape[:-1] + (v.trunc + 2,), dtype=complex)
+    lo = _stage_lo(gamma, kind)
+    lam, w, starts, n_in, n_out = _herald_table(v.trunc, lo, 1 - lo)  # ancilla |lo> -> |1 - lo>
+    u = np.add.reduceat(w * np.exp(1j * float(np.arcsin(np.sqrt(gamma))) * lam), starts)
+    branch = np.zeros(v.amps.shape[:-1] + (v.trunc + lo,), dtype=complex)
     branch[..., n_out] = u * v.amps[..., n_in]
-    prob = float(np.linalg.norm(branch) ** 2)
-    if prob < HERALD_FLOOR:
-        raise DegenerateStateError(f"herald probability {prob} below {HERALD_FLOOR}")
-    return FockVector(branch / np.sqrt(prob)), prob
+    return FockVector(branch)
 
 
 def kraus_apply(v: FockVector, gamma: float, kind: str) -> FockVector:
@@ -124,40 +106,28 @@ def kraus_apply(v: FockVector, gamma: float, kind: str) -> FockVector:
 
     With c_m = sqrt(g) (1-g)^{m/2} sqrt(m+1), output m of a subtraction is
     c_m v[m+1] and output m + 1 of an addition is c_m v[m], in one array pass.
-    An addition widens the vector by one, so it drops nothing and ``leaked``
-    stays the input's.  The squared norm of the
-    result equals the herald probability of the corresponding circuit stage.
+    An addition widens the vector by one, so it drops nothing.  The squared
+    norm of the result equals the herald probability of the corresponding
+    circuit stage.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie strictly between 0 and 1")
-    if kind not in (ADD, SUBTRACT):
-        raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
-    lo = int(kind == ADD)  # the output photon number of factor m is m + lo
+    lo = _stage_lo(gamma, kind)  # the output photon number of factor m is m + lo
     src = v.amps[..., 1 - lo:]
     m = np.arange(src.shape[-1])
     out = np.zeros(v.amps.shape[:-1] + (v.trunc + lo,), dtype=complex)
     out[..., lo:lo + m.size] = np.sqrt(gamma) * (1.0 - gamma) ** (m / 2.0) * (np.sqrt(m + 1.0) * src)
-    return FockVector(out, leaked=v.leaked)
+    return FockVector(out)
 
 
-def _kraus_scheme(v: FockVector, s, gamma: float) -> FockVector:
-    for kind in reversed(scheme_word(s)):  # one stage per letter, rightmost first
-        v = kraus_apply(v, gamma, kind)
+def _cascade(v: FockVector, s, gamma: float, stage) -> FockVector:
+    """The raw branch of scheme ``s``: one ``stage(v, gamma, kind)`` per letter, rightmost first."""
+    for kind in reversed(scheme_word(s)):
+        v = stage(v, gamma, kind)
     return v
 
 
 def scheme_success_prob(state: FockVector, s, gamma: float) -> float:
     """Joint herald probability of a scheme circuit on a normalized input."""
-    return float(np.linalg.norm(_kraus_scheme(state, s, gamma).amps) ** 2)
-
-
-def _circuit_scheme(v: FockVector, s, gamma: float) -> tuple[FockVector, float]:
-    bs = BeamSplitter(gamma)
-    prob = 1.0
-    for kind in reversed(scheme_word(s)):
-        v, p = heralded_op(v, bs, kind)
-        prob *= p
-    return v, prob
+    return float(np.linalg.norm(_cascade(state, s, gamma, kraus_apply).amps) ** 2)
 
 
 def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, float, float]:
@@ -168,8 +138,7 @@ def compare_sim_vs_kraus(spec, s, gamma: float, trunc: int) -> tuple[float, floa
     the bosonic mode of every discrete block with global heralding.
     """
     v = states.build(spec, trunc)
-    sim_state, p_sim = _circuit_scheme(v, s, gamma)
-    kr = _kraus_scheme(v, s, gamma)
-    p_kraus = float(np.linalg.norm(kr.amps) ** 2)
-    kr_state, _ = fock.normalize(kr)
-    return p_sim, p_kraus, abs(fock.inner(sim_state, kr_state)) ** 2
+    sim = _cascade(v, s, gamma, heralded_op)
+    kr = _cascade(v, s, gamma, kraus_apply)
+    p_sim, p_kraus = (float(np.linalg.norm(b.amps) ** 2) for b in (sim, kr))
+    return p_sim, p_kraus, abs(fock.inner(fock.normalize(sim)[0], fock.normalize(kr)[0])) ** 2

@@ -9,8 +9,8 @@ function, so everything here is safe to share across threads.
 Conventions:
   - photon subtraction (annihilation a):   amp[n] <- sqrt(n+1) * amp[n+1]
   - photon addition (creation a-dagger):   amp[n] <- sqrt(n)   * amp[n-1]
-Creation silently drops the top component; the squared norm lost that way is
-accumulated in the ``leaked`` diagnostic so truncation error stays observable.
+Creation widens the vector by one and annihilation keeps its width, so a
+ladder step never drops a component.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, TruncationError
+from .errors import DegenerateStateError
 
 ADD = "add"
 SUBTRACT = "subtract"
@@ -56,7 +56,6 @@ class FockVector:
     """Complex amplitudes over photon numbers 0..trunc-1, shape (trunc,) or (rows, trunc)."""
 
     amps: np.ndarray
-    leaked: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.amps, dtype=complex)  # always a copy of its own
@@ -77,14 +76,6 @@ class FockVector:
     def probs(self) -> np.ndarray:
         """Photon-number probabilities, summed over rows (not normalized here)."""
         return (np.abs(self.amps) ** 2).reshape(-1, self.trunc).sum(axis=0)
-
-    def padded(self, trunc: int) -> "FockVector":
-        """Zero-pad (or return unchanged) to at least ``trunc`` components."""
-        if trunc <= self.trunc:
-            return self
-        out = np.zeros(self.amps.shape[:-1] + (trunc,), dtype=complex)
-        out[..., : self.trunc] = self.amps
-        return FockVector(out, leaked=self.leaked)
 
 
 def basis(n: int, trunc: int) -> FockVector:
@@ -155,30 +146,33 @@ def coherent_tail(alpha: float, trunc: int) -> float:
 
 
 def ladder(v: FockVector, kind: str) -> FockVector:
-    """Apply the annihilation (subtract) or creation (add) operator."""
+    """Apply the annihilation (subtract) or creation (add) operator.
+
+    Creation widens the vector by one, annihilation keeps its width.
+    """
     a = v.amps
     n = v.trunc
-    out = np.zeros_like(a)
     if kind == SUBTRACT:
+        out = np.zeros_like(a)
         out[..., : n - 1] = np.sqrt(np.arange(1.0, n)) * a[..., 1:]
-        return FockVector(out, leaked=v.leaked)
+        return FockVector(out)
     if kind == ADD:
-        out[..., 1:] = np.sqrt(np.arange(1.0, n)) * a[..., : n - 1]
-        # |sqrt(n) amp[n-1]|^2 pushed past the boundary, summed over rows
-        lost = n * np.sum(np.abs(a[..., n - 1]) ** 2)
-        return FockVector(out, leaked=v.leaked + lost)
+        out = np.zeros(a.shape[:-1] + (n + 1,), dtype=complex)
+        out[..., 1:] = np.sqrt(np.arange(1.0, n + 1)) * a
+        return FockVector(out)
     raise ValueError(f"kind must be '{ADD}' or '{SUBTRACT}', got {kind!r}")
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
-    """<u|v>, conjugate-linear in the first argument; shorter vector is zero-padded.
+    """<u|v>, conjugate-linear in the first argument, over the common prefix of
+    photon numbers (past it one side is zero).
 
     Row stacks must have equally many rows; their inner product sums over rows.
     """
     if u.amps.shape[:-1] != v.amps.shape[:-1]:
         raise ValueError("states have different row counts")
-    n = max(u.trunc, v.trunc)
-    return complex(np.vdot(u.padded(n).amps, v.padded(n).amps))
+    n = min(u.trunc, v.trunc)
+    return complex(np.vdot(u.amps[..., :n], v.amps[..., :n]))
 
 
 def normalize(v: FockVector) -> tuple[FockVector, float]:
@@ -186,7 +180,7 @@ def normalize(v: FockVector) -> tuple[FockVector, float]:
     nrm = v.norm()
     if nrm <= 0.0 or not np.isfinite(nrm):
         raise DegenerateStateError("cannot normalize a zero (or non-finite) vector")
-    return FockVector(v.amps / nrm, leaked=v.leaked), nrm
+    return FockVector(v.amps / nrm), nrm
 
 
 def _require_normalized(v: FockVector, what: str) -> None:
@@ -243,14 +237,3 @@ def min_trunc(alpha_max: float, epsilon: float) -> int:
 def auto_trunc(alpha_max: float, additions: int = 0, epsilon: float = TAIL_EPS) -> int:
     """Truncation policy: certified tail below epsilon plus headroom for additions."""
     return min_trunc(alpha_max, epsilon) + additions + 2
-
-
-def check_leak(v: FockVector, epsilon: float = TAIL_EPS) -> FockVector:
-    """Fail loudly if a pipeline accumulated more truncation leakage than epsilon."""
-    if v.leaked > epsilon:
-        raise TruncationError(
-            f"leaked probability mass {v.leaked:.3e} exceeds tolerance {epsilon:.1e}; "
-            "increase the truncation"
-        )
-    return v
-

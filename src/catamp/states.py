@@ -201,6 +201,5 @@ def build(spec, trunc: int) -> FockVector:
 
 def photon_distribution(state: FockVector) -> np.ndarray:
     """Photon-number probabilities; the discrete index of a hybrid state is traced out."""
-    if abs(state.norm() ** 2 - 1.0) > 1e-8:
-        raise ValueError("photon_distribution requires a normalized state")
+    fock._require_normalized(state, "photon_distribution")
     return state.probs()

@@ -52,9 +52,8 @@ def norm_factor(spec, word) -> float:
 
 def kraus_stage(v, gamma: float, kind: str) -> np.ndarray:
     """sqrt(gamma) (1-gamma)^{n'/2} times a or a-dagger of ``v``, with n' the photon
-    number of the input component (0 for the empty output |0> of an addition); an
-    addition pads ``v`` by one first, so it drops nothing."""
+    number of the input component (0 for the empty output |0> of an addition)."""
     lo = int(kind == fock.ADD)
-    w = fock.ladder(v.padded(v.trunc + lo), kind)
+    w = fock.ladder(v, kind)
     weight = (1.0 - gamma) ** (np.maximum(np.arange(w.trunc) - lo, 0) / 2.0)
     return np.sqrt(gamma) * weight * w.amps

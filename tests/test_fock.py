@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 from catamp import fock
-from catamp.errors import DegenerateStateError, TruncationError
+from catamp.errors import DegenerateStateError
 
 from conftest import coherent_column, poisson_tail
 
@@ -77,7 +77,8 @@ def test_ladder_creation_on_one():
 def test_add_then_subtract_scales_number_state():
     v = fock.basis(3, 10)
     out = fock.ladder(fock.ladder(v, "add"), "subtract")
-    assert np.max(np.abs(out.amps - 4.0 * v.amps)) < 1e-12
+    assert out.trunc == 11  # the addition widened the vector; the subtraction kept it
+    assert np.max(np.abs(out.amps - 4.0 * np.append(v.amps, 0.0))) < 1e-12
 
 
 def test_ladder_algebra_commutator_on_interior():
@@ -102,25 +103,24 @@ def test_adjointness(rng):
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_creation_leak_diagnostic():
-    v = fock.basis(5, 6)  # top component occupied
-    out = fock.ladder(v, "add")
-    assert np.all(out.amps == 0.0)
-    assert abs(out.leaked - 6.0) < 1e-12  # |sqrt(6) * 1|^2
-    with pytest.raises(TruncationError):
-        fock.check_leak(out)
+def test_creation_widens_by_one():
+    # the top component is raised, not dropped; annihilation keeps the width
+    out = fock.ladder(fock.basis(5, 6), "add")
+    assert out.trunc == 7 and out.amps[6] == math.sqrt(6.0)
+    assert not out.amps[:6].any()
+    down = fock.ladder(fock.basis(5, 6), "subtract")
+    assert down.trunc == 6 and down.amps[4] == math.sqrt(5.0)
 
 
 def test_row_stack_ladder_acts_row_by_row():
-    # both rows occupy the top level, so creation leaks from each of them
+    # both rows occupy the top level, which creation raises in each of them
     stack = fock.FockVector(np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 2.0]]))
     for kind in ("add", "subtract"):
         out = fock.ladder(stack, kind)
         per_row = [fock.ladder(fock.FockVector(stack.amps[n]), kind) for n in range(2)]
         for n in range(2):
             assert np.array_equal(out.amps[n], per_row[n].amps)
-        assert abs(out.leaked - sum(r.leaked for r in per_row)) < 1e-12
-    assert abs(fock.ladder(stack, "add").leaked - 3.0 * (0.64 + 4.0)) < 1e-12
+    assert np.array_equal(fock.ladder(stack, "add").amps[:, 3], math.sqrt(3.0) * stack.amps[:, 2])
     with pytest.raises(ValueError):
         fock.inner(stack, fock.FockVector(stack.amps[0]))  # row counts differ
 

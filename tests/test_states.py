@@ -170,6 +170,15 @@ def test_photon_distribution_number_state():
     assert p[3] == 1.0 and p.sum() == 1.0
 
 
+def test_photon_distribution_shares_the_normalization_guard():
+    # the bound of fock.moments and fock.quadrature_expect: |norm^2 - 1| <= 1e-10
+    off = fock.FockVector(math.sqrt(1.0 + 1e-9) * fock.basis(3, 8).amps)
+    with pytest.raises(ValueError, match="normalized"):
+        states.photon_distribution(off)
+    with pytest.raises(ValueError, match="normalized"):
+        fock.moments(off)
+
+
 def test_photon_distribution_coherent_poisson():
     p = states.photon_distribution(fock.coherent(1.0, 40))
     n = np.arange(40)
