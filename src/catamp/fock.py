@@ -61,7 +61,9 @@ class FockVector:
         arr = np.array(self.amps, dtype=complex)  # always a copy of its own
         if arr.ndim not in (1, 2) or arr.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D vector or 2-D row stack")
-        if not np.isfinite(arr).all():
+        # a finite sum of |a|^2 means finite elements (a dot product sets no floating-point
+        # warning); huge finite elements overflow it, so only then check them one by one
+        if not math.isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
             raise ValueError("amplitudes must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from oracles import bs_apply, kraus_stage
 
 #: |1, 0> on a 4 x 4 two-mode grid
 ONE_PHOTON = np.outer(np.eye(4)[1], np.eye(4)[0])
+
+#: a herald table of no sectors, as `channel._HERALD` starts
+EMPTY_TABLE = (np.zeros(1), *(np.empty(0, int),) * 4)
 
 
 def test_stages_validate_gamma_and_kind():
@@ -217,9 +222,68 @@ def test_heralded_op_matches_bs_apply_branch(n, alpha, rng):
 
 def test_herald_table_is_read_only():
     for anc_in, anc_out in ((1, 0), (0, 1)):
-        for a in channel._herald_table(8, anc_in, anc_out):
+        for a in channel._herald_table(7 + anc_in):  # the sectors of a stage on 8 components
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+@pytest.mark.parametrize("n, alpha", [(30, 2.0), (81, 3.0)])
+def test_heralded_op_matches_bs_apply_branch_at_large_theta(n, alpha, rng):
+    # theta near pi/2, where the first-order factor 1 + i theta delta of each term is largest;
+    # alpha is kept where p is not tiny, since at alpha 5 both routes lose digits to cancellation
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    inputs = (fock.normalize(fock.FockVector(amps))[0], states.scs_state(ScsSpec(alpha, 3, 1), n),
+              states.hes_state(HesSpec(alpha, 3, 1), n))
+    for v in inputs:
+        for gamma in (0.9, 0.99):
+            for kind in ("add", "subtract"):
+                want = _bs_apply_stage(v, gamma, kind)
+                want_p = np.linalg.norm(want) ** 2
+                out = channel.heralded_op(v, gamma, kind)
+                assert np.max(np.abs(out.amps - want)) <= 1e-13 * math.sqrt(want_p)
+                assert abs(out.norm() ** 2 - want_p) <= 1e-13 * want_p
+
+
+def test_sector_spectrum_is_the_integers():
+    # on sector N the generator is 2 J_x of spin N/2: eigenvalues N, N - 2, ..., -N
+    for total in range(161):
+        lam, _ = channel._sector_eig(total)
+        assert np.max(np.abs(lam - np.arange(-total, total + 1, 2))) <= 1e-12, total
+
+
+@pytest.mark.parametrize("shift, raises", [(5e-10, False), (2e-9, True)])
+def test_herald_table_guards_the_eigenvalue_residual(monkeypatch, shift, raises):
+    # an eigensystem whose spectrum is off the integers by more than 1e-9 is refused
+    exact = channel._sector_eig
+
+    def perturbed(total):
+        lam, vec = exact(total)
+        return lam + shift * (total == 5), vec
+
+    monkeypatch.setattr(channel, "_sector_eig", perturbed)
+    monkeypatch.setattr(channel, "_HERALD", EMPTY_TABLE)
+    v = fock.coherent(1.0, 8)
+    if raises:
+        with pytest.raises(ArithmeticError):
+            channel.heralded_op(v, 0.1, "add")
+    else:
+        channel.heralded_op(v, 0.1, "add")
+
+
+def test_narrow_stage_reads_a_prefix_of_the_grown_table(monkeypatch, rng):
+    inputs = [fock.FockVector(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+              for shape in ((1,), (2,), (30,), (3, 17))]
+    for gamma in (1e-3, 0.3, 0.99):
+        for kind in ("add", "subtract"):
+            for v in inputs:
+                monkeypatch.setattr(channel, "_HERALD", EMPTY_TABLE)
+                fresh = channel.heralded_op(v, gamma, kind).amps
+                assert channel._HERALD[-1].size == v.trunc - (kind == "subtract")  # this stage's only
+                channel.heralded_op(fock.coherent(5.0, 81), 0.1, "add")
+                table = channel._HERALD
+                served = channel.heralded_op(v, gamma, kind).amps
+                assert channel._HERALD is table and table[-1].size == 81
+                assert np.array_equal(served, fresh)
 
 
 def test_heralded_output_matches_kraus_state(rng):
@@ -276,6 +340,64 @@ def test_sim_vs_kraus_hes_agreement():
             )
             assert abs(p_sim - p_kraus) <= 1e-8 * p_kraus
             assert fid >= 1.0 - 1e-10
+
+
+def test_threads_growing_the_herald_table_get_the_serial_bits(monkeypatch, rng):
+    # threads that grow the table at once may repeat work, but each stage must read a whole table
+    cases = [(fock.FockVector(rng.normal(size=n) + 1j * rng.normal(size=n)), kind)
+             for n in (1, 5, 17, 30, 45, 60, 81) for kind in ("add", "subtract")]
+    want = [channel.heralded_op(v, 0.3, kind).amps for v, kind in cases]
+    monkeypatch.setattr(channel, "_HERALD", EMPTY_TABLE)
+    bad = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(cases))
+        for _ in range(200):
+            if seed == 0:  # racing growths can leave a narrower table; this is the narrowest
+                channel._HERALD = EMPTY_TABLE
+            for i in order:
+                try:
+                    out = channel.heralded_op(cases[i][0], 0.3, cases[i][1]).amps
+                except Exception as exc:  # a thread's exception would not reach the test
+                    bad.append(exc)
+                else:
+                    if not np.array_equal(out, want[i]):
+                        bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not bad
+
+
+def test_sim_vs_kraus_overlap_is_that_of_the_normalized_branches(rng):
+    # oracle: both raw branches through fock.normalize and fock.inner
+    for _ in range(20):
+        alpha, d, gamma = rng.uniform(0.2, 4.0), int(rng.integers(1, 5)), 10 ** rng.uniform(-3, 0)
+        k, s = int(rng.integers(d)), list(Scheme)[int(rng.integers(2))]
+        n = max(30, fock.auto_trunc(alpha, additions=2))
+        for spec in (ScsSpec(alpha, d, k), HesSpec(alpha, d, k)):
+            v = states.build(spec, n)
+            sim, kr = (channel._cascade(v, s, gamma, stage)
+                       for stage in (channel.heralded_op, channel.kraus_apply))
+            (sim_n, n_sim), (kr_n, n_kr) = fock.normalize(sim), fock.normalize(kr)
+            p_sim, p_kraus, overlap = channel.compare_sim_vs_kraus(spec, s, gamma, n)
+            assert (p_sim, p_kraus) == (n_sim**2, n_kr**2)
+            assert abs(overlap - abs(fock.inner(sim_n, kr_n)) ** 2) <= 1e-15
+
+
+def test_sim_vs_kraus_refuses_a_zero_branch(monkeypatch):
+    zero_branch = lambda v, gamma, kind: fock.FockVector(np.zeros(v.trunc + 1))  # noqa: E731
+    monkeypatch.setattr(channel, "heralded_op", zero_branch)
+    with pytest.raises(DegenerateStateError):
+        channel.compare_sim_vs_kraus(ScsSpec(1.0, 2, 0), Scheme.AADAG, 0.01, 20)
 
 
 def test_small_gamma_output_approaches_ideal_word():
@@ -366,7 +488,7 @@ def test_large_amplitude_circuit_touches_only_complete_sectors(monkeypatch):
         return cached(total)
 
     cached.cache_clear()
-    channel._herald_table.cache_clear()  # a table kept from an earlier test would hide its sectors
+    monkeypatch.setattr(channel, "_HERALD", EMPTY_TABLE)  # a grown table would hide its sectors
     monkeypatch.setattr(channel, "_sector_eig", spy)
     for spec in (ScsSpec(7.0, 2, 0), HesSpec(7.0, 3, 1)):
         for s in Scheme:

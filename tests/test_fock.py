@@ -278,8 +278,17 @@ def test_min_trunc_validates_epsilon():
 
 
 def test_fockvector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        fock.FockVector(np.array([1.0, np.inf]))
+    inf, nan = np.inf, np.nan
+    bad = ([1.0, inf], [nan, 1.0], [1.0, -inf], [1.0, complex(0.0, inf)], [complex(1.0, -inf), 0.0],
+           [complex(0.0, nan)], [inf, -inf], [[1.0, 2.0], [3.0, complex(nan, 1.0)]])
+    for amps in bad:
+        with pytest.raises(ValueError):
+            fock.FockVector(np.array(amps))
+
+
+@pytest.mark.parametrize("amps", [[1e308, 1e308], [1e308j, 1e308j], [[-1e308, 1.0], [-1e308, 0.0]]])
+def test_fockvector_accepts_finite_amplitudes_whose_sum_overflows(amps):
+    assert np.array_equal(fock.FockVector(np.array(amps)).amps, amps)
 
 
 def test_state_amplitudes_are_immutable():
