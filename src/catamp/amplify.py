@@ -8,7 +8,11 @@ product: the rightmost entry acts first.  The two named schemes are
 
 The word is the only place a scheme's action is written down: ``rises`` maps
 it to W |m> = f(m) |m + l> (Fiurasek, PRA 80, 053822 (2009)), and every closed
-form follows from f(m)^2 and the overlap polynomial by ``class_poly``.
+form follows from f(m)^2 and the overlap polynomial by ``class_poly``.  Its
+class sums take, point by point, the cheaper of two exact routes: the positive
+series ``states.class_sum``, with the word's offsets in its coefficients, where
+d >= 3 and x <= X_d = min(40, 45 / (1 - cos 2 pi / d)), and root-of-unity sums
+S_j by ``states.mod_exp_sum`` elsewhere.
 
 Words applied to a hybrid state (a row stack) act on the bosonic mode of
 every discrete block, with a single global renormalization.
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+
+import numpy as np
 
 from . import fock, states
 from .errors import DegenerateStateError
@@ -72,9 +78,30 @@ def falling(offsets: tuple[int, ...]) -> tuple[float, ...]:
 
 
 def class_poly(offsets: tuple[int, ...], x, k: int, d: int):
-    """sum_j (c_j x^j) S_{k-j}(x), c = ``falling(offsets)``, highest j first: d e^-x times
-    sum prod_i (m + 1 + i) x^m / m! over m = k (mod d); at d = 1 every S_j is 1.  Factors
-    of exactly 1 are left out, which changes no bit and spares array temporaries."""
+    """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = k (mod d): at d >= 3 and
+    x <= X_d (``states.series_bound``, at most 40) the positive series
+    ``states.class_sum``, with the offsets in its coefficients, and elsewhere
+    sum_j (c_j x^j) S_{k-j}(x), c = ``falling(offsets)``, highest j first, by
+    ``states.mod_exp_sum``; at d = 1 every S_j is 1.  Each point takes its own
+    route, so its value does not depend on the other points of the call."""
+    if d < 3:
+        return _root_sum(offsets, x, k, d)
+    near = np.asarray(x) <= states.series_bound(d)
+    if near.all():
+        out = states.class_sum(k, x, d, offsets)
+        return out if isinstance(x, np.ndarray) else float(out)
+    if not near.any():
+        return _root_sum(offsets, x, k, d)
+    out = np.empty(x.shape)
+    out[near] = states.class_sum(k, x[near], d, offsets)
+    far = ~near
+    out[far] = _root_sum(offsets, x[far], k, d)
+    return out
+
+
+def _root_sum(offsets: tuple[int, ...], x, k: int, d: int):
+    """``class_poly`` as sum_j (c_j x^j) S_{k-j}(x).  Factors of exactly 1 are left
+    out, which changes no bit and spares array temporaries."""
     c = falling(offsets)
     top = len(c) - 1
     sums = states.mod_exp_sum(tuple(range(k - top, k + 1)), x, d)

@@ -6,10 +6,12 @@ no negative offset (``scheme_word``), and comes from the word's offsets
 The gain slope, the Fisher information and a scalar fidelity are a mean, a
 centered variance and the log sums of one positive residue-class series, which
 cancel nothing (ln F = 2 L_y + l ln z - L_z - L_a2); on a gain array the fidelity
-takes root-of-unity sums S_j(x) via ``amplify.class_poly``, with its
-exp[-alpha^2 (g-1)^2] envelope explicit so no intermediate overflows even at
-large gain.  A hybrid qudit amplifies as a coherent state does, so its closed
-forms are the d = 1 cat ones.  On weights proportional to x^m,
+takes class sums from ``amplify.class_poly`` (a positive Horner series where
+d >= 3 and x <= X_d = min(40, 45 / (1 - cos 2 pi / d)), root-of-unity sums S_j(x)
+past X_d and at d <= 2), with its exp[-alpha^2 (g-1)^2] envelope explicit so no
+intermediate overflows even at large gain.  A hybrid qudit amplifies as a
+coherent state does, so its closed forms are the d = 1 cat ones.  On weights
+proportional to x^m,
 d(mean)/dx = Var/x, so the slope's derivative in g is a difference of class
 variances on the same weights.  Past x (1 - cos 2 pi / d) = 45 (at d = 1
 everywhere) the class moments are those of the full sum, exact there to e^-45,
@@ -39,9 +41,9 @@ from .states import _SKIP
 #: smallest normal double: a sum or a class-sum argument below it has lost digits
 _TINY = np.finfo(float).tiny
 #: gains per block of the array fidelity: 2^14 points make 128 KiB per float
-#: temporary, so every temporary of one block (the S_j accumulators, the powers
-#: of ``amplify.class_poly``, the envelope) stays inside a 2 MiB L2 cache, and
-#: peak memory does not grow with the array
+#: temporary, so every temporary of one block (the Horner and S_j accumulators,
+#: the powers of ``amplify.class_poly``, the envelope) stays inside a 2 MiB L2
+#: cache, and peak memory does not grow with the array
 _BLOCK = 1 << 14
 
 
@@ -118,12 +120,15 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
 
     The target carries index k + l (mod d), l the word's net photon change.  At a
     scalar g, ln F is ``scs_slope_newton``'s third value less ``scs_log_norm``,
-    and raises where they do.  An array g (the dense-scan oracles) takes the
-    ``amplify.class_poly`` sums S_j, many times faster there, in blocks of
-    ``_BLOCK`` gains in flat order, and raises ``ArithmeticError`` at the first
-    gain where a tiny g alpha takes them below the normal doubles.  Where
+    and raises where they do.  An array g (the dense-scan oracles) takes its
+    three class sums, the denominator's too, from ``amplify.class_poly``, many
+    times faster there: the positive series at d >= 3 and x <= X_d =
+    min(40, 45 / (1 - cos 2 pi / d)), root-of-unity sums S_j past X_d and at
+    d <= 2, each gain on its own route.  It works in blocks of ``_BLOCK`` gains in
+    flat order, and raises ``ArithmeticError`` at the first gain where a tiny
+    g alpha takes the sums below the normal doubles.  Where
     |g - 1| >= sqrt(746) / alpha the envelope exp[-alpha^2 (g-1)^2] rounds to 0,
-    so the array F is exactly 0.0 there, at any g, and takes no S_j.  The true F
+    so the array F is exactly 0.0 there, at any g, and takes no class sum.  The true F
     there is below e^-746 times the ratio of the sums, which the scalar route
     resolves: a subnormal at most at alpha 3, d 4, k 1 under double addition
     (7.4e-321 at the cut), but 2.6e-296 at alpha 0.01, d 12, k 11.
@@ -159,7 +164,7 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
         num = amplify.class_poly(rises, y, k, d) ** 2
         if l:
             num = z ** l * num
-        den = norm * states.mod_exp_sum(j, z, d)
+        den = norm * amplify.class_poly((), z, j, d)
         # at tiny y and z the sums fall below the normal doubles, to 0 or to a few digits
         lost = (num < _TINY) | (den < _TINY)
         if np.any(lost):

@@ -15,8 +15,13 @@ The cat-state fidelity and norm factors reduce to root-of-unity sums
     S_j(x) = sum_{n=0}^{d-1} w^{-jn} exp[-x (1 - w^n)],
 
 which are real and positive for x >= 0 (they equal d e^{-x} times the Taylor
-mass of e^x on photon numbers congruent to j mod d).  ``mod_exp_sum`` is the
-one evaluation of them, for one index or a tuple of indices at once.  It works
+mass of e^x on photon numbers congruent to j mod d).  Two exact kernels sum
+them.  ``class_sum`` is the positive series itself, d e^-x sum x^m / m! over the
+class, weighted by a word's prod_i (m + 1 + i) if asked: a Horner pass in x^d
+with nothing to cancel.  On the array route of ``amplify.class_poly`` (d >= 3
+and x <= X_d = ``series_bound(d)``, at most 40) small x takes it first, as it
+is the cheaper one there.  ``mod_exp_sum`` is the root-of-unity sum, for one
+index or a tuple of indices at once, which serves every other x.  It works
 in real arithmetic: with theta_q = 2 pi q / d, terms n and d - n are complex
 conjugates, so together they give
 
@@ -26,15 +31,17 @@ and the unpaired n = d/2 term is exp(-2x) times +1 at even j and -1 at odd j:
 it is live only for x < 22.5, where its phase x sin(pi) is below 3e-15, so the
 cosine of it is exactly +-1 and none is taken.  So each n < d/2 costs one real
 exponential, shared by every index, and one cosine per index; no imaginary
-part is ever formed.  Terms below e^-45 are skipped.  Where that sum cancelled
-(small x, high j: S_j below sum_n |E_n| / 64, with E_n(x) = exp[-x (1 - w^n)]),
-the value comes from the positive series instead, on those points only.  The
-kernel works on the whole array it is given; its one array caller,
-``analytic.scs_fidelity``, passes it cache-sized blocks.
+part is ever formed.  Terms below e^-45 are skipped.  Where that sum still
+cancels (small x and high j at d <= 2 or through a direct call, or past X_d at
+large d: S_j below sum_n |E_n| / 64, with E_n(x) = exp[-x (1 - w^n)]), the
+value comes from ``class_sum`` instead, on those points only.  Both kernels
+work on the whole array they are given; their one array caller,
+``analytic.scs_fidelity``, passes them cache-sized blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +61,15 @@ _CANCEL = 64.0
 #: under half an ulp of S_j, which is near 1 at such x (x >= 22.5), and under
 #: 2^-11 of the d 2^-53 that rounding the d terms already costs
 _SKIP = 45.0
+#: ln 2 = _LN2_HI + _LN2_LO, the first with 32 significant bits, so e _LN2_HI is exact
+#: for |e| < 2^21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+#: the largest X_d of ``series_bound``
+_SERIES_TOP = 40.0
+#: no coefficient, power or Horner partial sum of ``class_sum`` leaves e^+-700
+#: (e^709.78 overflows)
+_SERIES_LOG_MAX = 700.0
 
 
 def _check_dims(alpha: float, d: int, k: int) -> None:
@@ -100,17 +116,107 @@ def _gate_trunc(alpha: float, trunc: int) -> None:
         )
 
 
-def _class_mass(j: int, x: np.ndarray, d: int) -> np.ndarray:
-    """S_j(x) as the positive series d sum_{m = j mod d} e^-x x^m / m!, which cancels nothing."""
-    with np.errstate(divide="ignore"):
-        lx = np.log(x)  # -inf at x = 0, where every term past m = 0 is exactly 0
-    acc, m = np.zeros(x.shape), j
-    while True:
-        term = np.exp(m * lx - math.lgamma(m + 1.0) - x) if m else np.exp(-x)
-        acc += term
-        if m >= x.max() and np.all(term <= 1e-22 * acc):  # past m = x, terms only fall
-            return d * acc
+def series_bound(d: int) -> float:
+    """X_d = min(40, 45 / (1 - cos 2 pi / d)), 40 at d = 1: ``amplify.class_poly`` takes
+    ``class_sum`` for x <= X_d at d >= 3, where it costs fewer array passes than the
+    cosines of ``mod_exp_sum``.  Past 45 / (1 - cos 2 pi / d) (30 at d = 3) that sum
+    skips every term but n = 0 and takes no cosine.  From d = 5 on it still takes
+    cosines past 40, but 40 caps the series' tables (at most 33 terms) and the
+    range over which their accuracy is tested."""
+    return min(_SERIES_TOP, _SKIP / (1.0 - math.cos(2.0 * math.pi / d))) if d > 1 else _SERIES_TOP
+
+
+def _log_term(m: int, x: float, offsets: tuple[int, ...]) -> float:
+    """ln of prod_i (m + 1 + i) x^m / m!; -inf where a subtraction's factor is 0."""
+    p = math.prod(m + 1 + i for i in offsets)
+    return math.log(p) + m * math.log(x) - math.lgamma(m + 1.0) if p > 0 else -math.inf
+
+
+@functools.cache
+def _series_table(j: int, d: int, offsets: tuple[int, ...], q: int):
+    """(s, m_lo, c, g) of ``class_sum``'s class j on x in [0, X_d] (q = 0) or in
+    ((2q - 2)^2, (2q)^2] (q > 0).  The series keeps the class members m_lo, m_lo + d,
+    .. whose term is within e^-_SKIP of the largest one somewhere on that range; its
+    degree comes from (j, d, offsets, q) alone, never from the points summed.  Its
+    coefficients c (highest first) in v = x / s are correctly rounded from exact
+    integers.  At q = 0 they are P(m) s^m / m!, s = 2^e the smallest power of two
+    that keeps them, every power of v and every Horner partial sum inside
+    e^+-_SERIES_LOG_MAX, for any d.  At q > 0 they are P(m) s^m / (m! 2^E), s = (2q)^2
+    and 2^E near the largest, and g = E ln 2 - s."""
+    top = series_bound(d) if q == 0 else 4.0 * q * q
+    ms, peak, m = [], -math.inf, j
+    while True:  # the terms are log-concave in m: past m = top they only fall
+        lt = _log_term(m, top, offsets)
+        peak = max(peak, lt)
+        if m > top and lt < peak - _SKIP:
+            break
+        ms.append(m)
         m += d
+    if q:
+        low = [_log_term(m, 4.0 * (q - 1) ** 2, offsets) for m in ms]
+        ms = ms[next(i for i, lt in enumerate(low) if lt >= max(low) - _SKIP):]
+        s, e = 4 * q * q, round(max(_log_term(m, top, offsets) for m in ms) / math.log(2.0))
+        g = (e * _LN2_HI - s) + e * _LN2_LO  # e ln 2 - s
+    else:
+        e, g = 0, 0.0
+        for p in range(64):
+            s = 1 << p
+            lc = [lt for lt in (_log_term(m, s, offsets) for m in ms) if lt > -math.inf]
+            if (d * math.log(top / s) < _SERIES_LOG_MAX and min(lc) > -_SERIES_LOG_MAX
+                    and max(lc) + math.log(len(ms)) < _SERIES_LOG_MAX):
+                break
+        else:  # first met past d 3000, by classes whose sums underflow at every x <= 40
+            raise ArithmeticError(f"no power-of-two scale keeps class {j} of d {d} normal")
+    c = [(math.prod(m + 1 + i for i in offsets) * s ** m << max(-e, 0))
+         / (math.factorial(m) << max(e, 0)) for m in ms]
+    return s, ms[0], tuple(reversed(c)), g
+
+
+def class_sum(j: int, x, d: int, offsets: tuple[int, ...] = ()):
+    """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = j (mod d), on an array x >= 0, as
+    a positive series by Horner's rule in w = v^d (``_series_table``): no cosine,
+    nothing to cancel.  On x <= X_d (``series_bound``), the route of
+    ``amplify.class_poly``, it is d e^-x v^j H(w), v = x / 2^e exact, within a few
+    ulps.  Past X_d, where a cancelled ``mod_exp_sum`` at large d hands it points,
+    each point takes the table of its bucket of sqrt(x), and e^-x with the powers of
+    v comes from one exponent, exp(g + s - x + m_lo ln v), within a few eps sqrt(x)."""
+    j %= d
+    x = np.asarray(x, dtype=float)
+    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+        raise ValueError("x must be finite and >= 0")
+    near = x <= series_bound(d)
+    if near.all():
+        return _series(_series_table(j, d, offsets, 0), x, d, False)
+    q = np.where(near, 0, np.ceil(np.sqrt(x) / 2.0)).astype(int)
+    out = np.empty(x.shape)
+    for qi in np.unique(q):
+        at = q == qi
+        out[at] = _series(_series_table(j, d, offsets, int(qi)), x[at], d, qi > 0)
+    return out
+
+
+def _series(table, x: np.ndarray, d: int, far: bool) -> np.ndarray:
+    s, m_lo, c, g = table
+    if far:
+        lv = np.log1p((x - s) / s)  # x - s is exact: s / 2 <= x <= s past X_d >= 22.5
+        w = np.exp(d * lv)
+        pref = np.exp(g + (s - x) + m_lo * lv)
+    else:
+        v = x if s == 1 else x * (1.0 / s)
+        w = v ** d
+        pref = np.exp(-x)
+        if m_lo:  # m_lo = j on [0, X_d]
+            pref *= v ** m_lo
+    if len(c) == 1:
+        return (d * c[0]) * pref
+    acc = c[0] * w
+    acc += c[1]
+    for cn in c[2:]:
+        acc *= w
+        acc += cn
+    acc *= pref
+    acc *= d
+    return acc
 
 
 def mod_exp_sum(j, x, d: int):
@@ -150,7 +256,7 @@ def mod_exp_sum(j, x, d: int):
     for i, ji in enumerate(js):
         cut = np.flatnonzero(_CANCEL * out[i] < mags)
         if cut.size:
-            out[i, cut] = _class_mass(ji, flat[cut], d)
+            out[i, cut] = class_sum(ji, flat[cut], d)
     out = out.reshape((len(js),) + x.shape)
     if isinstance(j, tuple):
         return out

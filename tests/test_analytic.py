@@ -401,6 +401,18 @@ def test_scs_fidelity_matches_positive_series(alpha, d, data):
     assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big]), (got, want)
 
 
+@pytest.mark.parametrize("alpha, d, k", [(0.2, 24, 20), (0.3, 30, 29)])
+def test_scs_fidelity_matches_positive_series_past_d12(alpha, d, k):
+    # the root-of-unity sums read F = 1 + 1.48e-13 and 1 + 1.96e-13 on these cells,
+    # past the d <= 12 of the property test above
+    g = np.geomspace(1e-3, 1.0, 2000)
+    got = analytic.scs_fidelity(alpha, g, d, k, Scheme.AADAG)
+    want = series_scs_fidelity(alpha, g, d, k, "aadag")
+    assert got.max() <= 1.0 + 1e-13, got.max() - 1.0
+    big = want >= 1e-3
+    assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.05, 3.0), g=st.floats(0.05, 5.0), d=st.integers(1, 12),
        s=st.sampled_from([*Scheme, ("add",), ("add",) * 3, ("subtract", "add", "add")]),
@@ -685,6 +697,82 @@ def test_mod_exp_sum_matches_direct_complex_sum():
             for j in np.flatnonzero(kept[:, i]):
                 assert abs(states.mod_exp_sum(int(j), x[i], d) - direct[j, i].real) <= (
                     1e-13 * direct[j, i].real), (d, j, x[i])
+
+
+def _mp_class_sum(j, x, d, offsets):
+    """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = j (mod d), to 40 digits."""
+    with mp.workdps(40):
+        xm, total, m = mp.mpf(float(x)), mp.mpf(0), j
+        while True:
+            term = math.prod(m + 1 + i for i in offsets) * (xm**m if m else 1) / mp.factorial(m)
+            total += term
+            if m > xm and term <= mp.mpf(10) ** -45 * total:
+                return float(d * mp.exp(-xm) * total)
+            m += d
+
+
+def test_class_sum_matches_40_digit_class_sums():
+    # the series route of class_poly, x <= X_d, for the bare state and the offsets of
+    # the a a-dagger overlap, a a-dagger and a-dagger^2: within 16 eps, exact at x = 0,
+    # and 0 where the sum leaves the doubles (x^j at x = 1e-300, j >= 2)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(30)
+    for d in range(3, 13):
+        top = states.series_bound(d)
+        x = np.concatenate([[0.0, 1e-300, 1e-20, top], top * rng.random(4)])
+        for offsets in ((), (0,), (0, 0), (0, 1)):
+            for j in range(d):
+                got = states.class_sum(j, x, d, offsets)
+                want = np.array([_mp_class_sum(j, xi, d, offsets) for xi in x])
+                assert np.all(np.abs(got - want) <= 16 * eps * want), (d, offsets, j)
+    # past X_d, where a cancelled root-of-unity sum at large d hands points to the
+    # series, each point takes the table of its bucket of sqrt(x): within a few eps sqrt(x)
+    for d in (48, 200):
+        x = np.concatenate([[40.5, 64.0, 64.5], np.geomspace(41.0, d * d / 39.0, 6)])
+        for j in (0, 7, d // 2, d - 1):
+            got = states.class_sum(j, x, d)
+            want = np.array([_mp_class_sum(j, xi, d, ()) for xi in x])
+            assert np.all(np.abs(got - want) <= 16 * eps * np.sqrt(x) * want), (d, j)
+
+
+def test_class_poly_routes_agree_at_the_series_bound():
+    # at d >= 3 class_poly takes the series up to X_d and the root-of-unity sums past
+    # it; at X_d (1 -+ 1e-12) each route is within 64 eps of the other
+    eps = np.finfo(float).eps
+    for d in range(3, 13):
+        lo, hi = states.series_bound(d) * (1.0 - 1e-12), states.series_bound(d) * (1.0 + 1e-12)
+        for offsets in ((), (0,), (0, 0), (0, 1)):
+            for k in range(d):
+                below, above = amplify.class_poly(offsets, np.array([lo, hi]), k, d)
+                assert below == states.class_sum(k, lo, d, offsets)
+                assert above == amplify._root_sum(offsets, hi, k, d)
+                for x, got in ((lo, below), (hi, above)):
+                    other = (amplify._root_sum(offsets, x, k, d) if x == lo
+                             else states.class_sum(k, x, d, offsets))
+                    assert abs(got - other) <= 64 * eps * got, (d, offsets, k, x)
+
+
+@pytest.mark.parametrize("d", [40, 60, 200])
+def test_array_fidelity_at_large_d(monkeypatch, d):
+    # no coefficient or power of the series leaves the doubles (1/200! would), and the
+    # root-of-unity sums past X_d still cancel at this d and hand points to the series
+    past = []
+
+    def spy(j, x, d, offsets=()):
+        past.append(np.max(x, initial=0.0) > states.series_bound(d))
+        return class_sum(j, x, d, offsets)
+
+    class_sum = states.class_sum
+    monkeypatch.setattr(states, "class_sum", spy)
+    g = np.geomspace(0.05, 4.0, 5000)
+    for s in Scheme:
+        for k in (3, d // 2):
+            got = analytic.scs_fidelity(8.0, g, d, k, s)  # RuntimeWarning: an error (pyproject.toml)
+            assert np.all(np.isfinite(got)) and got.max() <= 1.0 + 1e-13, got.max() - 1.0
+            big = np.flatnonzero(got >= 1e-3)
+            want = np.array([analytic.scs_fidelity(8.0, float(g[i]), d, k, s) for i in big])
+            assert big.size and np.all(np.abs(got[big] - want) <= 1e-12 * want), (s, k)
+    assert any(past)
 
 
 def test_class_moments_match_high_precision_class_sums():
