@@ -20,10 +20,11 @@ a mixture of Poisson laws shifted by q, weighted c_q x^q, so the mean is
 x + E[q], the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.
 So a class is summed only below that bound, by one of two kernels.  On an
 array (the gain scan) ``_class_mean`` gives the class mean alone, from
-``_class_series``, a window from log space.  At a float (every Newton step,
-scalar fidelity, QFI and log norm) ``_class_moments`` gives the mean, variance
-and log sum, from ``_class_walk``, a ratio walk in Python floats out from the
-class member nearest x.
+``_class_series``: one window of class members for every point, log weights
+m ln x (one outer product) plus cached class logs, one exp and one
+matrix-vector product.  At a float (every Newton step, scalar fidelity, QFI and
+log norm) ``_class_moments`` gives the mean, variance and log sum, from
+``_class_walk``, a ratio walk in Python floats out from the member nearest x.
 """
 
 from __future__ import annotations
@@ -174,25 +175,38 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     return out.reshape(g.shape)
 
 
+@functools.cache
+def _class_logs(j: int, d: int, rises: tuple[int, ...], size: int) -> np.ndarray:
+    """Read-only sum_i ln(m + 1 + i) - ln m! (i in ``rises``) at m = j + d n, n < size,
+    a power of two: each class's tables double as ``fock.log_factorial``'s does."""
+    m = j + d * np.arange(float(size))
+    table = sum(np.log1p(m + i) for i in rises) - fock.log_factorial(m)
+    table.flags.writeable = False
+    return table
+
+
 def _class_series(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()):
     """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
-    0 <= j < d, on an array of x >= 0 (a window of +-10 sigma about the peak per
-    point, from log space, scaled to a peak of 1), and their excesses e = m - j:
-    a mean over them stays accurate where S_j ratios cancel.  Each weight carries
-    the rounding of its exponent m ln x - ln m!, about eps x ln x; ``_class_walk``
-    is the scalar kernel.  Where x = 0 (alpha^2 underflowed) only m = j is left,
-    as in ``_class_walk``."""
-    x = x[..., None]
-    zero = None if x.all() else x[..., 0] == 0.0
-    span = 10.0 * np.sqrt(x) + 30.0
-    m = j + d * (np.floor(np.maximum(x - span, 0.0) / d)
-                 + np.arange(np.ceil(2.0 * span.max() / d) + 1.0))
-    log_x = np.log(x) if zero is None else np.log(np.where(x == 0.0, 1.0, x))
-    logw = sum(np.log1p(m + i) for i in rises) + m * log_x - fock.log_factorial(m)
-    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    0 <= j < d, on an array of x >= 0, each row scaled to a peak of 1, and their
+    excesses e = m - j.  All points share one window m = j + d n, from the lowest
+    max(x - 10 sqrt(x) - 30, 0) to the highest x + 10 sqrt(x) + 30: at most
+    (x_max + 10 sqrt(x_max) + 30) / d + 2 columns.  The log weights m ln x +
+    ``_class_logs`` carry the rounding of their exponents, about eps x ln x;
+    ``_class_walk`` is the scalar kernel.  Where x = 0 (alpha^2 underflowed) only
+    m = j is left, as there."""
+    lo, hi = float(x.min()), float(x.max())
+    n_lo = math.floor(max(lo - 10.0 * math.sqrt(lo) - 30.0, 0.0) / d)
+    n_hi = math.ceil((hi + 10.0 * math.sqrt(hi) + 30.0) / d)
+    zero = None if lo else x == 0.0
+    log_x = np.log(x) if zero is None else np.log(np.where(zero, 1.0, x))
+    n = np.arange(float(n_lo), n_hi + 1)
+    logw = np.multiply.outer(log_x, j + d * n)
+    logw += _class_logs(j, d, rises, 1 << n_hi.bit_length())[n_lo:n_hi + 1]
+    logw -= logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw, out=logw)
     if zero is not None:
-        w[zero] = np.arange(w.shape[-1]) == 0  # the window there starts at m = j
-    return w, m - j
+        w[zero] = n == 0
+    return w, d * n
 
 
 def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...]):
@@ -241,12 +255,12 @@ def _mixture(x, rises: tuple[int, ...]):
 def _class_mean(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()) -> np.ndarray:
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
     on m = j (mod d), at every point of an array x >= 0 (the gain scan): the
-    mixture mean x - j + E[q] (see ``_class_moments``) past the bound, and a
-    ``_class_series`` window on the points below it, in one call."""
+    mixture mean x - j + E[q] (see ``_class_moments``) past the bound, and on the
+    points below it w @ e / sum(w) over their shared ``_class_series`` window."""
     near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
     if near.all():
         w, e = _class_series(j, x, d, rises)
-        return (w * e).sum(axis=-1) / w.sum(axis=-1)
+        return w @ e / w.sum(axis=-1)
     mean = x - j + _mixture(x, rises)[2]
     if near.any():
         mean[near] = _class_mean(j, x[near], d, rises)

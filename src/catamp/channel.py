@@ -61,15 +61,15 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@functools.cache
 def _sector_eig(total: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem (lam, vec) of a-dagger b + a b-dagger on |ns, total - ns>, ns = total..0.
 
-    The generator is real, symmetric and tridiagonal there; the arrays are shared, hence read-only.
+    The generator is real, symmetric and tridiagonal there; ``_herald_table``,
+    which only grows, diagonalizes each sector once and keeps rows 0 and 1.
     """
     ns = np.arange(total, 0, -1, dtype=float)
     off = np.sqrt(ns * (total - ns + 1.0))
-    return _frozen(*np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1)))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
 
 #: the largest |lambda - rint(lambda)| a sector eigensystem may carry into the table

@@ -24,6 +24,9 @@ GAIN_LO = 1e-3
 GAIN_HI = 20.0
 #: grid points of the slope scan that brackets the stationary points
 SLOPE_GRID = 256
+#: the scan's gains, read-only
+SLOPE_GAINS = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
+SLOPE_GAINS.flags.writeable = False
 #: absolute gain tolerance and evaluation budget of the root refinement
 ROOT_XTOL = 1e-14
 ROOT_MAX_CALLS = 100
@@ -133,12 +136,11 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     if alpha == 0.0:
         return OptResult(None, analytic.scs_fidelity(0.0, 1.0, d, k, word), 0, True, False)
 
-    full = np.linspace(GAIN_LO, GAIN_HI, SLOPE_GRID)
     c = amplify.rises(word)[0] + 2 * d + len(amplify.overlap_rises(word))
-    grid = full[:np.searchsorted(full, 0.5 + math.sqrt(0.25 + c / alpha / alpha)) + 1]
+    grid = SLOPE_GAINS[:np.searchsorted(SLOPE_GAINS, 0.5 + math.sqrt(0.25 + c / alpha / alpha)) + 1]
     scan = analytic.scs_slope(alpha, grid, d, k, word)
-    if scan[-1] > 0 and grid.size < full.size:  # past g_max only by rounding
-        grid, scan = full, analytic.scs_slope(alpha, full, d, k, word)
+    if scan[-1] > 0 and grid.size < SLOPE_GRID:  # past g_max only by rounding
+        grid, scan = SLOPE_GAINS, analytic.scs_slope(alpha, SLOPE_GAINS, d, k, word)
     if not np.all(np.isfinite(scan)):
         raise OptimizationError(f"fidelity slope non-finite on the gain scan of {spec}")
     gap = scan * grid / 2.0  # D, the slope's class-mean difference

@@ -12,7 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 
 def destroy(n: int) -> np.ndarray:
@@ -65,30 +65,50 @@ def poisson_tail(alpha: float, n: int) -> float:
 
 
 def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndarray:
-    """Cat-state fidelity from positive residue-class series summed in log space.
+    """Cat-state fidelity from positive residue-class series.
 
     With p_m = x^m / m! over m = k (mod d): a a-dagger gives
     F = [sum (m+1) p_m(g a^2)]^2 / ([sum (m+1)^2 p_m(a^2)] [sum p_m(g^2 a^2)]), and
     a-dagger^2 gives F = (g a)^4 [sum p_m(g a^2)]^2 / ([sum (m+1)(m+2) p_m(a^2)]
     [sum over m = k+2 (mod d) of p_m(g^2 a^2)]).  No root-of-unity sums, so no
-    cancellation at any amplitude.
+    cancellation at any amplitude.  Each class sum is p_c times the ratios p_m / p_c,
+    products of x / (m + 1) walked out from the class member c nearest x, so each
+    weight is a few roundings from exact.  The powers x^c = g^(i c) a^(2c) of the
+    three sums meet as integer exponents of g and a^2, and their ln c! as floats,
+    before any log is scaled: where every class peaks at its lowest member (tiny x)
+    they cancel exactly.
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     a2 = alpha * alpha
 
-    def log_sum(j, x, weight):
-        x = np.asarray(x, dtype=float)[..., None]
-        m = np.arange(j % d, float(np.max(x)) + 12.0 * math.sqrt(float(np.max(x))) + 60.0, d)
-        return logsumexp(np.log(weight(m)) + m * np.log(x) - gammaln(m + 1.0), axis=-1)
+    def class_sum(j, i, weight):
+        """(c, ln sum weight(m) p_m / p_c) over m = j (mod d) at x = g^i a^2."""
+        j %= d
+        x = (g**i * a2)[..., None]
+        c = j + d * np.maximum(np.rint((x - j) / d), 0.0)
+        reach = d * math.ceil((12.0 * math.sqrt(float(x.max())) + 60.0) / d)
+        t = np.arange(1, reach + 1)
+        up = np.cumprod(x / (c + t), axis=-1)  # p_{c+t} / p_c
+        u = c + 1 - t  # p_{c-t} / p_c = prod of u / x over u = c..c-t+1, only down to m = j
+        down = np.cumprod(np.where(u > j, u, 0.0) / x, axis=-1)
+        ratio = np.concatenate((down[..., ::-1], np.ones_like(x), up), axis=-1)[..., ::d]
+        m = c + d * np.arange(-(reach // d), reach // d + 1)
+        return c[..., 0], np.log((weight(m) * ratio).sum(axis=-1))
 
     if scheme == "aadag":
-        log_f = (2.0 * log_sum(k, g * a2, lambda m: m + 1.0)
-                 - log_sum(k, a2, lambda m: (m + 1.0) ** 2) - log_sum(k, g * g * a2, np.ones_like))
-    else:
-        log_f = (2.0 * np.log(g * g * a2) + 2.0 * log_sum(k, g * a2, np.ones_like)
-                 - log_sum(k, a2, lambda m: (m + 1.0) * (m + 2.0))
-                 - log_sum(k + 2, g * g * a2, np.ones_like))
-    return np.exp(log_f)
+        power, sums = (0, 0), ((2, 1, k, lambda m: m + 1.0), (-1, 0, k, lambda m: (m + 1.0) ** 2),
+                               (-1, 2, k, np.ones_like))
+    else:  # (g a)^4 = g^4 (a^2)^2
+        power, sums = (4, 2), ((2, 1, k, np.ones_like), (-1, 0, k, lambda m: (m + 1.0) * (m + 2.0)),
+                               (-1, 2, k + 2, np.ones_like))
+    power_g, power_a, log_fact, log_ratio = power[0], power[1], 0.0, 0.0
+    for coef, i, j, weight in sums:
+        c, log_sum = class_sum(j, i, weight)
+        power_g = power_g + coef * i * c
+        power_a = power_a + coef * c
+        log_fact = log_fact + coef * gammaln(c + 1.0)
+        log_ratio = log_ratio + coef * log_sum
+    return np.exp(power_g * np.log(g) + power_a * math.log(a2) - log_fact + log_ratio)
 
 
 def mp_scs_fidelity(alpha: float, g: float, d: int, k: int, scheme: str) -> float:

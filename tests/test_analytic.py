@@ -413,6 +413,20 @@ def test_scs_fidelity_matches_positive_series_past_d12(alpha, d, k):
     assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big])
 
 
+@pytest.mark.parametrize("alpha, d, k", [(0.2, 24, 20), (0.3, 30, 29), (1.3, 5, 2), (2.7, 8, 3)])
+@pytest.mark.parametrize("s", ["aadag", "adag2"])
+def test_positive_series_oracle_holds_to_50_digit_class_sums(alpha, d, k, s):
+    # the oracle walks each class by ratios out from its member nearest x, and the sums'
+    # powers and factorials meet before any log: where every class peaks at its lowest
+    # member they cancel exactly (log-space terms m ln x - ln m! were 1.1e-13 off there).
+    # F >= 1e-3, as in every test that uses it: below, the powers left over (g^60 a^60 at
+    # a-dagger^2, k 29, d 30, whose target class is 1) carry eps times their log
+    for g in (1e-3, 0.03, 0.5, 1.0, 1.7):
+        want = mp_scs_fidelity(alpha, g, d, k, s)
+        if want >= 1e-3:
+            assert abs(series_scs_fidelity(alpha, g, d, k, s)[0] - want) <= 1e-14 * want, g
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.05, 3.0), g=st.floats(0.05, 5.0), d=st.integers(1, 12),
        s=st.sampled_from([*Scheme, ("add",), ("add",) * 3, ("subtract", "add", "add")]),
@@ -867,6 +881,76 @@ def test_class_mean_sums_one_series_on_the_near_points_only(kernel_calls, rises)
         for xi, gi, ni in zip(x.tolist(), got.tolist(), near.tolist()):
             want = analytic._class_moments(j, xi, d, rises)[0]
             assert abs(gi - want) <= (1e-14 if ni else 1e-15) * want, (j, xi)
+
+
+def window_rounding(x: float, var: float, d: int) -> float:
+    """Bound on the rounding of a ``_class_mean`` point: each log weight m ln x + (class
+    log) is off by about eps m |ln x|, m up to the window's top x + 10 sqrt(x) + 30 + d,
+    and the mean by at most that times the class spread sqrt(var), twice over."""
+    top = (x + 10.0 * math.sqrt(x) + 30.0 + d) * max(1.0, abs(math.log(x)) if x else 1.0)
+    return 2.0 * np.finfo(float).eps * math.sqrt(var) * top
+
+
+@pytest.mark.parametrize("rises", [(), (0,), (0, 0), (0, 1)])
+def test_class_mean_on_one_shared_window_matches_each_point_alone(rises):
+    # one call per class on 32 points x in [0, near-field bound), d 2..24: every point
+    # shares the window of the smallest and the largest, which moves its mean from its
+    # own 1-element call's by rounding only.  Against the scalar walk it holds to
+    # ``window_rounding``: past d 11 that passes the 1e-14 relative bound of the
+    # 50-digit test (3.7e-14 at d 24, 3.0e-14 with per-point windows)
+    for d in range(2, 25):
+        x = np.linspace(0.0, states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)), 32, endpoint=False)
+        for j in range(d):
+            got = analytic._class_mean(j, x, d, rises)
+            for xi, gi in zip(x.tolist(), got.tolist()):
+                alone = analytic._class_mean(j, np.array([xi]), d, rises)[0]
+                mean, var, _ = analytic._class_moments(j, xi, d, rises)
+                assert abs(gi - alone) <= 1e-14 * mean, (d, j, xi)
+                assert abs(gi - mean) <= window_rounding(xi, var, d), (d, j, xi)
+
+
+def test_shared_window_stays_within_its_column_bound(monkeypatch):
+    # the window runs from the smallest point's low edge to the largest point's high
+    # edge, x_max + 10 sqrt(x_max) + 30, in steps of d: the scan at d 24, alpha 8
+    # (y = 64 g up to 1280 of the bound 1319) and one call at d 200 up to its bound
+    # 91,190 keep to (x_max + 10 sqrt(x_max) + 30) / d + 2 columns
+    calls, series = [], analytic._class_series
+
+    def spy(j, x, d, rises=()):
+        w, e = series(j, x, d, rises)
+        calls.append((float(x.max()), d, w.shape[-1], e.size))
+        return w, e
+
+    monkeypatch.setattr(analytic, "_class_series", spy)
+    for s in Scheme:
+        for k in (0, 11, 23):
+            assert np.all(np.isfinite(analytic.scs_slope(8.0, optimize.SLOPE_GAINS, 24, k, s)))
+    edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / 200))
+    x = np.linspace(0.0, 0.999 * edge, 256)
+    for j in (0, 117, 199):
+        got = analytic._class_mean(j, x, 200)
+        for i in (0, 128, 255):
+            mean, var, _ = analytic._class_moments(j, float(x[i]), 200)
+            assert abs(got[i] - mean) <= window_rounding(float(x[i]), var, 200), (j, x[i])
+    assert calls[0][0] > 1200 and calls[-1][0] > 91_000
+    for x_max, d, columns, excesses in calls:
+        assert columns == excesses <= (x_max + 10.0 * math.sqrt(x_max) + 30.0) / d + 2.0, (x_max, d)
+
+
+def test_class_logs_are_read_only_doubling_tables(monkeypatch):
+    # sum_i ln(m + 1 + i) - ln m! at m = j + d n; a longer table repeats a shorter one's
+    # entries, and the window asks only for powers of two past its top member
+    short = analytic._class_logs(2, 5, (0, 1), 4)
+    m = 2.0 + 5.0 * np.arange(4)
+    assert np.array_equal(short, np.log1p(m) + np.log1p(m + 1.0) - fock.log_factorial(m))
+    assert np.array_equal(analytic._class_logs(2, 5, (0, 1), 64)[:4], short)
+    with pytest.raises(ValueError):
+        short[0] = 0.0
+    sizes, logs = [], analytic._class_logs
+    monkeypatch.setattr(analytic, "_class_logs", lambda *a: sizes.append(a[-1]) or logs(*a))
+    analytic._class_mean(1, np.array([0.5, 40.0, 110.0]), 7, (0,))
+    top = math.ceil((110.0 + 10.0 * math.sqrt(110.0) + 30.0) / 7)  # the window's top n, 35
+    assert sizes == [1 << top.bit_length()] == [64]
 
 
 @pytest.mark.parametrize("s", list(Scheme))

@@ -96,6 +96,42 @@ def test_positive_slope_at_the_window_end_rescans_the_whole_grid(monkeypatch):
     assert res.argmax == optimize.GAIN_HI and res.boundary_hit
 
 
+# cells of a seeded 1,500-cell draw (d 2..12, k and alpha in [0.05, 5] drawn, both
+# schemes) whose cut scan comes closest to a sign change, relative to its class means
+# (1.6e-5 to 6.1e-5), and the first sign and sign-change points of that scan as
+# per-point log-space windows read them; no scan of the draw changed a sign
+SCAN_SIGN_PINS = ((2.4209103070967397, 11, 9, Scheme.ADAG2, 34, [15]),
+                  (0.19585958690525457, 11, 9, Scheme.ADAG2, 256, [195]),
+                  (0.3253190241056689, 10, 8, Scheme.ADAG2, 192, [112]),
+                  (0.8348583866186711, 11, 9, Scheme.ADAG2, 83, [45]),
+                  (0.38963121747526364, 2, 1, Scheme.ADAG2, 88, [57]),
+                  (2.518263624875705, 8, 0, Scheme.AADAG, 30, [14]))
+
+
+@pytest.mark.parametrize("alpha,d,k,s,size,changes", SCAN_SIGN_PINS)
+def test_slope_scan_keeps_its_pinned_signs(monkeypatch, alpha, d, k, s, size, changes):
+    slope, scans = analytic.scs_slope, []
+    monkeypatch.setattr(analytic, "scs_slope", lambda *a: scans.append(slope(*a)) or scans[-1])
+    optimize.scs_gain(ScsSpec(alpha, d, k), s)
+    scan, = scans
+    assert scan.size == size and scan[0] > 0
+    assert np.flatnonzero(np.diff(np.signbit(scan))).tolist() == changes
+
+
+def test_slope_scan_signs_are_the_scalar_slopes():
+    # the array route (one shared class window per mean) and the scalar route (the
+    # class walk) give the same sign at every point of the cut scans of a random draw
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        d = int(rng.integers(2, 13))
+        alpha, k = float(rng.uniform(0.05, 5.0)), int(rng.integers(0, d))
+        s = WINDOW_WORDS[int(rng.integers(0, len(WINDOW_WORDS)))]
+        g = optimize.SLOPE_GAINS[:int(rng.integers(16, optimize.SLOPE_GRID + 1))]
+        scan = analytic.scs_slope(alpha, g, d, k, s)
+        want = [analytic.scs_slope(alpha, gi, d, k, s) for gi in g.tolist()]
+        assert np.array_equal(np.sign(scan), np.sign(want)), (alpha, d, k, s)
+
+
 ROBUST_CELLS = ((1.5, 5, 2, Scheme.AADAG), (1.3, 3, 1, Scheme.ADAG2), (0.2, 5, 4, Scheme.AADAG),
                 (2.0, 1, 0, Scheme.ADAG2))
 
