@@ -101,7 +101,7 @@ def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndar
     else:  # (g a)^4 = g^4 (a^2)^2
         power, sums = (4, 2), ((2, 1, k, np.ones_like), (-1, 0, k, lambda m: (m + 1.0) * (m + 2.0)),
                                (-1, 2, k + 2, np.ones_like))
-    power_g, power_a, log_fact, log_ratio = power[0], power[1], 0.0, 0.0
+    (power_g, power_a), log_fact, log_ratio = power, 0.0, 0.0
     for coef, i, j, weight in sums:
         c, log_sum = class_sum(j, i, weight)
         power_g = power_g + coef * i * c
