@@ -9,10 +9,10 @@ product: the rightmost entry acts first.  The two named schemes are
 The word is the only place a scheme's action is written down: ``rises`` maps
 it to W |m> = f(m) |m + l> (Fiurasek, PRA 80, 053822 (2009)), and every closed
 form follows from f(m)^2 and the overlap polynomial by ``class_poly``.  Its
-class sums take, point by point, the cheaper of two exact routes: the positive
-series ``states.class_sum``, with the word's offsets in its coefficients, where
-d >= 3 and x <= X_d = min(40, 45 / (1 - cos 2 pi / d)), and root-of-unity sums
-S_j by ``states.mod_exp_sum`` elsewhere.
+class sums are positive at every point: the series ``states.class_sum``, with
+the word's offsets in its coefficients, where x (1 - cos 2 pi / d) < 45, and
+past that bound (at d = 1 everywhere) the full sum's closed form
+sum_q c_q x^q over the falling-factorial coefficients c of ``falling``.
 
 Words applied to a hybrid state (a row stack) act on the bosonic mode of
 every discrete block, with a single global renormalization.
@@ -21,6 +21,7 @@ every discrete block, with a single global renormalization.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 
 import numpy as np
@@ -78,39 +79,25 @@ def falling(offsets: tuple[int, ...]) -> tuple[float, ...]:
 
 
 def class_poly(offsets: tuple[int, ...], x, k: int, d: int):
-    """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = k (mod d): at d >= 3 and
-    x <= X_d (``states.series_bound``, at most 40) the positive series
-    ``states.class_sum``, with the offsets in its coefficients, and elsewhere
-    sum_j (c_j x^j) S_{k-j}(x), c = ``falling(offsets)``, highest j first, by
-    ``states.mod_exp_sum``; at d = 1 every S_j is 1.  Each point takes its own
-    route, so its value does not depend on the other points of the call."""
-    if d < 3:
-        return _root_sum(offsets, x, k, d)
-    near = np.asarray(x) <= states.series_bound(d)
+    """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = k (mod d), at a float or an array
+    x >= 0.  Where x (1 - cos 2 pi / d) < 45 (``states._near``) it is the positive
+    series ``states.class_sum``, with the offsets in its coefficients.  Past that
+    bound, and at every x when d = 1, it is sum_q c_q x^q, c = ``falling(offsets)``
+    highest q first: the class sum is (1/d) sum_n w^{-kn} times the full sum
+    e^(x w^n) sum_q c_q (x w^n)^q, and every n != 0 term is below e^-45 of the
+    n = 0 one, so that closed form is exact there to e^-45.  Each point takes its
+    own route, so its value does not depend on the other points of the call."""
+    xs = np.asarray(x, dtype=float)
+    if xs.size and not (xs.min() >= 0.0 and xs.max() < math.inf):
+        raise ValueError("x must be finite and >= 0")
+    near = states._near(xs, d)
     if near.all():
-        out = states.class_sum(k, x, d, offsets)
-        return out if isinstance(x, np.ndarray) else float(out)
-    if not near.any():
-        return _root_sum(offsets, x, k, d)
-    out = np.empty(x.shape)
-    out[near] = states.class_sum(k, x[near], d, offsets)
-    far = ~near
-    out[far] = _root_sum(offsets, x[far], k, d)
-    return out
-
-
-def _root_sum(offsets: tuple[int, ...], x, k: int, d: int):
-    """``class_poly`` as sum_j (c_j x^j) S_{k-j}(x).  Factors of exactly 1 are left
-    out, which changes no bit and spares array temporaries."""
-    c = falling(offsets)
-    top = len(c) - 1
-    sums = states.mod_exp_sum(tuple(range(k - top, k + 1)), x, d)
-    powers = [1.0, x]
-    while len(powers) <= top:
-        powers.append(powers[-1] * x)
-    terms = [s if j == 0 and cj == 1.0 else (powers[j] if cj == 1.0 else cj * powers[j]) * s
-             for j, cj, s in zip(range(top, -1, -1), c, sums)]
-    return sum(terms[1:], terms[0])
+        out = states.class_sum(k, xs, d, offsets)
+    else:
+        out = np.polyval(falling(offsets), xs)
+        if near.any():
+            out[near] = states.class_sum(k, xs[near], d, offsets)
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _apply_word_raw(v: FockVector, word: SchemeWord) -> FockVector:

@@ -6,10 +6,10 @@ no negative offset (``scheme_word``), and comes from the word's offsets
 The gain slope, the Fisher information and a scalar fidelity are a mean, a
 centered variance and the log sums of one positive residue-class series, which
 cancel nothing (ln F = 2 L_y + l ln z - L_z - L_a2); on a gain array the fidelity
-takes class sums from ``amplify.class_poly`` (a positive Horner series where
-d >= 3 and x <= X_d = min(40, 45 / (1 - cos 2 pi / d)), root-of-unity sums S_j(x)
-past X_d and at d <= 2), with its exp[-alpha^2 (g-1)^2] envelope explicit so no
-intermediate overflows even at large gain.  A hybrid qudit amplifies as a
+takes class sums from ``amplify.class_poly`` (a positive Horner series below the
+bound x (1 - cos 2 pi / d) = 45, the closed form of the full sum past it), with
+its exp[-alpha^2 (g-1)^2] envelope explicit so no intermediate overflows even at
+large gain.  A hybrid qudit amplifies as a
 coherent state does, so its closed forms are the d = 1 cat ones.  On weights
 proportional to x^m,
 d(mean)/dx = Var/x, so the slope's derivative in g is a difference of class
@@ -18,10 +18,10 @@ everywhere) the class moments are those of the full sum, exact there to e^-45,
 for every word: the falling factorials of ``amplify.falling`` make its weights
 a mixture of Poisson laws shifted by q, weighted c_q x^q, so the mean is
 x + E[q], the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.
-So a class is summed only below that bound, by one of two kernels.  On an
-array (the gain scan) ``_class_mean`` gives the class mean alone, from
-``_class_series``: one window of class members for every point, log weights
-m ln x (one outer product) plus cached class logs, one exp and one
+So a class is summed only below that bound (``states._near``), by one of two
+kernels.  On an array (the gain scan) ``_class_mean`` gives the class mean
+alone, from ``_class_series``: one window of class members for every point, log
+weights m ln x (one outer product) plus cached class logs, one exp and one
 matrix-vector product.  At a float (every Newton step, scalar fidelity, QFI and
 log norm) ``_class_moments`` gives the mean, variance and log sum, from
 ``_class_walk``, a ratio walk in Python floats out from the member nearest x.
@@ -42,9 +42,9 @@ from .states import _SKIP
 #: smallest normal double: a sum or a class-sum argument below it has lost digits
 _TINY = np.finfo(float).tiny
 #: gains per block of the array fidelity: 2^14 points make 128 KiB per float
-#: temporary, so every temporary of one block (the Horner and S_j accumulators,
-#: the powers of ``amplify.class_poly``, the envelope) stays inside a 2 MiB L2
-#: cache, and peak memory does not grow with the array
+#: temporary, so every temporary of one block (the Horner accumulators and powers
+#: of ``amplify.class_poly``, the envelope) stays inside a 2 MiB L2 cache, and
+#: peak memory does not grow with the array
 _BLOCK = 1 << 14
 
 
@@ -123,9 +123,9 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     scalar g, ln F is ``scs_slope_newton``'s third value less ``scs_log_norm``,
     and raises where they do.  An array g (the dense-scan oracles) takes its
     three class sums, the denominator's too, from ``amplify.class_poly``, many
-    times faster there: the positive series at d >= 3 and x <= X_d =
-    min(40, 45 / (1 - cos 2 pi / d)), root-of-unity sums S_j past X_d and at
-    d <= 2, each gain on its own route.  It works in blocks of ``_BLOCK`` gains in
+    times faster there: the positive series where x (1 - cos 2 pi / d) < 45 and
+    the closed form of the full sum past that bound and at d = 1, each gain on
+    its own route.  It works in blocks of ``_BLOCK`` gains in
     flat order, and raises ``ArithmeticError`` at the first gain where a tiny
     g alpha takes the sums below the normal doubles.  Where
     |g - 1| >= sqrt(746) / alpha the envelope exp[-alpha^2 (g-1)^2] rounds to 0,
@@ -257,7 +257,7 @@ def _class_mean(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()) -> n
     on m = j (mod d), at every point of an array x >= 0 (the gain scan): the
     mixture mean x - j + E[q] (see ``_class_moments``) past the bound, and on the
     points below it w @ e / sum(w) over their shared ``_class_series`` window."""
-    near = x * (1.0 - np.cos(2.0 * np.pi / d)) < (_SKIP if d > 1 else 0.0)
+    near = states._near(x, d)
     if near.all():
         w, e = _class_series(j, x, d, rises)
         return w @ e / w.sum(axis=-1)
@@ -281,7 +281,7 @@ def _class_moments(j: int, x: float, d: int, rises: tuple[int, ...] = ()):
     that bound the class takes ``_class_walk``.
     """
     x = float(x)
-    if d > 1 and x * (1.0 - math.cos(2.0 * math.pi / d)) < _SKIP:
+    if states._near(x, d):
         return _class_walk(j, x, d, rises)
     t, total, mean = _mixture(x, rises)
     spread = sum(tq * (q - mean) ** 2 for q, tq in enumerate(t)) / total
@@ -291,7 +291,8 @@ def _class_moments(j: int, x: float, d: int, rises: tuple[int, ...] = ()):
 def scs_slope(alpha: float, g, d: int, k: int, s):
     """Closed-form d(ln F)/dg of ``scs_fidelity``; its root in g is the optimized gain.
 
-    With S_j'(x) = S_{j-1}(x) - S_j(x) the envelope cancels, leaving 2/g times a
+    With S_j'(x) = S_{j-1}(x) - S_j(x) for the class sums S_j(x) =
+    ``amplify.class_poly((), x, j, d)`` the envelope cancels, leaving 2/g times a
     difference of residue-class mean photon numbers: of the overlap weights at
     y = g alpha^2 and of the target at z = g^2 alpha^2.  Each is taken relative
     to its class's lowest photon number, so no digits cancel where F is flat.  A
@@ -336,7 +337,7 @@ def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, 
         raise ArithmeticError(f"log class sums overflow at alpha {alpha:g}, gain {g:g}")
     # the class moments of ``scs_slope``'s means; as dy/dg = y/g and dz/dg = 2 z/g,
     # dD/dg = (Var_y - 2 Var_z) / g, and ln F + L = 2 L_y + l ln z - L_z from their
-    # log sums (the envelope and the e^-x of every S_j cancel)
+    # log sums (the envelope and the e^-x of every class sum cancel)
     y = _class_moments(k, g * a2, d, amplify.overlap_rises(word))
     t = _class_moments(j, z, d)
     log_f = 2.0 * y[2] - t[2] + (l * math.log(z) if l else 0.0)

@@ -10,33 +10,16 @@ A hybrid qudit pairs a discrete index n with the coherent state |alpha w^n>:
     (1/sqrt d) sum_n w^{-kn} |n> (x) |alpha w^n>
 It is held as a d-row FockVector whose row n is the bosonic block of |n>.
 
-The cat-state fidelity and norm factors reduce to root-of-unity sums
-
-    S_j(x) = sum_{n=0}^{d-1} w^{-jn} exp[-x (1 - w^n)],
-
-which are real and positive for x >= 0 (they equal d e^{-x} times the Taylor
-mass of e^x on photon numbers congruent to j mod d).  Two exact kernels sum
-them.  ``class_sum`` is the positive series itself, d e^-x sum x^m / m! over the
-class, weighted by a word's prod_i (m + 1 + i) if asked: a Horner pass in x^d
-with nothing to cancel.  On the array route of ``amplify.class_poly`` (d >= 3
-and x <= X_d = ``series_bound(d)``, at most 40) small x takes it first, as it
-is the cheaper one there.  ``mod_exp_sum`` is the root-of-unity sum, for one
-index or a tuple of indices at once, which serves every other x.  It works
-in real arithmetic: with theta_q = 2 pi q / d, terms n and d - n are complex
-conjugates, so together they give
-
-    2 exp[-x (1 - cos theta_n)] cos(x sin theta_n - theta_{jn mod d}),
-
-and the unpaired n = d/2 term is exp(-2x) times +1 at even j and -1 at odd j:
-it is live only for x < 22.5, where its phase x sin(pi) is below 3e-15, so the
-cosine of it is exactly +-1 and none is taken.  So each n < d/2 costs one real
-exponential, shared by every index, and one cosine per index; no imaginary
-part is ever formed.  Terms below e^-45 are skipped.  Where that sum still
-cancels (small x and high j at d <= 2 or through a direct call, or past X_d at
-large d: S_j below sum_n |E_n| / 64, with E_n(x) = exp[-x (1 - w^n)]), the
-value comes from ``class_sum`` instead, on those points only.  Both kernels
-work on the whole array they are given; their one array caller,
-``analytic.scs_fidelity``, passes them cache-sized blocks.
+The cat-state fidelity and norm factors are residue-class sums
+d e^-x sum x^m / m! over m = j (mod d).  ``class_sum`` sums one as the positive
+series it is, weighted by a word's prod_i (m + 1 + i) if asked: a Horner pass
+in x^d with no cosine and nothing to cancel.  The class sum is also
+(1/d) sum_n w^{-jn} times the full sum at x w^n, whose n != 0 terms are below
+e^-(x (1 - cos 2 pi / d)) of the n = 0 one; so where that exponent reaches
+_SKIP = 45 (``_near`` is false, and at d = 1 for every x) the class sum is the
+full sum's, exact to e^-45, and ``amplify.class_poly`` takes that closed form
+instead of any series.  ``class_sum`` works on the whole array it is given; its
+one array caller, ``analytic.scs_fidelity``, passes it cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -54,12 +37,9 @@ from .fock import FockVector
 #: coherent-tail bound a caller-supplied truncation must certify
 GATE_EPS = 1e-10
 
-#: a value of the root-of-unity sum is off by about eps sum_n |E_n| / S_j relative, so it is
-#: replaced by the positive series where 64 S_j < sum_n |E_n|; those kept are within ~64 eps
-_CANCEL = 64.0
-#: term n is skipped where x (1 - cos 2 pi n / d) >= 45: it is below e^-45 < 2^-64,
-#: under half an ulp of S_j, which is near 1 at such x (x >= 22.5), and under
-#: 2^-11 of the d 2^-53 that rounding the d terms already costs
+#: a term below e^-45 < 2^-64 of the largest is dropped, under half an ulp of its sum:
+#: the tails of a class series, and past x (1 - cos 2 pi / d) = 45 (``_near``) the
+#: n != 0 terms of a class sum's root-of-unity form
 _SKIP = 45.0
 #: ln 2 = _LN2_HI + _LN2_LO, the first with 32 significant bits, so e _LN2_HI is exact
 #: for |e| < 2^21
@@ -116,14 +96,27 @@ def _gate_trunc(alpha: float, trunc: int) -> None:
         )
 
 
+@functools.cache
+def _gap(d: int) -> float:
+    """1 - cos 2 pi / d as a Python float, 0 at d = 1: the n = 1 term of a class sum's
+    root-of-unity form is e^-(x _gap(d)) of the n = 0 one, and the others smaller."""
+    return 1.0 - math.cos(2.0 * math.pi / d)
+
+
+def _near(x, d: int):
+    """x (1 - cos 2 pi / d) < _SKIP, a bool at a float x and a bool array at an array:
+    where a class sum is not yet the full sum's 1/d to e^-_SKIP, so it takes a
+    series.  False at every x when d = 1, where the class is the full sum."""
+    return x * _gap(d) < (_SKIP if d > 1 else 0.0)
+
+
 def series_bound(d: int) -> float:
-    """X_d = min(40, 45 / (1 - cos 2 pi / d)), 40 at d = 1: ``amplify.class_poly`` takes
-    ``class_sum`` for x <= X_d at d >= 3, where it costs fewer array passes than the
-    cosines of ``mod_exp_sum``.  Past 45 / (1 - cos 2 pi / d) (30 at d = 3) that sum
-    skips every term but n = 0 and takes no cosine.  From d = 5 on it still takes
-    cosines past 40, but 40 caps the series' tables (at most 33 terms) and the
-    range over which their accuracy is tested."""
-    return min(_SERIES_TOP, _SKIP / (1.0 - math.cos(2.0 * math.pi / d))) if d > 1 else _SERIES_TOP
+    """X_d = min(40, 45 / (1 - cos 2 pi / d)), 40 at d = 1: the top of ``class_sum``'s
+    one table for small x.  Up to d = 3 (30 there) it is where ``_near`` turns false;
+    from d = 4 on ``amplify.class_poly`` hands ``class_sum`` points past it, up to
+    45 / (1 - cos 2 pi / d), and 40 caps the table (at most 33 terms) and the range
+    over which its accuracy is tested."""
+    return min(_SERIES_TOP, _SKIP / _gap(d)) if d > 1 else _SERIES_TOP
 
 
 def _log_term(m: int, x: float, offsets: tuple[int, ...]) -> float:
@@ -175,11 +168,11 @@ def _series_table(j: int, d: int, offsets: tuple[int, ...], q: int):
 def class_sum(j: int, x, d: int, offsets: tuple[int, ...] = ()):
     """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = j (mod d), on an array x >= 0, as
     a positive series by Horner's rule in w = v^d (``_series_table``): no cosine,
-    nothing to cancel.  On x <= X_d (``series_bound``), the route of
-    ``amplify.class_poly``, it is d e^-x v^j H(w), v = x / 2^e exact, within a few
-    ulps.  Past X_d, where a cancelled ``mod_exp_sum`` at large d hands it points,
-    each point takes the table of its bucket of sqrt(x), and e^-x with the powers of
-    v comes from one exponent, exp(g + s - x + m_lo ln v), within a few eps sqrt(x)."""
+    nothing to cancel.  On x <= X_d (``series_bound``) it is d e^-x v^j H(w),
+    v = x / 2^e exact, within a few ulps.  Past X_d, where ``amplify.class_poly``
+    hands it points from d = 4 on, each point takes the table of its bucket of
+    sqrt(x), and e^-x with the powers of v comes from one exponent,
+    exp(g + s - x + m_lo ln v), within a few eps sqrt(x)."""
     j %= d
     x = np.asarray(x, dtype=float)
     if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
@@ -189,9 +182,10 @@ def class_sum(j: int, x, d: int, offsets: tuple[int, ...] = ()):
         return _series(_series_table(j, d, offsets, 0), x, d, False)
     q = np.where(near, 0, np.ceil(np.sqrt(x) / 2.0)).astype(int)
     out = np.empty(x.shape)
-    for qi in np.unique(q):
+    for qi in range(q.min(), q.max() + 1):  # a few buckets: cheaper than sorting q
         at = q == qi
-        out[at] = _series(_series_table(j, d, offsets, int(qi)), x[at], d, qi > 0)
+        if at.any():
+            out[at] = _series(_series_table(j, d, offsets, qi), x[at], d, qi > 0)
     return out
 
 
@@ -217,50 +211,6 @@ def _series(table, x: np.ndarray, d: int, far: bool) -> np.ndarray:
     acc *= pref
     acc *= d
     return acc
-
-
-def mod_exp_sum(j, x, d: int):
-    """S_j(x) as defined in the module docstring; x may be a scalar or array.
-
-    ``j`` is an index or a tuple of indices; a tuple stacks the sums on a new
-    leading axis.
-    """
-    js = tuple(i % d for i in (j if isinstance(j, tuple) else (j,)))
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise ValueError("x must be finite and >= 0")
-    flat = x.reshape(-1)
-    out = np.ones((len(js), flat.size))  # the n = 0 terms
-    mags = np.ones(flat.size)
-    theta = 2.0 * np.pi * np.arange(d) / d
-    cos, sin = np.cos(theta), np.sin(theta)
-    for n in range(1, d // 2 + 1):
-        live = flat * (1.0 - cos[n]) < _SKIP
-        if not live.any():
-            break  # 1 - cos(2 pi n / d) grows with n up to d/2
-        at = slice(None) if live.all() else np.flatnonzero(live)
-        xl = flat[at]
-        if 2 * n == d:  # unpaired: cos(x sin(pi) - pi j) is exactly (-1)^j at x < 22.5
-            mag = np.exp(-xl * (1.0 - cos[n]))
-            for i, ji in enumerate(js):
-                if ji % 2:
-                    out[i, at] -= mag
-                else:
-                    out[i, at] += mag
-        else:
-            mag = 2.0 * np.exp(-xl * (1.0 - cos[n]))
-            phase = xl * sin[n]
-            for i, ji in enumerate(js):
-                out[i, at] += mag * np.cos(phase - theta[ji * n % d])
-        mags[at] += mag
-    for i, ji in enumerate(js):
-        cut = np.flatnonzero(_CANCEL * out[i] < mags)
-        if cut.size:
-            out[i, cut] = class_sum(ji, flat[cut], d)
-    out = out.reshape((len(js),) + x.shape)
-    if isinstance(j, tuple):
-        return out
-    return float(out[0]) if x.ndim == 0 else out[0]
 
 
 def scs_state(spec: ScsSpec, trunc: int) -> FockVector:

@@ -4,7 +4,9 @@
 hold ``channel.heralded_op`` to.  Its sector eigensystems are its own, so it
 shares no cache with the stage it checks; the dense-``expm`` tests pin it.
 ``kraus_stage`` is a heralded stage composed from the ladder operators, the
-oracle that pins the bits of ``channel.kraus_apply``.
+oracle that pins the bits of ``channel.kraus_apply``.  ``root_sum`` is the
+paper's root-of-unity form of a class sum, which the positive series
+``states.class_sum`` is held to where it does not cancel.
 """
 
 import functools
@@ -48,6 +50,21 @@ def norm_factor(spec, word) -> float:
     the bare superposition sum_n w^{-kn} |alpha w^n>; at d = 1 the coherent state's."""
     a, d, k = spec.alpha, spec.d, spec.k
     return 1.0 / math.sqrt(d * amplify.class_poly(amplify.rises(word)[1], a * a, k, d))
+
+
+def root_sum(j: int, x, d: int):
+    """S_j(x) = sum_{n<d} w^{-jn} exp[-x (1 - w^n)], w = exp(2 pi i / d), at a float or
+    an array x: d e^-x times the Taylor mass of e^x on m = j (mod d), as the real
+    part of each of the d terms, exp[-x (1 - cos theta_n)] cos(x sin theta_n -
+    theta_{jn mod d}) with theta_q = 2 pi q / d.  No term is skipped and nothing
+    replaces a value that cancels: that value is off by about eps sum_n |E_n|,
+    E_n(x) = exp[-x (1 - w^n)], far above eps S_j at small x and high j."""
+    x = np.asarray(x, dtype=float)
+    theta = 2.0 * np.pi * np.arange(d) / d
+    out = np.zeros(x.shape)
+    for n in sorted(range(1, d), key=lambda n: abs(d - 2 * n)):  # smallest terms first
+        out = out + np.exp(-x * (1.0 - np.cos(theta[n]))) * np.cos(x * np.sin(theta[n]) - theta[j * n % d])
+    return out + 1.0  # the n = 0 term
 
 
 def kraus_stage(v, gamma: float, kind: str) -> np.ndarray:

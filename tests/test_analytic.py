@@ -14,6 +14,7 @@ from catamp.states import HesSpec, ScsSpec
 
 from conftest import (cat_column, coherent_fidelity, coherent_qfi, create, destroy,
                       mp_scs_fidelity, series_scs_fidelity, series_scs_qfi, var4)
+from oracles import root_sum
 
 
 def brute_fidelity(alpha, g, d, k, scheme):
@@ -216,7 +217,7 @@ def test_log_class_sums_raise_where_g2_alpha2_overflows(s):
 def test_array_fidelity_blocks_give_each_gain_its_own_value(s):
     # unsorted gains over three full blocks and 7 points, each block holding gains kept
     # and gains past the envelope cut |g - 1| >= sqrt(746) / alpha (9.1 at alpha 3), and
-    # small ones whose S_j take the series: every value is bit for bit the value of its
+    # class sums on both sides of the skip bound: every value is bit for bit the value of its
     # gain alone, in a 2-D array too; an empty array gives an empty result
     n = 3 * analytic._BLOCK + 7
     g = np.random.default_rng(5).permutation(np.geomspace(1e-3, 40.0, n))
@@ -294,7 +295,6 @@ def test_scalar_fidelity_takes_no_root_of_unity_sum(monkeypatch, s):
     def raiser(*args):
         raise AssertionError("root-of-unity sum on a scalar gain")
 
-    monkeypatch.setattr(states, "mod_exp_sum", raiser)
     monkeypatch.setattr(amplify, "class_poly", raiser)
     for d in range(1, 9):
         for k in range(d):
@@ -388,8 +388,8 @@ def test_scs_qfi_matches_high_precision_series(alpha, d, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.05, 3.0), d=st.integers(1, 12), data=st.data())
 def test_scs_fidelity_matches_positive_series(alpha, d, data):
-    # every S_j whose root-of-unity sum cancels (small x, high j; worst from d = 6
-    # on) must come from its positive series, or F drifts off (and above 1)
+    # small x and high j, where the root-of-unity form of a class sum cancels (worst
+    # from d = 6 on), take the positive series, or F would drift off (and above 1)
     k = data.draw(st.integers(0, d - 1))
     s = data.draw(st.sampled_from(list(Scheme)))
     # from g = 1e-6 on, g^2 alpha^2 keeps S_k clear of underflow at every k <= 11
@@ -447,7 +447,7 @@ def test_closed_forms_match_the_fock_oracles_on_random_cells(alpha, g, d, s, dat
        s=st.sampled_from([*Scheme, ("add",), ("add",) * 3, ("subtract", "add", "add")]),
        data=st.data())
 def test_scalar_fidelity_matches_the_array_route(alpha, g, d, s, data):
-    # two closed forms of F: log class sums at a scalar gain, S_j sums on an array
+    # two closed forms of F: log class sums at a scalar gain, ``class_poly`` on an array
     k = data.draw(st.integers(0, d - 1))
     scalar = analytic.scs_fidelity(alpha, g, d, k, s)
     array = analytic.scs_fidelity(alpha, np.array([g]), d, k, s)[0]
@@ -635,28 +635,20 @@ def test_scs_qfi_monotonicity_patterns():
     assert min(b - a for a, b in zip(vals, vals[1:])) < -1e-3
 
 
-def test_mod_exp_sum_rejects_negative_or_non_finite_x():
-    for x in (-1.0, math.nan, math.inf, [1.0, math.nan]):
-        with pytest.raises(ValueError):
-            states.mod_exp_sum(0, x, 3)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8])
-def test_mod_exp_sum_index_tuple_stacks_single_calls(d):
-    # values that cancel (small x, high j) and take the series, and both sides of
-    # the skip at x (1 - cos 2 pi n / d) = 45
-    xs = np.array([0.0, 0.05, 0.49, 0.5, 0.8, 3.0, 22.4, 22.6, 30.0, 40.0, 1000.0])
-    js = tuple(range(-2, d))  # negative indices reduce mod d, as k - 2 does
-    for x in (*xs, xs):
-        want = np.stack([states.mod_exp_sum(j, x, d) for j in js])
-        assert np.array_equal(states.mod_exp_sum(js, x, d), want)
+def test_class_poly_rejects_negative_or_non_finite_x():
+    # d = 1 takes the closed form at every x, d = 3 the series below x = 30 and the
+    # closed form past it: neither returns nan or inf for a bad point
+    for d in (1, 3):
+        for x in (-1.0, math.nan, math.inf, [1.0, math.nan], [1.0, 100.0, math.inf]):
+            with pytest.raises(ValueError, match="x must be finite and >= 0"):
+                amplify.class_poly((0, 0), np.asarray(x) if isinstance(x, list) else x, 0, d)
 
 
 @pytest.mark.parametrize("d", [4, 7])
 def test_fidelity_blocks_agree_with_single_gain_calls(d):
-    # unsorted; three full blocks and 7 points, past every skip threshold of S_j at
-    # z = g^2 alpha^2 and past the envelope cut (g > 274), with the sums that take
-    # the series (small g alpha^2 and z, high j) scattered over the blocks
+    # unsorted; three full blocks and 7 points, past the skip bound of z = g^2 alpha^2
+    # and past the envelope cut (g > 274), with the sums that take the series (small
+    # g alpha^2 and z) scattered over the blocks
     big = np.geomspace(0.5, 400.0, 3 * 2**14 + 7)
     g = np.random.default_rng(d).permutation(np.concatenate([big, np.geomspace(0.01, 0.49, 50)]))
     got = analytic.scs_fidelity(0.1, g, d, d - 1, "aadag")
@@ -665,21 +657,17 @@ def test_fidelity_blocks_agree_with_single_gain_calls(d):
     assert np.max(np.abs(got[pick] - want)) <= 1e-15 * d
 
 
-def test_unpaired_term_cosine_is_exactly_plus_or_minus_one():
-    # mod_exp_sum adds the n = d/2 term (even d) at even j and subtracts it at odd j,
-    # with no cosine: where it is live, x < 22.5, its phase x sin(pi) is below 3e-15,
-    # so the cosine of its phase less theta_q, q = j d/2 mod d, rounds to exactly +-1
-    x = np.linspace(0.0, 22.5, 200_001)
-    for d in range(2, 65, 2):
-        theta = 2.0 * np.pi * np.arange(d) / d
-        for q, sign in ((0, 1.0), (d // 2, -1.0)):
-            assert np.all(np.cos(x * np.sin(theta[d // 2]) - theta[q]) == sign), (d, q)
+def _kept(x, d):
+    """Where 64 S_j >= sum_n |E_n| (rows j, columns x): there ``root_sum``, off by
+    about eps sum_n |E_n|, is within about 64 eps of S_j."""
+    x = np.asarray(x, dtype=float)
+    mags = np.exp(-np.multiply.outer(x, 1.0 - np.cos(2.0 * np.pi * np.arange(d) / d))).sum(axis=-1)
+    return np.stack([64.0 * root_sum(j, x, d) >= mags for j in range(d)])
 
 
-def test_mod_exp_sum_matches_high_precision_series():
-    # S_j > 0, so the bound is relative at every j, where the complex sum cancels
-    # (small x, high j) too; x = 22.5 .. 1000 skips terms, and from x = 20 on,
-    # where S_j is near 1, a dropped term must stay below an ulp
+def test_root_sum_matches_high_precision_series():
+    # S_j > 0, so the bound is relative at every j; from x = 20 on, where S_j is near 1
+    # and its n != 0 terms are small, it is 4 eps
     extra = [1e-4, 0.05, 0.4, 0.49, 0.5, 0.51, 0.8, 2.0, 11.0, 22.5, 30.0, 40.0]
     for x in np.concatenate([np.geomspace(1e-3, 1000.0, 40), extra]):
         tol = 4 * np.finfo(float).eps if x >= 20 else 1e-13
@@ -690,27 +678,39 @@ def test_mod_exp_sum_matches_high_precision_series():
                 t *= xm / (m + 1)
             for d in range(1, 13):
                 want = np.array([float(d * mp.fsum(terms[j::d])) for j in range(d)])
-                got = states.mod_exp_sum(tuple(range(d)), x, d)
-                assert np.all(np.abs(got - want) <= tol * want), (x, d)
-    for d in range(1, 13):  # exact at x = 0: d at j = 0 (mod d), 0 elsewhere
-        assert np.array_equal(states.mod_exp_sum(tuple(range(d)), 0.0, d), d * (np.arange(d) == 0))
+                got = np.array([root_sum(j, x, d) for j in range(d)])
+                kept = _kept(x, d)
+                assert np.all(np.abs(got - want)[kept] <= tol * want[kept]), (x, d)
+    for d in range(1, 13):  # x = 0: exactly d at j = 0, and elsewhere a sum of roots of
+        got = np.array([root_sum(j, 0.0, d) for j in range(d)])  # unity that cancels to ~eps
+        assert got[0] == d and np.all(np.abs(got[1:]) <= d * np.finfo(float).eps), d
 
 
-def test_mod_exp_sum_matches_direct_complex_sum():
-    # the real form pairs terms n and d - n; the oracle sums all d complex terms, with
-    # no pairing and no skip, at the values that are kept from the sum: 64 S_j >= sum |E_n|
+def test_root_sum_matches_direct_complex_sum():
+    # the oracle takes the real part of each term; this sums all d complex terms, at
+    # the values where neither cancels: 64 S_j >= sum |E_n|
     x = np.concatenate([np.geomspace(1e-3, 1000.0, 90), [0.5, 2.0, 22.4, 22.6, 45.0, 90.0]])
     for d in range(1, 13):
         n = np.arange(d)
         e = np.exp(-x[:, None] * (1.0 - np.exp(2j * np.pi * n / d)))  # E_n(x), a column per n
         direct = np.stack([(np.exp(-2j * np.pi * (j * n % d) / d) * e).sum(axis=1) for j in range(d)])
-        kept = states._CANCEL * direct.real >= np.abs(e).sum(axis=1)
-        got = states.mod_exp_sum(tuple(range(d)), x, d)
+        kept = 64.0 * direct.real >= np.abs(e).sum(axis=1)
+        got = np.stack([root_sum(j, x, d) for j in range(d)])
         assert np.all(np.abs(got - direct.real)[kept] <= 1e-13 * direct.real[kept]), d
-        for i in np.flatnonzero(kept.any(axis=0))[::3]:  # scalar x
-            for j in np.flatnonzero(kept[:, i]):
-                assert abs(states.mod_exp_sum(int(j), x[i], d) - direct[j, i].real) <= (
-                    1e-13 * direct[j, i].real), (d, j, x[i])
+
+
+def test_class_sum_matches_root_of_unity_sums():
+    # the positive series against the paper's root-of-unity form, on both sides of
+    # X_d and past it to x = 1000, where the root-of-unity form does not cancel:
+    # within that form's 1e-13 relative bound plus the series' 16 eps sqrt(x)
+    x = np.concatenate([np.geomspace(1e-3, 1000.0, 90), [0.5, 2.0, 22.4, 22.6, 40.0, 45.0, 90.0]])
+    bound = 1e-13 + 16.0 * np.finfo(float).eps * np.sqrt(np.maximum(x, 1.0))
+    for d in range(1, 13):
+        kept = _kept(x, d)
+        for j in range(d):
+            want = root_sum(j, x, d)
+            got = states.class_sum(j, x, d)
+            assert np.all(np.abs(got - want)[kept[j]] <= (bound * want)[kept[j]]), (d, j)
 
 
 def _mp_class_sum(j, x, d, offsets):
@@ -739,8 +739,9 @@ def test_class_sum_matches_40_digit_class_sums():
                 got = states.class_sum(j, x, d, offsets)
                 want = np.array([_mp_class_sum(j, xi, d, offsets) for xi in x])
                 assert np.all(np.abs(got - want) <= 16 * eps * want), (d, offsets, j)
-    # past X_d, where a cancelled root-of-unity sum at large d hands points to the
-    # series, each point takes the table of its bucket of sqrt(x): within a few eps sqrt(x)
+    # past X_d, where class_poly hands points to the series up to x (1 - cos 2 pi / d)
+    # = 45 from d = 4 on, each point takes the table of its bucket of sqrt(x): within
+    # a few eps sqrt(x)
     for d in (48, 200):
         x = np.concatenate([[40.5, 64.0, 64.5], np.geomspace(41.0, d * d / 39.0, 6)])
         for j in (0, 7, d // 2, d - 1):
@@ -749,27 +750,29 @@ def test_class_sum_matches_40_digit_class_sums():
             assert np.all(np.abs(got - want) <= 16 * eps * np.sqrt(x) * want), (d, j)
 
 
-def test_class_poly_routes_agree_at_the_series_bound():
-    # at d >= 3 class_poly takes the series up to X_d and the root-of-unity sums past
-    # it; at X_d (1 -+ 1e-12) each route is within 64 eps of the other
+def test_class_poly_routes_agree_at_the_skip_bound():
+    # class_poly takes the series below x (1 - cos 2 pi / d) = 45 and the closed form
+    # sum_q c_q x^q past it; at that bound (1 -+ 1e-12) each route is within the
+    # series' 16 eps sqrt(x) of the other
     eps = np.finfo(float).eps
-    for d in range(3, 13):
-        lo, hi = states.series_bound(d) * (1.0 - 1e-12), states.series_bound(d) * (1.0 + 1e-12)
+    for d in range(2, 13):
+        edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d))
+        lo, hi = edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)
+        tol = 16 * eps * math.sqrt(edge)
         for offsets in ((), (0,), (0, 0), (0, 1)):
+            closed = np.polyval(amplify.falling(offsets), [lo, hi])
             for k in range(d):
                 below, above = amplify.class_poly(offsets, np.array([lo, hi]), k, d)
-                assert below == states.class_sum(k, lo, d, offsets)
-                assert above == amplify._root_sum(offsets, hi, k, d)
-                for x, got in ((lo, below), (hi, above)):
-                    other = (amplify._root_sum(offsets, x, k, d) if x == lo
-                             else states.class_sum(k, x, d, offsets))
-                    assert abs(got - other) <= 64 * eps * got, (d, offsets, k, x)
+                series = states.class_sum(k, np.array([lo, hi]), d, offsets)
+                assert below == series[0] and above == closed[1]
+                assert abs(below - closed[0]) <= tol * below, (d, offsets, k)
+                assert abs(above - series[1]) <= tol * above, (d, offsets, k)
 
 
 @pytest.mark.parametrize("d", [40, 60, 200])
 def test_array_fidelity_at_large_d(monkeypatch, d):
-    # no coefficient or power of the series leaves the doubles (1/200! would), and the
-    # root-of-unity sums past X_d still cancel at this d and hand points to the series
+    # no coefficient or power of the series leaves the doubles (1/200! would), and at
+    # this d class_poly hands the series points past X_d, which take its sqrt(x) buckets
     past = []
 
     def spy(j, x, d, offsets=()):
@@ -787,6 +790,14 @@ def test_array_fidelity_at_large_d(monkeypatch, d):
             want = np.array([analytic.scs_fidelity(8.0, float(g[i]), d, k, s) for i in big])
             assert big.size and np.all(np.abs(got[big] - want) <= 1e-12 * want), (s, k)
     assert any(past)
+
+
+def test_array_fidelity_at_large_d_and_alpha_matches_50_digit_class_sums():
+    # alpha 31.7, d 200: y and z near 1,000 are past X_d = 40, far inside the skip
+    # bound 91,190, where the cancelled root-of-unity sums gave F 1.05e-12 off
+    got = analytic.scs_fidelity(31.7, np.array([1.046]), 200, 3, Scheme.AADAG)[0]
+    want = mp_scs_fidelity(31.7, 1.046, 200, 3, "aadag")
+    assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 def test_class_moments_match_high_precision_class_sums():

@@ -260,6 +260,20 @@ def test_quadrature_zero_for_qudits():
                 assert abs(fock.quadrature_expect(h, lam)) <= 1e-10
 
 
+def test_near_field_is_one_product_and_compare_in_python_floats():
+    # the one owner of the far-field bound x (1 - cos 2 pi / d) = 45: a float x gets a
+    # Python bool (the scalar class moments stay in Python floats), an array the same
+    # bools point by point, on both sides of the bound; d = 1 is far at every x
+    for d in range(1, 65):
+        gap = 1.0 - math.cos(2.0 * math.pi / d)
+        edge = 45.0 / gap if d > 1 else 1.0
+        x = [0.0, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 1e6]
+        got = states._near(np.array(x), d).tolist()
+        for xi, gi in zip(x, got):
+            assert type(states._near(xi, d)) is bool and states._near(xi, d) == gi
+            assert gi == (d > 1 and xi * gap < 45.0), (d, xi)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ScsSpec(1.0, 3, 3)
