@@ -46,6 +46,8 @@ _TINY = np.finfo(float).tiny
 #: of ``amplify.class_poly``, the envelope) stays inside a 2 MiB L2 cache, and
 #: peak memory does not grow with the array
 _BLOCK = 1 << 14
+#: ``_class_walk`` stops at a weight below e^-_SKIP of the peak's
+_TAIL = math.exp(-_SKIP)
 
 
 class Scheme(enum.Enum):
@@ -105,15 +107,17 @@ def hes_qfi(alpha: float, s=None) -> float:
 
 
 def _gain_array(alpha: float, g, d: int, k: int):
-    """g as a float or a float array of 1+ dimensions, each closed form's result kind."""
+    """(g, lo, hi): g as a float or a float array of 1+ dimensions, each closed
+    form's result kind, and its least and greatest value (inf and -inf when empty)."""
     states._check_dims(alpha, d, k)
     if not isinstance(g, float):
         g = np.asarray(g, dtype=float)
         g = g if g.ndim else float(g)
-    ok = (g > 0 and math.isfinite(g)) if isinstance(g, float) else np.all(np.isfinite(g) & (g > 0))
-    if not ok:
+    ends = (g, g) if isinstance(g, float) else (g.min(initial=math.inf), g.max(initial=-math.inf))
+    lo, hi = map(float, ends)  # a NaN makes both NaN
+    if not (lo > 0 and hi < math.inf):
         raise ValueError("gain must be finite and positive")
-    return g
+    return g, lo, hi
 
 
 def scs_fidelity(alpha: float, g, d: int, k: int, s):
@@ -136,7 +140,7 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     """
     word = scheme_word(s)
     l, offsets = amplify.rises(word)
-    g = _gain_array(alpha, g, d, k)
+    g = _gain_array(alpha, g, d, k)[0]
     if alpha == 0.0:
         # both states collapse onto number states, |k + l> and |(k + l) mod d>
         val = np.full_like(g, 1.0 if k + l < d else 0.0)
@@ -185,7 +189,7 @@ def _class_logs(j: int, d: int, rises: tuple[int, ...], size: int) -> np.ndarray
     return table
 
 
-def _class_series(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()):
+def _class_series(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = (), lo=None, hi=None):
     """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
     0 <= j < d, on an array of x >= 0, each row scaled to a peak of 1, and their
     excesses e = m - j.  All points share one window m = j + d n, from the lowest
@@ -193,34 +197,35 @@ def _class_series(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()):
     (x_max + 10 sqrt(x_max) + 30) / d + 2 columns.  The log weights m ln x +
     ``_class_logs`` carry the rounding of their exponents, about eps x ln x;
     ``_class_walk`` is the scalar kernel.  Where x = 0 (alpha^2 underflowed) only
-    m = j is left, as there."""
-    lo, hi = float(x.min()), float(x.max())
+    m = j is left, as there.  lo and hi, when given, are the least and greatest x."""
+    if lo is None:
+        lo, hi = float(x.min()), float(x.max())
     n_lo = math.floor(max(lo - 10.0 * math.sqrt(lo) - 30.0, 0.0) / d)
     n_hi = math.ceil((hi + 10.0 * math.sqrt(hi) + 30.0) / d)
     zero = None if lo else x == 0.0
     log_x = np.log(x) if zero is None else np.log(np.where(zero, 1.0, x))
-    n = np.arange(float(n_lo), n_hi + 1)
-    logw = np.multiply.outer(log_x, j + d * n)
+    e = np.arange(float(d * n_lo), d * n_hi + 1, d)
+    logw = np.multiply.outer(log_x, e + j if j else e)
     logw += _class_logs(j, d, rises, 1 << n_hi.bit_length())[n_lo:n_hi + 1]
     logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw, out=logw)
     if zero is not None:
-        w[zero] = n == 0
-    return w, d * n
+        w[zero] = e == 0
+    return w, e
 
 
 def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...]):
     """``_class_moments`` at one x >= 0 and d > 1, in Python floats.  From the class
     member c nearest x, at weight 1, the weights walk up by
     w(m + d) / w(m) = prod_{t=1..d} x / (m + t) prod_i (m + d + 1 + i) / (m + 1 + i)
-    and down by its inverse, until one falls below e^-_SKIP or m reaches j.  A
+    and down by its inverse, until one falls below _TAIL or m reaches j.  A
     weight near the peak is then a few rounded products away from 1, not off by
     a log-space exponent's eps x ln x, and only the log sum
-    c ln x - ln c! + sum_i ln(c + 1 + i) + ln sum w takes logs."""
+    c ln x - ln c! + sum_i ln(c + 1 + i) + ln sum w takes logs.  Plain loops sum the
+    weights, lowest first, with their first moment, then the centered variance."""
     c = j + d * max(0, round((x - j) / d))
-    tail = math.exp(-_SKIP)
     up, w, m = [1.0], 1.0, c
-    while w >= tail:
+    while w >= _TAIL:
         for t in range(1, d + 1):
             w *= x / (m + t)
         for i in rises:
@@ -228,20 +233,26 @@ def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...]):
         m += d
         up.append(w)
     down, w, m = [], 1.0, c
-    while w >= tail and m > j:
+    while w >= _TAIL and m > j:
         m -= d
         for t in range(1, d + 1):
             w *= (m + t) / x
         for i in rises:
             w *= (m + 1 + i) / (m + d + 1 + i)
         down.append(w)
-    ws, lo = down[::-1] + up, c - j - d * len(down)  # lo: the excess of ws[0]
-    total = sum(ws)
-    mean = lo + d * sum(n * wn for n, wn in enumerate(ws)) / total
-    spread = sum(wn * (lo + d * n - mean) ** 2 for n, wn in enumerate(ws)) / total
+    ws, e = down[::-1] + up, c - j - d * len(down)  # e: the excess of ws[0]
+    total = first = 0.0
+    for n, wn in enumerate(ws):
+        total += wn
+        first += n * wn
+    mean = e + d * first / total
+    spread = 0.0
+    for wn in ws:
+        spread += wn * (e - mean) ** 2
+        e += d
     # c ln x, where x = 0 (alpha^2 underflowed) leaves c = j: 0 at j = 0, -inf above
     log_c = (c * math.log(x) if x else (-math.inf if c else 0.0)) - math.lgamma(c + 1.0)
-    return mean, spread, log_c + sum(math.log(c + 1 + i) for i in rises) + math.log(total)
+    return mean, spread / total, log_c + sum([math.log(c + 1 + i) for i in rises]) + math.log(total)
 
 
 def _mixture(x, rises: tuple[int, ...]):
@@ -252,21 +263,26 @@ def _mixture(x, rises: tuple[int, ...]):
     return t, total, sum(q * tq for q, tq in enumerate(t)) / total
 
 
-def _class_mean(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = ()) -> np.ndarray:
+def _class_mean(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = (), lo=None, hi=None):
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
     on m = j (mod d), at every point of an array x >= 0 (the gain scan): the
     mixture mean x - j + E[q] (see ``_class_moments``) past the bound, and on the
-    points below it w @ e / sum(w) over their shared ``_class_series`` window."""
-    near = states._near(x, d)
-    if near.all():
-        w, e = _class_series(j, x, d, rises)
+    points below it w @ e / sum(w) over their shared ``_class_series`` window.  As
+    ``states._near`` is monotone, the least and greatest x (lo, hi) pick the route."""
+    if lo is None:
+        lo, hi = float(x.min()), float(x.max())
+    if states._near(hi, d):
+        w, e = _class_series(j, x, d, rises, lo, hi)
         return w @ e / w.sum(axis=-1)
     mean = x - j + _mixture(x, rises)[2]
-    if near.any():
-        mean[near] = _class_mean(j, x[near], d, rises)
+    if states._near(lo, d):
+        near = states._near(x, d)
+        w, e = _class_series(j, x[near], d, rises)
+        mean[near] = w @ e / w.sum(axis=-1)
     return mean
 
 
+@functools.lru_cache(maxsize=4)
 def _class_moments(j: int, x: float, d: int, rises: tuple[int, ...] = ()):
     """(mean, variance, ln sum) of m - j over the weights of ``_class_mean`` at one
     x >= 0, in Python floats (every Newton step, QFI and log norm).
@@ -278,7 +294,10 @@ def _class_moments(j: int, x: float, d: int, rises: tuple[int, ...] = ()):
     over q of m = q + Poisson(x), weighted c_q x^q, so the mean is x - j + E[q],
     the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.  At d = 1
     the class is every m, so the mixture moments are exact at every x.  Below
-    that bound the class takes ``_class_walk``.
+    that bound the class takes ``_class_walk``.  The last four results are kept,
+    so a sweep row's ``scs_log_norm`` and its own scheme's ``scs_qfi`` share one
+    walk; a row makes more calls than that, and the next row of a sweep has
+    another alpha or k, so no row reuses another's result.
     """
     x = float(x)
     if states._near(x, d):
@@ -299,17 +318,17 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     gain array takes ``_class_mean``, a scalar gain ``_class_moments``.
     """
     word = scheme_word(s)
-    g = _gain_array(alpha, g, d, k)
+    g, g_lo, g_hi = _gain_array(alpha, g, d, k)
     scan = isinstance(g, np.ndarray)
-    if alpha == 0.0:  # the fidelity does not depend on g
+    if alpha == 0.0 or not np.size(g):  # the fidelity does not depend on g, or no g
         return np.zeros_like(g) if scan else 0.0
     a2 = alpha * alpha
     l = amplify.rises(word)[0]
     j = (k + l) % d
     # overlap weights P(m) y^m / m! at m = k, target z^m / m! at m = k + l (mod d)
-    if scan:
-        y = _class_mean(k, g * a2, d, amplify.overlap_rises(word))
-        z = _class_mean(j, g * g * a2, d)
+    if scan:  # x -> g x and x -> g^2 x keep their order, so the extremes map to the extremes
+        y = _class_mean(k, g * a2, d, amplify.overlap_rises(word), g_lo * a2, g_hi * a2)
+        z = _class_mean(j, g * g * a2, d, (), g_lo * g_lo * a2, g_hi * g_hi * a2)
     else:
         y = _class_moments(k, g * a2, d, amplify.overlap_rises(word))[0]
         z = _class_moments(j, g * g * a2, d)[0]
@@ -324,7 +343,7 @@ def scs_slope_newton(alpha: float, g: float, d: int, k: int, s) -> tuple[float, 
     g^2 alpha^2 is subnormal and so is c ln x, c > 0 the lowest member of its class,
     and where g^2 alpha^2 overflows, as its log sums and mean would then be inf."""
     word = scheme_word(s)
-    g = _gain_array(alpha, g, d, k)
+    g = _gain_array(alpha, g, d, k)[0]
     if alpha == 0.0:
         return 0.0, 0.0, 0.0
     a2 = alpha * alpha

@@ -128,8 +128,9 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     from the log class sums of its last ``analytic.scs_slope_newton`` call (one
     more call values GAIN_HI), carried to the root by the second-order Taylor step
     of ln F, whose derivative is 2 D / g; no ``analytic.scs_fidelity`` call is
-    made.  The candidate of largest fidelity wins.  At alpha = 0 the qudit is a
-    number state, F does not depend on the gain, and no gain is returned.
+    made.  Past the scan, every step works on Python floats.  The candidate of
+    largest fidelity wins.  At alpha = 0 the qudit is a number state, F does
+    not depend on the gain, and no gain is returned.
     """
     word = analytic.scheme_word(s)
     alpha, d, k = spec.alpha, spec.d, spec.k
@@ -141,17 +142,18 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
     scan = analytic.scs_slope(alpha, grid, d, k, word)
     if scan[-1] > 0 and grid.size < SLOPE_GRID:  # past g_max only by rounding
         grid, scan = SLOPE_GAINS, analytic.scs_slope(alpha, SLOPE_GAINS, d, k, word)
-    if not np.all(np.isfinite(scan)):
+    grid, scan = grid.tolist(), scan.tolist()
+    if not all(map(math.isfinite, scan)):
         raise OptimizationError(f"fidelity slope non-finite on the gain scan of {spec}")
-    gap = scan * grid / 2.0  # D, the slope's class-mean difference
 
     def step(g):
         return analytic.scs_slope_newton(alpha, g, d, k, word)
 
     gains, logs, iterations, converged = [], [], 0, True
-    for i in np.flatnonzero((scan[:-1] > 0) & (scan[1:] <= 0)):
+    for i in [i for i in range(len(scan) - 1) if scan[i] > 0 >= scan[i + 1]]:
+        a, b = grid[i], grid[i + 1]  # D, the slope's class-mean difference, is g/2 times it
         root, calls, ok, (x, (gap_x, dgap_x, log_f)) = _newton(
-            step, grid[i], grid[i + 1], gap[i], gap[i + 1], ROOT_XTOL)
+            step, a, b, scan[i] * a / 2.0, scan[i + 1] * b / 2.0, ROOT_XTOL)
         # ln F from x to the root, h away: (ln F)' = 2 D / g, (ln F)'' = 2 (D' - D / g) / g
         h = root - x
         gains.append(root)
@@ -163,12 +165,11 @@ def scs_gain(spec: ScsSpec, s) -> OptResult:
         logs.append(step(GAIN_HI)[2])
     if not gains:
         raise OptimizationError(f"fidelity has no maximum in gain at {spec}")
-    values = np.exp(np.array(logs) - analytic.scs_log_norm(alpha, d, k, word))
-    if not np.all(np.isfinite(values)):
+    values = np.exp(np.array(logs) - analytic.scs_log_norm(alpha, d, k, word)).tolist()
+    if not all(map(math.isfinite, values)):
         raise OptimizationError(f"fidelity non-finite at a stationary gain of {spec}")
-    best = int(np.argmax(values))
-    return OptResult(float(gains[best]), float(values[best]), iterations, converged,
-                     bool(gains[best] == GAIN_HI))
+    best = values.index(max(values))
+    return OptResult(gains[best], values[best], iterations, converged, gains[best] == GAIN_HI)
 
 
 def find_crossing(f, target: float, lo: float, hi: float, tol: float = 1e-6) -> float:

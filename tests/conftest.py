@@ -76,7 +76,10 @@ def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndar
     weight is a few roundings from exact.  The powers x^c = g^(i c) a^(2c) of the
     three sums meet as integer exponents of g and a^2, and their ln c! as floats,
     before any log is scaled: where every class peaks at its lowest member (tiny x)
-    they cancel exactly.
+    they cancel exactly.  Where the classes differ, g and a^2 are raised to those
+    exponents correctly rounded by ``np.power``, not as exp(n ln g), whose rounding
+    grows with n |ln g|; only where a power or the rest leaves the normal doubles
+    do they all meet in one exponent.
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     a2 = alpha * alpha
@@ -108,7 +111,13 @@ def series_scs_fidelity(alpha: float, g, d: int, k: int, scheme: str) -> np.ndar
         power_a = power_a + coef * c
         log_fact = log_fact + coef * gammaln(c + 1.0)
         log_ratio = log_ratio + coef * log_sum
-    return np.exp(power_g * np.log(g) + power_a * math.log(a2) - log_fact + log_ratio)
+    rest = log_ratio - log_fact
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        parts = np.power(g, power_g), np.power(a2, power_a), np.exp(rest)
+        normal = np.logical_and.reduce([(p >= tiny) & (p <= huge) for p in parts])
+        return np.where(normal, parts[0] * parts[1] * parts[2],
+                        np.exp(power_g * np.log(g) + power_a * math.log(a2) + rest))
 
 
 def mp_scs_fidelity(alpha: float, g: float, d: int, k: int, scheme: str) -> float:

@@ -232,6 +232,13 @@ def test_array_fidelity_blocks_give_each_gain_its_own_value(s):
         assert analytic.scs_fidelity(3.0, np.empty((0, 2)), d, d - 1, s).shape == (0, 2)
 
 
+def test_slope_on_no_gains_is_empty():
+    # an empty gain array, which has no least or greatest gain, gives an empty slope
+    for d in (1, 4):
+        for s in Scheme:
+            assert analytic.scs_slope(1.3, np.empty((0, 3)), d, d - 1, s).shape == (0, 3)
+
+
 def test_array_fidelity_names_the_first_lost_gain_in_flat_order():
     # the first lost gain sits in the second block, a later one in the third
     g = np.ones((3, analytic._BLOCK))
@@ -419,12 +426,20 @@ def test_positive_series_oracle_holds_to_50_digit_class_sums(alpha, d, k, s):
     # the oracle walks each class by ratios out from its member nearest x, and the sums'
     # powers and factorials meet before any log: where every class peaks at its lowest
     # member they cancel exactly (log-space terms m ln x - ln m! were 1.1e-13 off there).
-    # F >= 1e-3, as in every test that uses it: below, the powers left over (g^60 a^60 at
-    # a-dagger^2, k 29, d 30, whose target class is 1) carry eps times their log
+    # F >= 1e-3, as in every test that uses it
     for g in (1e-3, 0.03, 0.5, 1.0, 1.7):
         want = mp_scs_fidelity(alpha, g, d, k, s)
         if want >= 1e-3:
             assert abs(series_scs_fidelity(alpha, g, d, k, s)[0] - want) <= 1e-14 * want, g
+
+
+@pytest.mark.parametrize("g", [0.03, 1.0])
+def test_positive_series_oracle_takes_unequal_class_powers_correctly_rounded(g):
+    # a-dagger^2 at alpha 0.3, d 30, k 29: the target class (1) is not the overlap's
+    # (29), so the powers g^60 (a^2)^30 are left over; taken as exp(n ln x) they
+    # were 3.3e-14 (g 0.03) and 1.7e-14 (g 1) off 50 digits
+    want = mp_scs_fidelity(0.3, g, 30, 29, "adag2")
+    assert abs(series_scs_fidelity(0.3, g, 30, 29, "adag2")[0] - want) <= 1e-14 * want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -748,6 +763,15 @@ def test_class_sum_matches_40_digit_class_sums():
             got = states.class_sum(j, x, d)
             want = np.array([_mp_class_sum(j, xi, d, ()) for xi in x])
             assert np.all(np.abs(got - want) <= 16 * eps * np.sqrt(x) * want), (d, j)
+    # and on to that bound (5,260 at d 48, 91,190 at d 200), where the tables are
+    # longest; one class at d 200, whose table next to the bound takes seconds to build
+    for d, classes in ((48, (0, 7, 24, 47)), (200, (7,))):
+        edge = states._SKIP / states._gap(d)
+        x = np.append(np.geomspace(d * d / 39.0, edge, 5)[1:-1], edge * (1.0 - 1e-12))
+        for j in classes:
+            got = states.class_sum(j, x, d)
+            want = np.array([_mp_class_sum(j, xi, d, ()) for xi in x])
+            assert np.all(np.abs(got - want) <= 16 * eps * np.sqrt(x) * want), (d, j)
 
 
 def test_class_poly_routes_agree_at_the_skip_bound():
@@ -850,7 +874,9 @@ def test_class_moments_match_high_precision_class_sums():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The arguments of every ``_class_series`` and ``_class_walk`` call the test makes."""
+    """The arguments of every ``_class_series`` and ``_class_walk`` call the test makes;
+    the ``_class_moments`` memo starts empty, so no walk of an earlier test is reused."""
+    analytic._class_moments.cache_clear()
     calls = {"series": [], "walk": []}
     for name in calls:
         kernel = getattr(analytic, f"_class_{name}")
@@ -927,8 +953,8 @@ def test_shared_window_stays_within_its_column_bound(monkeypatch):
     # 91,190 keep to (x_max + 10 sqrt(x_max) + 30) / d + 2 columns
     calls, series = [], analytic._class_series
 
-    def spy(j, x, d, rises=()):
-        w, e = series(j, x, d, rises)
+    def spy(j, x, d, rises=(), *ends):
+        w, e = series(j, x, d, rises, *ends)
         calls.append((float(x.max()), d, w.shape[-1], e.size))
         return w, e
 

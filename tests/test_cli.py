@@ -251,6 +251,48 @@ def test_scs_row_takes_each_fisher_information_once(monkeypatch, family):
         assert rec.qfi_ratio == analytic.qfi_ratio(0.8, d, k)
 
 
+@pytest.mark.parametrize("scheme", ["aadag", "adag2"])
+def test_scs_row_walks_each_rise_set_once_at_alpha_squared(monkeypatch, scheme):
+    # the log norm of the gain search and the three Fisher informations take class
+    # moments at alpha^2 = 1.69 (d 5: a walk) on three rise sets; the scheme's own
+    # is shared by its log norm and its scs_qfi, so each set is walked once
+    walks, walk = [], analytic._class_walk
+    monkeypatch.setattr(analytic, "_class_walk", lambda *a: walks.append(a) or walk(*a))
+    analytic._class_moments.cache_clear()
+    cfg = SweepConfig(family="scs", d=5, k_list=(2,), scheme=scheme,
+                      alpha_min=0.5, alpha_max=1.3, steps=2)
+    assert cli._run_cell(cfg, 1.3, 2).status == "ok"
+    at_a2 = sorted(a[3] for a in walks if a[1] == 1.3 * 1.3)
+    assert at_a2 == [(), (0, 0), (0, 1)], walks
+
+
+def test_consecutive_sweep_rows_share_no_memo_entry():
+    # every memo hit of a row comes from that row: run in sweep order, each row
+    # hits the memo as often as it does on an empty memo (once: its scheme's
+    # class moments at alpha^2), for cat and hybrid rows and across two sweeps
+    memo = analytic._class_moments
+
+    def hits(cfg, alpha, k):
+        before = memo.cache_info().hits
+        assert cli._run_cell(cfg, alpha, k).status == "ok"
+        return memo.cache_info().hits - before
+
+    rows = [(cfg, float(a), k) for cfg in (
+        SweepConfig(family="scs", d=3, k_list=(0, 1, 2), scheme="aadag",
+                    alpha_min=0.6, alpha_max=2.4, steps=3),
+        SweepConfig(family="scs", d=3, k_list=(0, 1, 2), scheme="adag2",
+                    alpha_min=0.6, alpha_max=2.4, steps=3),
+        hes_cfg(k_list=(0, 1), steps=3))
+        for k in cfg.k_list for a in np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.steps)]
+    memo.cache_clear()
+    in_turn = [hits(*row) for row in rows]
+    alone = []
+    for row in rows:
+        memo.cache_clear()
+        alone.append(hits(*row))
+    assert in_turn == alone == [1] * len(rows)
+
+
 def test_check_quick_passes(capsys):
     assert check.check_suite("quick") == 0
     out = capsys.readouterr().out
