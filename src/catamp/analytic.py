@@ -20,11 +20,10 @@ a mixture of Poisson laws shifted by q, weighted c_q x^q, so the mean is
 x + E[q], the variance x + Var(q) and the log sum x - ln d + ln sum_q c_q x^q.
 So a class is summed only below that bound (``states._near``), by one of two
 kernels.  On an array (the gain scan) ``_class_mean`` gives the class mean
-alone, from ``_class_series``: one window of class members for every point, log
-weights m ln x (one outer product) plus cached class logs, one exp and one
-matrix-vector product.  At a float (every Newton step, scalar fidelity, QFI and
-log norm) ``_class_moments`` gives the mean, variance and log sum, from
-``_class_walk``, a ratio walk in Python floats out from the member nearest x.
+alone, from the positive series tables of ``states.class_sum``.  At a float
+(every Newton step, scalar fidelity, QFI and log norm) ``_class_moments`` gives
+the mean, variance and log sum, from ``_class_walk``, a ratio walk in Python
+floats out from the member nearest x.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 
 import numpy as np
 
-from . import amplify, fock, states
+from . import amplify, states
 from .errors import DivergentGainError
 from .states import _SKIP
 
@@ -179,41 +178,6 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     return out.reshape(g.shape)
 
 
-@functools.cache
-def _class_logs(j: int, d: int, rises: tuple[int, ...], size: int) -> np.ndarray:
-    """Read-only sum_i ln(m + 1 + i) - ln m! (i in ``rises``) at m = j + d n, n < size,
-    a power of two: each class's tables double as ``fock.log_factorial``'s does."""
-    m = j + d * np.arange(float(size))
-    table = sum(np.log1p(m + i) for i in rises) - fock.log_factorial(m)
-    table.flags.writeable = False
-    return table
-
-
-def _class_series(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = (), lo=None, hi=None):
-    """Terms w of prod_i (m + 1 + i) x^m / m! (i in ``rises``) over m = j (mod d),
-    0 <= j < d, on an array of x >= 0, each row scaled to a peak of 1, and their
-    excesses e = m - j.  All points share one window m = j + d n, from the lowest
-    max(x - 10 sqrt(x) - 30, 0) to the highest x + 10 sqrt(x) + 30: at most
-    (x_max + 10 sqrt(x_max) + 30) / d + 2 columns.  The log weights m ln x +
-    ``_class_logs`` carry the rounding of their exponents, about eps x ln x;
-    ``_class_walk`` is the scalar kernel.  Where x = 0 (alpha^2 underflowed) only
-    m = j is left, as there.  lo and hi, when given, are the least and greatest x."""
-    if lo is None:
-        lo, hi = float(x.min()), float(x.max())
-    n_lo = math.floor(max(lo - 10.0 * math.sqrt(lo) - 30.0, 0.0) / d)
-    n_hi = math.ceil((hi + 10.0 * math.sqrt(hi) + 30.0) / d)
-    zero = None if lo else x == 0.0
-    log_x = np.log(x) if zero is None else np.log(np.where(zero, 1.0, x))
-    e = np.arange(float(d * n_lo), d * n_hi + 1, d)
-    logw = np.multiply.outer(log_x, e + j if j else e)
-    logw += _class_logs(j, d, rises, 1 << n_hi.bit_length())[n_lo:n_hi + 1]
-    logw -= logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw, out=logw)
-    if zero is not None:
-        w[zero] = e == 0
-    return w, e
-
-
 def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...]):
     """``_class_moments`` at one x >= 0 and d > 1, in Python floats.  From the class
     member c nearest x, at weight 1, the weights walk up by
@@ -267,18 +231,16 @@ def _class_mean(j: int, x: np.ndarray, d: int, rises: tuple[int, ...] = (), lo=N
     """Mean of m - j over the weights prod_i (m + 1 + i) x^m / m! (i in ``rises``)
     on m = j (mod d), at every point of an array x >= 0 (the gain scan): the
     mixture mean x - j + E[q] (see ``_class_moments``) past the bound, and on the
-    points below it w @ e / sum(w) over their shared ``_class_series`` window.  As
+    points below it ``states._series_mean`` on the tables of ``states.class_sum``.  As
     ``states._near`` is monotone, the least and greatest x (lo, hi) pick the route."""
     if lo is None:
         lo, hi = float(x.min()), float(x.max())
     if states._near(hi, d):
-        w, e = _class_series(j, x, d, rises, lo, hi)
-        return w @ e / w.sum(axis=-1)
+        return states._series_mean(j, x, d, rises, hi)
     mean = x - j + _mixture(x, rises)[2]
     if states._near(lo, d):
         near = states._near(x, d)
-        w, e = _class_series(j, x[near], d, rises)
-        mean[near] = w @ e / w.sum(axis=-1)
+        mean[near] = states._series_mean(j, x[near], d, rises)
     return mean
 
 
@@ -315,7 +277,7 @@ def scs_slope(alpha: float, g, d: int, k: int, s):
     difference of residue-class mean photon numbers: of the overlap weights at
     y = g alpha^2 and of the target at z = g^2 alpha^2.  Each is taken relative
     to its class's lowest photon number, so no digits cancel where F is flat.  A
-    gain array takes ``_class_mean``, a scalar gain ``_class_moments``.
+    gain array takes ``_class_mean`` (``class_sum``'s tables), a float ``_class_moments``.
     """
     word = scheme_word(s)
     g, g_lo, g_hi = _gain_array(alpha, g, d, k)

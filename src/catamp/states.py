@@ -18,8 +18,8 @@ in x^d with no cosine and nothing to cancel.  The class sum is also
 e^-(x (1 - cos 2 pi / d)) of the n = 0 one; so where that exponent reaches
 _SKIP = 45 (``_near`` is false, and at d = 1 for every x) the class sum is the
 full sum's, exact to e^-45, and ``amplify.class_poly`` takes that closed form
-instead of any series.  ``class_sum`` works on the whole array it is given; its
-one array caller, ``analytic.scs_fidelity``, passes it cache-sized blocks.
+instead of any series.  ``class_sum`` works on the whole array it is given, as
+does ``_series_mean``, the gain scan's class means on the same tables.
 """
 
 from __future__ import annotations
@@ -127,15 +127,15 @@ def _log_term(m: int, x: float, offsets: tuple[int, ...]) -> float:
 
 @functools.cache
 def _series_table(j: int, d: int, offsets: tuple[int, ...], q: int):
-    """(s, m_lo, c, g) of ``class_sum``'s class j on x in [0, X_d] (q = 0) or in
+    """(s, m_lo, c, g, n, moments) of class j on x in [0, X_d] (q = 0) or in
     ((2q - 2)^2, (2q)^2] (q > 0).  The series keeps the class members m_lo, m_lo + d,
     .. whose term is within e^-_SKIP of the largest one somewhere on that range; its
     degree comes from (j, d, offsets, q) alone, never from the points summed.  Its
     coefficients c (highest first) in v = x / s are correctly rounded from exact
-    integers.  At q = 0 they are P(m) s^m / m!, s = 2^e the smallest power of two
-    that keeps them, every power of v and every Horner partial sum inside
-    e^+-_SERIES_LOG_MAX, for any d.  At q > 0 they are P(m) s^m / (m! 2^E), s = (2q)^2
-    and 2^E near the largest, and g = E ln 2 - s."""
+    integers: P(m) s^m / m! at q = 0, s = 2^e the smallest power of two that keeps
+    them, every power of v and every Horner partial sum inside e^+-_SERIES_LOG_MAX;
+    P(m) s^m / (m! 2^E) at q > 0, s = (2q)^2, 2^E near the largest, g = E ln 2 - s.
+    n = 0, 1, .. and read-only [c, n c] of ``_table_mean``, c rescaled, add one member."""
     top = series_bound(d) if q == 0 else 4.0 * q * q
     ms, peak, m = [], -math.inf, j
     while True:  # the terms are log-concave in m: past m = top they only fall
@@ -148,10 +148,8 @@ def _series_table(j: int, d: int, offsets: tuple[int, ...], q: int):
     if q:
         low = [_log_term(m, 4.0 * (q - 1) ** 2, offsets) for m in ms]
         ms = ms[next(i for i, lt in enumerate(low) if lt >= max(low) - _SKIP):]
-        s, e = 4 * q * q, round(max(_log_term(m, top, offsets) for m in ms) / math.log(2.0))
-        g = (e * _LN2_HI - s) + e * _LN2_LO  # e ln 2 - s
+        s = sm = 4 * q * q
     else:
-        e, g = 0, 0.0
         for p in range(64):
             s = 1 << p
             lc = [lt for lt in (_log_term(m, s, offsets) for m in ms) if lt > -math.inf]
@@ -160,9 +158,26 @@ def _series_table(j: int, d: int, offsets: tuple[int, ...], q: int):
                 break
         else:  # first met past d 3000, by classes whose sums underflow at every x <= 40
             raise ArithmeticError(f"no power-of-two scale keeps class {j} of d {d} normal")
-    c = [(math.prod(m + 1 + i for i in offsets) * s ** m << max(-e, 0))
-         / (math.factorial(m) << max(e, 0)) for m in ms]
-    return s, ms[0], tuple(reversed(c)), g
+        sm = 64  # >= X_d: the mean's powers of x / sm stay <= 1 (``_table_mean``)
+    # 2^f near the largest term of the mean's series at the top, and E = f past X_d
+    f = round((max(_log_term(m, top, offsets) for m in ms) + ms[0] * math.log(sm / top))
+              / math.log(2.0))
+    g = (f * _LN2_HI - s) + f * _LN2_LO if q else 0.0  # E ln 2 - s
+    # P(m) sm^m / (m! 2^f) of the members and the next one (m), as sm^m and m! grow
+    ms.append(m)
+    cf, step = [], sm ** d
+    num, den = sm ** ms[0] << max(-f, 0), math.factorial(ms[0]) << max(f, 0)
+    for m in ms:
+        if m > ms[0]:
+            num *= step
+            den *= math.prod(range(m - d + 1, m + 1))
+        cf.append(math.prod(m + 1 + i for i in offsets) * num / den)
+    k = s.bit_length() - sm.bit_length()  # (s / sm)^m = 2^(k m): exact, as c and cf are normal
+    c = [math.ldexp(cn, (0 if q else f) + k * m) for cn, m in zip(cf, ms[:-1])]
+    n = np.arange(float(len(cf)))
+    moments = np.array([cf, n * cf]).T
+    moments.flags.writeable = False
+    return s, ms[0], tuple(reversed(c)), g, n, moments
 
 
 def class_sum(j: int, x, d: int, offsets: tuple[int, ...] = ()):
@@ -171,26 +186,33 @@ def class_sum(j: int, x, d: int, offsets: tuple[int, ...] = ()):
     nothing to cancel.  On x <= X_d (``series_bound``) it is d e^-x v^j H(w),
     v = x / 2^e exact, within a few ulps.  Past X_d, where ``amplify.class_poly``
     hands it points from d = 4 on, each point takes the table of its bucket of
-    sqrt(x), and e^-x with the powers of v comes from one exponent,
+    sqrt(x) (``_by_table``), and e^-x with the powers of v comes from one exponent,
     exp(g + s - x + m_lo ln v), within a few eps sqrt(x)."""
     j %= d
     x = np.asarray(x, dtype=float)
-    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+    hi = float(x.max(initial=0.0))
+    if not (x.min(initial=0.0) >= 0.0 and hi < math.inf):
         raise ValueError("x must be finite and >= 0")
-    near = x <= series_bound(d)
-    if near.all():
-        return _series(_series_table(j, d, offsets, 0), x, d, False)
-    q = np.where(near, 0, np.ceil(np.sqrt(x) / 2.0)).astype(int)
+    return _by_table(_series, j, x, d, offsets, hi)
+
+
+def _by_table(read, j: int, x: np.ndarray, d: int, offsets: tuple[int, ...], hi=None):
+    """read(table, points, d, far) of class j on each ``_series_table`` x needs: the
+    q = 0 table on every point, with no mask, where hi (the greatest x) <= X_d, and
+    otherwise to each point the q = 0 table below X_d and its sqrt(x) bucket's past."""
+    if (float(x.max()) if hi is None else hi) <= series_bound(d):
+        return read(_series_table(j, d, offsets, 0), x, d, False)
+    q = np.where(x <= series_bound(d), 0, np.ceil(np.sqrt(x) / 2.0)).astype(int)
     out = np.empty(x.shape)
     for qi in range(q.min(), q.max() + 1):  # a few buckets: cheaper than sorting q
         at = q == qi
         if at.any():
-            out[at] = _series(_series_table(j, d, offsets, qi), x[at], d, qi > 0)
+            out[at] = read(_series_table(j, d, offsets, qi), x[at], d, qi > 0)
     return out
 
 
 def _series(table, x: np.ndarray, d: int, far: bool) -> np.ndarray:
-    s, m_lo, c, g = table
+    s, m_lo, c, g = table[:4]
     if far:
         lv = np.log1p((x - s) / s)  # x - s is exact: s / 2 <= x <= s past X_d >= 22.5
         w = np.exp(d * lv)
@@ -211,6 +233,21 @@ def _series(table, x: np.ndarray, d: int, far: bool) -> np.ndarray:
     acc *= pref
     acc *= d
     return acc
+
+
+def _table_mean(table, x: np.ndarray, d: int, far: bool) -> np.ndarray:
+    """Mean of m - j over a table's members and the next one up (``_class_walk`` keeps
+    it too), m_lo - j + d sum n c_n w^n / sum c_n w^n: the prefactor of ``_series``
+    cancels, and below X_d w = (x / 64)^d <= 1, so no power w^n overflows."""
+    s, m_lo, n, moments = table[0], table[1], table[4], table[5]
+    w = np.exp(d * np.log1p((x - s) / s)) if far else (x / 64.0) ** d
+    sums = np.power.outer(w, n) @ moments
+    return (m_lo - m_lo % d) + d * (sums[..., 1] / sums[..., 0])  # j = m_lo mod d
+
+
+#: ``_series_mean(j, x, d, offsets, hi=None)``: the mean of m - j, 0 <= j < d, on
+#: ``class_sum``'s tables at every point where ``_near`` holds (``analytic._class_mean``)
+_series_mean = functools.partial(_by_table, _table_mean)
 
 
 def scs_state(spec: ScsSpec, trunc: int) -> FockVector:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -830,11 +831,8 @@ def test_class_moments_match_high_precision_class_sums():
     # weights (0, 0) and (0, 1), on both sides of x (1 - cos 2 pi / d) = 45 (d = 1: the
     # mixture moments at every x), against 50-digit sums over the class: all three of
     # ``_class_moments`` at a scalar x, and the ``_class_mean`` of x as a 1-element
-    # array.  Near side, the scalar walk's weights are products
-    # of ratios, good to a few ulps; the array series weights carry the rounding of
-    # their exponent m ln x - ln m! (each term about x ln x at the peak), which the mean
-    # feels only by about 1/sqrt(x) of it.  The log sum carries that rounding in
-    # c ln x - ln c!
+    # array.  Near side, the scalar walk's weights are products of ratios, good to a
+    # few ulps; its log sum carries the rounding of the exponent c ln x - ln c!
     eps = np.finfo(float).eps
     for d in range(1, 13):
         edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)) if d > 1 else 0.0
@@ -874,14 +872,14 @@ def test_class_moments_match_high_precision_class_sums():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The arguments of every ``_class_series`` and ``_class_walk`` call the test makes;
-    the ``_class_moments`` memo starts empty, so no walk of an earlier test is reused."""
+    """The arguments of every ``states._series_mean`` and ``_class_walk`` call the test
+    makes; the ``_class_moments`` memo starts empty, so no walk of an earlier test is
+    reused."""
     analytic._class_moments.cache_clear()
     calls = {"series": [], "walk": []}
-    for name in calls:
-        kernel = getattr(analytic, f"_class_{name}")
-        monkeypatch.setattr(analytic, f"_class_{name}",
-                            lambda *a, log=calls[name], f=kernel: log.append(a) or f(*a))
+    for name, module, attr in (("series", states, "_series_mean"), ("walk", analytic, "_class_walk")):
+        kernel = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, log=calls[name], f=kernel: log.append(a) or f(*a))
     return calls
 
 
@@ -920,74 +918,60 @@ def test_class_mean_sums_one_series_on_the_near_points_only(kernel_calls, rises)
             assert abs(gi - want) <= (1e-14 if ni else 1e-15) * want, (j, xi)
 
 
-def window_rounding(x: float, var: float, d: int) -> float:
-    """Bound on the rounding of a ``_class_mean`` point: each log weight m ln x + (class
-    log) is off by about eps m |ln x|, m up to the window's top x + 10 sqrt(x) + 30 + d,
-    and the mean by at most that times the class spread sqrt(var), twice over."""
-    top = (x + 10.0 * math.sqrt(x) + 30.0 + d) * max(1.0, abs(math.log(x)) if x else 1.0)
-    return 2.0 * np.finfo(float).eps * math.sqrt(var) * top
-
-
 @pytest.mark.parametrize("rises", [(), (0,), (0, 0), (0, 1)])
 def test_class_mean_on_one_shared_window_matches_each_point_alone(rises):
-    # one call per class on 32 points x in [0, near-field bound), d 2..24: every point
-    # shares the window of the smallest and the largest, which moves its mean from its
-    # own 1-element call's by rounding only.  Against the scalar walk it holds to
-    # ``window_rounding``: past d 11 that passes the 1e-14 relative bound of the
-    # 50-digit test (3.7e-14 at d 24, 3.0e-14 with per-point windows)
+    # one call per class on 32 points x in [0, near-field bound), d 2..24: each point
+    # takes the class_sum table of its own bucket, so the call moves its mean from its
+    # own 1-element call's by rounding only, and every point is within 1e-14 of the
+    # scalar walk (a log-space window shared by the points was 2.2e-14 off at d 23)
     for d in range(2, 25):
         x = np.linspace(0.0, states._SKIP / (1.0 - math.cos(2.0 * math.pi / d)), 32, endpoint=False)
         for j in range(d):
             got = analytic._class_mean(j, x, d, rises)
             for xi, gi in zip(x.tolist(), got.tolist()):
                 alone = analytic._class_mean(j, np.array([xi]), d, rises)[0]
-                mean, var, _ = analytic._class_moments(j, xi, d, rises)
+                mean = analytic._class_walk(j, xi, d, rises)[0]
                 assert abs(gi - alone) <= 1e-14 * mean, (d, j, xi)
-                assert abs(gi - mean) <= window_rounding(xi, var, d), (d, j, xi)
+                assert abs(gi - mean) <= 1e-14 * mean, (d, j, xi)
 
 
-def test_shared_window_stays_within_its_column_bound(monkeypatch):
-    # the window runs from the smallest point's low edge to the largest point's high
-    # edge, x_max + 10 sqrt(x_max) + 30, in steps of d: the scan at d 24, alpha 8
-    # (y = 64 g up to 1280 of the bound 1319) and one call at d 200 up to its bound
-    # 91,190 keep to (x_max + 10 sqrt(x_max) + 30) / d + 2 columns
-    calls, series = [], analytic._class_series
-
-    def spy(j, x, d, rises=(), *ends):
-        w, e = series(j, x, d, rises, *ends)
-        calls.append((float(x.max()), d, w.shape[-1], e.size))
-        return w, e
-
-    monkeypatch.setattr(analytic, "_class_series", spy)
+def test_class_mean_at_large_d_holds_to_the_walk():
+    # the scan at d 24, alpha 8 (y = 64 g up to 1280 of the bound 1319) stays finite;
+    # at d 100 and 200 the means run from 1e-262 (d 200, x 10, class 117: the class's
+    # next member is below e^-45 of its lowest one on all of [0, 40], so the mean takes
+    # it past the table's top, as the walk does) up to the bound (91,190 at d 200); at
+    # d 100, class 0, x 40, w^2 = (x / s)^200 would overflow
     for s in Scheme:
         for k in (0, 11, 23):
             assert np.all(np.isfinite(analytic.scs_slope(8.0, optimize.SLOPE_GAINS, 24, k, s)))
-    edge = states._SKIP / (1.0 - math.cos(2.0 * math.pi / 200))
-    x = np.linspace(0.0, 0.999 * edge, 256)
-    for j in (0, 117, 199):
-        got = analytic._class_mean(j, x, 200)
-        for i in (0, 128, 255):
-            mean, var, _ = analytic._class_moments(j, float(x[i]), 200)
-            assert abs(got[i] - mean) <= window_rounding(float(x[i]), var, 200), (j, x[i])
-    assert calls[0][0] > 1200 and calls[-1][0] > 91_000
-    for x_max, d, columns, excesses in calls:
-        assert columns == excesses <= (x_max + 10.0 * math.sqrt(x_max) + 30.0) / d + 2.0, (x_max, d)
+    for d, j in ((100, 0), (100, 99), (200, 7), (200, 117), (200, 199)):
+        x = np.array([0.0, 10.0, 40.0, 41.0, 1000.0, 0.999 * states._SKIP / states._gap(d)])
+        got = analytic._class_mean(j, x, d)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            mean = analytic._class_walk(j, xi, d, ())[0]
+            assert abs(gi - mean) <= 1e-14 * mean, (d, j, xi)
 
 
-def test_class_logs_are_read_only_doubling_tables(monkeypatch):
-    # sum_i ln(m + 1 + i) - ln m! at m = j + d n; a longer table repeats a shorter one's
-    # entries, and the window asks only for powers of two past its top member
-    short = analytic._class_logs(2, 5, (0, 1), 4)
-    m = 2.0 + 5.0 * np.arange(4)
-    assert np.array_equal(short, np.log1p(m) + np.log1p(m + 1.0) - fock.log_factorial(m))
-    assert np.array_equal(analytic._class_logs(2, 5, (0, 1), 64)[:4], short)
-    with pytest.raises(ValueError):
-        short[0] = 0.0
-    sizes, logs = [], analytic._class_logs
-    monkeypatch.setattr(analytic, "_class_logs", lambda *a: sizes.append(a[-1]) or logs(*a))
-    analytic._class_mean(1, np.array([0.5, 40.0, 110.0]), 7, (0,))
-    top = math.ceil((110.0 + 10.0 * math.sqrt(110.0) + 30.0) / 7)  # the window's top n, 35
-    assert sizes == [1 << top.bit_length()] == [64]
+def test_series_tables_hold_the_direct_coefficients():
+    # each table grows s^m and m! member by member; its coefficients are still the
+    # correctly rounded P(m) s^m / (m! 2^E), and its moment columns [c, n c] hold
+    # the same members, each times a power of two, and the next member up
+    for j, d, offsets, q in ((0, 2, (), 0), (2, 5, (0, 1), 0), (11, 24, (0,), 0),
+                             (117, 200, (), 0), (3, 7, (0, 0), 5), (7, 200, (), 20)):
+        s, m_lo, c, g, n, moments = states._series_table(j, d, offsets, q)
+        e = round((g + s) / math.log(2.0)) if q else 0
+        ms = range(m_lo, m_lo + d * len(c), d)
+        want = [(math.prod(m + 1 + i for i in offsets) * s ** m << max(-e, 0))
+                / (math.factorial(m) << max(e, 0)) for m in ms]
+        assert c[::-1] == tuple(want), (j, d, offsets, q)
+        assert np.array_equal(n, np.arange(len(c) + 1.0)) and np.array_equal(moments[:, 1], n * moments[:, 0])
+        assert [math.frexp(a)[0] for a in moments[:-1, 0].tolist()] == [math.frexp(b)[0] for b in want]
+        # the next member m + d, in powers of x / sm: sm = s past X_d, and 64 >= X_d below
+        m, sm = ms[-1], s if q else 64
+        ratio = Fraction(math.prod(m + d + 1 + i for i in offsets) * sm ** d * math.factorial(m),
+                         math.prod(m + 1 + i for i in offsets) * math.factorial(m + d))
+        assert math.isclose(moments[-1, 0] / moments[-2, 0], ratio, rel_tol=1e-14), (j, d, offsets, q)
+        assert not moments.flags.writeable
 
 
 @pytest.mark.parametrize("s", list(Scheme))

@@ -119,7 +119,7 @@ def test_slope_scan_keeps_its_pinned_signs(monkeypatch, alpha, d, k, s, size, ch
 
 
 def test_slope_scan_signs_are_the_scalar_slopes():
-    # the array route (one shared class window per mean) and the scalar route (the
+    # the array route (class means on the class_sum tables) and the scalar route (the
     # class walk) give the same sign at every gain of random prefixes of the grid
     rng = np.random.default_rng(31)
     for _ in range(120):
