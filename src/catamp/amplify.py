@@ -86,17 +86,12 @@ def class_poly(offsets: tuple[int, ...], x, k: int, d: int):
     highest q first: the class sum is (1/d) sum_n w^{-kn} times the full sum
     e^(x w^n) sum_q c_q (x w^n)^q, and every n != 0 term is below e^-45 of the
     n = 0 one, so that closed form is exact there to e^-45.  Each point takes its
-    own route, so its value does not depend on the other points of the call."""
+    own route, so its value does not depend on the other points of the call; the
+    exponent and mantissa of every route come from ``states._class_parts``."""
     xs = np.asarray(x, dtype=float)
     if xs.size and not (xs.min() >= 0.0 and xs.max() < math.inf):
         raise ValueError("x must be finite and >= 0")
-    near = states._near(xs, d)
-    if near.all():
-        out = states.class_sum(k, xs, d, offsets)
-    else:
-        out = np.polyval(falling(offsets), xs)
-        if near.any():
-            out[near] = states.class_sum(k, xs[near], d, offsets)
+    out = states._composed(xs, *states._class_parts(k % d, xs, d, offsets, falling(offsets)))
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -6,10 +6,12 @@ no negative offset (``scheme_word``), and comes from the word's offsets
 The gain slope, the Fisher information and a scalar fidelity are a mean, a
 centered variance and the log sums of one positive residue-class series, which
 cancel nothing (ln F = 2 L_y + l ln z - L_z - L_a2); on a gain array the fidelity
-takes class sums from ``amplify.class_poly`` (a positive Horner series below the
-bound x (1 - cos 2 pi / d) = 45, the closed form of the full sum past it), with
-its exp[-alpha^2 (g-1)^2] envelope explicit so no intermediate overflows even at
-large gain.  A hybrid qudit amplifies as a
+takes each class sum as an exponent and a mantissa from the kernel of
+``amplify.class_poly`` (a positive Horner series below the bound
+x (1 - cos 2 pi / d) = 45, the closed form of the full sum past it), and adds the
+exponents to the envelope's -alpha^2 (g-1)^2, which cancels the e^-x of every sum
+on the q = 0 Horner table: a gain whose sums are all there takes no exponential,
+and no intermediate overflows even at large gain.  A hybrid qudit amplifies as a
 coherent state does, so its closed forms are the d = 1 cat ones.  On weights
 proportional to x^m,
 d(mean)/dx = Var/x, so the slope's derivative in g is a difference of class
@@ -42,9 +44,12 @@ from .states import _SKIP
 _TINY = np.finfo(float).tiny
 #: gains per block of the array fidelity: 2^14 points make 128 KiB per float
 #: temporary, so every temporary of one block (the Horner accumulators and powers
-#: of ``amplify.class_poly``, the envelope) stays inside a 2 MiB L2 cache, and
+#: of ``states._class_parts``, the exponent) stays inside a 2 MiB L2 cache, and
 #: peak memory does not grow with the array
 _BLOCK = 1 << 14
+#: the array fidelity takes e^e apart from its sums' ratio only where |e| <= _EXP_FOLD:
+#: e^-708.4 is subnormal, and e^709.8 overflows
+_EXP_FOLD = 700.0
 #: ``_class_walk`` stops at a weight below e^-_SKIP of the peak's
 _TAIL = math.exp(-_SKIP)
 
@@ -125,12 +130,19 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     The target carries index k + l (mod d), l the word's net photon change.  At a
     scalar g, ln F is ``scs_slope_newton``'s third value less ``scs_log_norm``,
     and raises where they do.  An array g (the dense-scan oracles) takes its
-    three class sums, the denominator's too, from ``amplify.class_poly``, many
-    times faster there: the positive series where x (1 - cos 2 pi / d) < 45 and
-    the closed form of the full sum past that bound and at d = 1, each gain on
-    its own route.  It works in blocks of ``_BLOCK`` gains in
-    flat order, and raises ``ArithmeticError`` at the first gain where a tiny
-    g alpha takes the sums below the normal doubles.  Where
+    three class sums, the denominator's too, many times faster there, from the
+    kernel of ``amplify.class_poly``, each as an exponent and a mantissa
+    (``states._class_parts``): the positive series where x (1 - cos 2 pi / d) < 45
+    and the closed form of the full sum past that bound and at d = 1, each gain
+    on its own route.  So F = exp(P + 2 nu_y - nu_z) z^l M_y^2 / (norm M_z), where P
+    (``_exponent``) cancels the envelope exp[-alpha^2 (g-1)^2] against the e^-x of
+    each sum on the q = 0 table: P = -alpha^2 where y = g alpha^2 and z = g^2 alpha^2
+    both are there, one exponential for the block and none per gain, and one per
+    gain elsewhere.  Where that exponent is beyond +-700, ln of the mantissas'
+    ratio is folded into it, so F keeps its digits where e^P alone is subnormal.
+    It works in blocks of ``_BLOCK`` gains in flat order, and raises
+    ``ArithmeticError`` at the first gain where a tiny g alpha takes the mantissas
+    below the normal doubles.  Where
     |g - 1| >= sqrt(746) / alpha the envelope exp[-alpha^2 (g-1)^2] rounds to 0,
     so the array F is exactly 0.0 there, at any g, and takes no class sum.  The true F
     there is below e^-746 times the ratio of the sums, which the scalar route
@@ -149,6 +161,7 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     a2 = alpha * alpha
     rises, j = amplify.overlap_rises(word), (k + l) % d
     norm = amplify.class_poly(offsets, a2, k, d)
+    far_y, far_z = amplify.falling(rises), amplify.falling(())
     # exp[-a2 (g - 1)^2] is exactly 0 from a2 (g - 1)^2 >= 746 on (below e^-745.14)
     cut = math.sqrt(746.0 / a2) if a2 else math.inf
     flat = g.reshape(-1)
@@ -156,26 +169,82 @@ def scs_fidelity(alpha: float, g, d: int, k: int, s):
     for lo in range(0, flat.size, _BLOCK):
         gb = flat[lo:lo + _BLOCK]
         at = slice(lo, lo + gb.size)
-        keep = np.abs(gb - 1.0) < cut
-        if not keep.all():
-            if not keep.any():
+        g_lo, g_hi = float(gb.min()), float(gb.max())
+        if not (abs(g_lo - 1.0) < cut and abs(g_hi - 1.0) < cut):
+            keep = np.flatnonzero(np.abs(gb - 1.0) < cut)
+            if not keep.size:
                 continue
-            keep = np.flatnonzero(keep)
             gb, at = gb[keep], lo + keep
+            g_lo, g_hi = float(gb.min()), float(gb.max())
+        # x -> g x and x -> g^2 x keep their order, so the extremes map to the extremes
         y = gb * a2
-        z = gb * gb * a2
-        env = np.exp(-a2 * (gb - 1.0) ** 2)
-        num = amplify.class_poly(rises, y, k, d) ** 2
+        z = y * gb
+        qy, ny, num = states._class_parts(k, y, d, rises, far_y, g_lo * a2, g_hi * a2)
+        qz, nz, den = states._class_parts(j, z, d, (), far_z, g_lo * a2 * g_lo, g_hi * a2 * g_hi)
+        num *= num
         if l:
-            num = z ** l * num
-        den = norm * amplify.class_poly((), z, j, d)
+            num *= z ** l
+        den *= norm
         # at tiny y and z the sums fall below the normal doubles, to 0 or to a few digits
-        lost = (num < _TINY) | (den < _TINY)
-        if np.any(lost):
+        if num.min() < _TINY or den.min() < _TINY:
+            lost = (num < _TINY) | (den < _TINY)
             raise ArithmeticError(
                 f"fidelity sums underflow at alpha {alpha:g}, gain {np.extract(lost, gb)[0]:g}")
-        out[at] = env * num / den
+        e = _exponent(a2, gb, y, z, qy, qz)
+        if isinstance(ny, np.ndarray):  # 0.0 where every y is on the q = 0 table or past the bound
+            ny *= 2.0
+            e += ny
+        if isinstance(nz, np.ndarray):
+            e -= nz
+        _scaled(num, den, e, out[at] if isinstance(at, slice) else num)
+        if not isinstance(at, slice):
+            out[at] = num
     return out.reshape(g.shape)
+
+
+def _exponent(a2: float, g: np.ndarray, y: np.ndarray, z: np.ndarray, qy, qz) -> np.ndarray:
+    """P = -a2 [(g - 1)^2 + 2 qy g - qz g^2] of each gain: the envelope's exponent with
+    the e^-x that ``states._class_parts`` leaves out of each class sum on its q = 0
+    table (qy at y = g a2, qz at z = g^2 a2, each a bool or a mask), cancelled in
+    each route pair's own form.  Both there, P = -a2: one value for the block when
+    every gain has it."""
+    if np.ndim(qy) == np.ndim(qz) == 0:
+        if qy:
+            return np.full(1, -a2) if qz else -a2 - z
+        if qz:
+            return 2.0 * y - a2
+        p = g - 1.0
+        p *= p
+        p *= -a2
+        return p
+    if np.ndim(qy) == 0:
+        return np.where(qz, _exponent(a2, g, y, z, qy, True), _exponent(a2, g, y, z, qy, False))
+    if np.ndim(qz) == 0:
+        return np.where(qy, _exponent(a2, g, y, z, True, qz), _exponent(a2, g, y, z, False, qz))
+    p = np.empty(g.shape)  # two masks: one form at a time, so at most two blocks are live
+    for at, pair in ((qy & qz, (True, True)), (qy & ~qz, (True, False)),
+                     (~qy & qz, (False, True)), (~qy & ~qz, (False, False))):
+        if at.any():
+            np.copyto(p, _exponent(a2, g, y, z, *pair), where=at)
+    return p
+
+
+def _scaled(num: np.ndarray, den: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^e num / den into out (e a block or one value; num and e are overwritten).
+    Where |e| > _EXP_FOLD, exp(e + ln num - ln den): no exponential leaves the normal
+    doubles before the product, so the value is a normal double wherever F is."""
+    fold = None
+    if not (-_EXP_FOLD <= e.min() and e.max() <= _EXP_FOLD):
+        if e.size < num.size:
+            e = np.full(num.shape, e[0])
+        fold = np.flatnonzero((e < -_EXP_FOLD) | (e > _EXP_FOLD))
+        folded = np.exp(e[fold] + np.log(num[fold]) - np.log(den[fold]))
+        e[fold] = 0.0
+    num /= den
+    np.multiply(num, np.exp(e, out=e), out=out)
+    if fold is not None:
+        out[fold] = folded
+    return out
 
 
 def _class_walk(j: int, x: float, d: int, rises: tuple[int, ...]):

@@ -18,8 +18,12 @@ in x^d with no cosine and nothing to cancel.  The class sum is also
 e^-(x (1 - cos 2 pi / d)) of the n = 0 one; so where that exponent reaches
 _SKIP = 45 (``_near`` is false, and at d = 1 for every x) the class sum is the
 full sum's, exact to e^-45, and ``amplify.class_poly`` takes that closed form
-instead of any series.  ``class_sum`` works on the whole array it is given, as
-does ``_series_mean``, the gain scan's class means on the same tables.
+instead of any series.  One kernel, ``_class_parts``, gives every route's sum as
+an exponent and a mantissa, e^(nu - x) m on the q = 0 table and e^nu m elsewhere,
+from one Horner pass (``_horner``) per table or closed form; ``class_sum`` and
+``class_poly`` compose the two, and the array fidelity adds the exponents to its envelope's.
+It works on the whole array it is given, as does ``_series_mean``, the gain
+scan's class means on the same tables.
 """
 
 from __future__ import annotations
@@ -183,17 +187,65 @@ def _series_table(j: int, d: int, offsets: tuple[int, ...], q: int):
 def class_sum(j: int, x, d: int, offsets: tuple[int, ...] = ()):
     """d e^-x sum prod_i (m + 1 + i) x^m / m! over m = j (mod d), on an array x >= 0, as
     a positive series by Horner's rule in w = v^d (``_series_table``): no cosine,
-    nothing to cancel.  On x <= X_d (``series_bound``) it is d e^-x v^j H(w),
+    nothing to cancel.  On x <= X_d (``series_bound``) it is e^-x d v^j H(w),
     v = x / 2^e exact, within a few ulps.  Past X_d, where ``amplify.class_poly``
     hands it points from d = 4 on, each point takes the table of its bucket of
-    sqrt(x) (``_by_table``), and e^-x with the powers of v comes from one exponent,
-    exp(g + s - x + m_lo ln v), within a few eps sqrt(x)."""
+    sqrt(x), and e^-x with the powers of v comes from one exponent,
+    exp(g + s - x + m_lo ln v), within a few eps sqrt(x).  Both are the exponent
+    and mantissa of ``_class_parts``, composed."""
     j %= d
     x = np.asarray(x, dtype=float)
-    hi = float(x.max(initial=0.0))
-    if not (x.min(initial=0.0) >= 0.0 and hi < math.inf):
+    lo, hi = float(x.min(initial=0.0)), float(x.max(initial=0.0))
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("x must be finite and >= 0")
-    return _by_table(_series, j, x, d, offsets, hi)
+    return _composed(x, *_class_parts(j, x, d, offsets, None, lo, hi))
+
+
+def _class_parts(j: int, x: np.ndarray, d: int, offsets: tuple[int, ...], far=None,
+                 lo=None, hi=None):
+    """(q0, nu, m): class j's sum at each point of an array x >= 0, 0 <= j < d, is
+    e^(nu - x) m where q0 holds and e^nu m elsewhere.  On the q = 0 table (x <= X_d)
+    nu = 0 and m = d v^j H(w); on a sqrt(x) bucket nu = g + (s - x) + m_lo ln v and
+    m = d H(w) (``_series``).  Given far, the coefficients c_q of ``amplify.falling``
+    highest first, the points past the skip bound (``_near`` false) take nu = 0 and
+    m = sum_q c_q x^q, as ``amplify.class_poly`` does.  Where the least and greatest x
+    (lo, hi) put every point on one route, q0 is a bool and nu 0.0 or the one table's,
+    with no mask; so each point's parts are those of its own route."""
+    if lo is None:
+        lo, hi = float(x.min(initial=0.0)), float(x.max(initial=0.0))
+    if far is not None and not _near(hi, d):  # some points past the skip bound
+        if not _near(lo, d):
+            return False, 0.0, _horner(far, x)
+        near = _near(x, d)
+        nu_near, m_near = _class_parts(j, x[near], d, offsets)[1:]
+        m = _horner(far, x)
+        m[near] = m_near
+        nu = 0.0  # unless some near point is on a sqrt(x) bucket
+        if isinstance(nu_near, np.ndarray):
+            nu = np.zeros(x.shape)
+            nu[near] = nu_near
+        return near & (x <= series_bound(d)), nu, m
+    top = series_bound(d)
+    if hi <= top:
+        return True, 0.0, _series(_series_table(j, d, offsets, 0), x, d, False)[1]
+    q_lo = math.ceil(math.sqrt(lo) / 2.0)
+    if lo > top and q_lo == math.ceil(math.sqrt(hi) / 2.0):
+        return False, *_series(_series_table(j, d, offsets, q_lo), x, d, True)
+    q = np.where(x <= top, 0, np.ceil(np.sqrt(x) / 2.0)).astype(int)
+    nu, m = np.zeros(x.shape), np.empty(x.shape)
+    for qi in range(int(q.min()), int(q.max()) + 1):  # a few buckets: cheaper than sorting q
+        at = q == qi
+        if at.any():
+            parts = _series(_series_table(j, d, offsets, qi), x[at], d, qi > 0)
+            m[at] = parts[1]
+            if qi:
+                nu[at] = parts[0]
+    return q == 0, nu, m
+
+
+def _composed(x: np.ndarray, q0, nu, m) -> np.ndarray:
+    """The class sums e^(nu - x) m where q0 holds and e^nu m elsewhere (``_class_parts``)."""
+    return np.exp(np.where(q0, -x, nu)) * m
 
 
 def _by_table(read, j: int, x: np.ndarray, d: int, offsets: tuple[int, ...], hi=None):
@@ -211,27 +263,36 @@ def _by_table(read, j: int, x: np.ndarray, d: int, offsets: tuple[int, ...], hi=
     return out
 
 
-def _series(table, x: np.ndarray, d: int, far: bool) -> np.ndarray:
+def _series(table, x: np.ndarray, d: int, far: bool):
+    """(nu, m) of ``_class_parts`` on one table, by Horner's rule in w: m = d v^j H(w) and
+    nu None on the q = 0 table, m = d H(w) and nu = g + (s - x) + m_lo ln v on a bucket."""
     s, m_lo, c, g = table[:4]
     if far:
         lv = np.log1p((x - s) / s)  # x - s is exact: s / 2 <= x <= s past X_d >= 22.5
-        w = np.exp(d * lv)
-        pref = np.exp(g + (s - x) + m_lo * lv)
-    else:
-        v = x if s == 1 else x * (1.0 / s)
-        w = v ** d
-        pref = np.exp(-x)
-        if m_lo:  # m_lo = j on [0, X_d]
-            pref *= v ** m_lo
+        acc = _horner(c, np.exp(d * lv))
+        acc *= d
+        nu = s - x
+        nu += g
+        lv *= m_lo
+        nu += lv
+        return nu, acc
+    v = x if s == 1 else x * (1.0 / s)
+    acc = _horner(c, v ** d)
+    if m_lo:  # m_lo = j on [0, X_d]
+        acc *= v ** m_lo
+    acc *= d
+    return None, acc
+
+
+def _horner(c: tuple[float, ...], w: np.ndarray) -> np.ndarray:
+    """sum_n c_n w^(N - n), c highest first, by Horner's rule, as a new array."""
     if len(c) == 1:
-        return (d * c[0]) * pref
+        return np.full(w.shape, c[0])
     acc = c[0] * w
     acc += c[1]
     for cn in c[2:]:
         acc *= w
         acc += cn
-    acc *= pref
-    acc *= d
     return acc
 
 

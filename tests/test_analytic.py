@@ -797,15 +797,16 @@ def test_class_poly_routes_agree_at_the_skip_bound():
 @pytest.mark.parametrize("d", [40, 60, 200])
 def test_array_fidelity_at_large_d(monkeypatch, d):
     # no coefficient or power of the series leaves the doubles (1/200! would), and at
-    # this d class_poly hands the series points past X_d, which take its sqrt(x) buckets
+    # this d the class sums have points past X_d inside the skip bound, which take the
+    # series' sqrt(x) buckets
     past = []
 
-    def spy(j, x, d, offsets=()):
-        past.append(np.max(x, initial=0.0) > states.series_bound(d))
-        return class_sum(j, x, d, offsets)
+    def spy(j, x, d, *args):
+        past.append(np.any((x > states.series_bound(d)) & states._near(x, d)))
+        return class_parts(j, x, d, *args)
 
-    class_sum = states.class_sum
-    monkeypatch.setattr(states, "class_sum", spy)
+    class_parts = states._class_parts
+    monkeypatch.setattr(states, "_class_parts", spy)
     g = np.geomspace(0.05, 4.0, 5000)
     for s in Scheme:
         for k in (3, d // 2):
@@ -823,6 +824,68 @@ def test_array_fidelity_at_large_d_and_alpha_matches_50_digit_class_sums():
     got = analytic.scs_fidelity(31.7, np.array([1.046]), 200, 3, Scheme.AADAG)[0]
     want = mp_scs_fidelity(31.7, 1.046, 200, 3, "aadag")
     assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+@pytest.mark.parametrize("alpha, g, d, k, s", [
+    (1.45, 19.5, 7, 0, "adag2"), (1.45, 19.485, 7, 0, "adag2"), (0.1, 269.3282, 12, 11, "aadag")])
+def test_array_fidelity_keeps_its_digits_where_the_envelope_is_subnormal(alpha, g, d, k, s):
+    # alpha^2 (g - 1)^2 in (708.4, 746): exp[-alpha^2 (g - 1)^2] is subnormal while F is a
+    # normal double (5.0e-308, 1.6e-307, 8.3e-291).  Multiplied out, the subnormal
+    # envelope left F 3.8e-12, 2.1e-12 and 1.1e-8 off 50 digits
+    got = analytic.scs_fidelity(alpha, np.array([g]), d, k, s)[0]
+    want = mp_scs_fidelity(alpha, g, d, k, s)
+    assert want > np.finfo(float).tiny and 708.4 < alpha**2 * (g - 1.0) ** 2 < 746.0
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def _route(x, d):
+    """The class-sum route of each point of x: 0 on the q = 0 table, 1 on a sqrt(x)
+    bucket, 2 past the skip bound."""
+    near = states._near(x, d)
+    return np.where(near, np.where(x <= states.series_bound(d), 0, 1), 2)
+
+
+@pytest.mark.parametrize("d", [4, 5, 8])
+@pytest.mark.parametrize("s", list(Scheme))
+def test_array_fidelity_holds_on_every_route_pair(d, s):
+    # the exponent of each gain cancels the envelope against the e^-x of the class sums on
+    # the q = 0 table in a form of its own per pair of routes of y = g a^2 and z = g^2 a^2:
+    # every pair the cross-check gain grids reach is within 1e-12 of the scalar route
+    # (log class sums, no exponent to cancel) and of 50 digits where F >= 1e-3
+    pairs = set()
+    for alpha in (1.3, 3.0):
+        g = np.geomspace(0.05, 20.0, 120)
+        a2 = alpha * alpha
+        pairs |= set(zip(_route(g * a2, d).tolist(), _route(g * a2 * g, d).tolist()))
+        got = analytic.scs_fidelity(alpha, g, d, d - 1, s)
+        for i in range(g.size):
+            scalar = analytic.scs_fidelity(alpha, float(g[i]), d, d - 1, s)
+            if scalar >= 1e-290:
+                assert abs(got[i] - scalar) <= 1e-12 * scalar, (alpha, g[i], got[i], scalar)
+            if scalar >= 1e-3 and i % 3 == 0:
+                want = mp_scs_fidelity(alpha, float(g[i]), d, d - 1, s.value)
+                assert abs(got[i] - want) <= 1e-12 * want, (alpha, g[i], got[i], want)
+    assert {(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)} <= pairs, pairs
+
+
+@pytest.mark.parametrize("s", list(Scheme))
+def test_array_fidelity_on_the_q0_table_takes_no_exponential(monkeypatch, s):
+    # where every y and z of a block is on the q = 0 table, the envelope cancels the e^-x
+    # of all three class sums to e^-a^2, one value: no np.exp over the block's gains
+    # (multiplied out, it took three, the envelope's and one per class sum)
+    g = np.linspace(0.05, 2.0, analytic._BLOCK)
+    want = analytic.scs_fidelity(1.5, g, 5, 2, s)
+    sizes = []
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", spy)
+    got = analytic.scs_fidelity(1.5, g, 5, 2, s)
+    assert np.all(_route(g * 2.25, 5) == 0) and np.all(_route(g * 2.25 * g, 5) == 0)
+    assert max(sizes) == 1 and np.array_equal(got, want), sizes
 
 
 def test_class_moments_match_high_precision_class_sums():
